@@ -8,8 +8,8 @@ use lti::{
     realify_columns, simulate_descriptor, simulate_ss, FreqResponse, LtiSystem,
 };
 use pmtbr::{
-    adaptive_pmtbr, input_correlated_pmtbr, pmtbr,
-    IncrementalBasis, InputCorrelatedOptions, PmtbrOptions, SamplePoint, Sampling,
+    input_correlated_pmtbr, pipeline, pmtbr, Budget, IncrementalBasis, InputCorrelatedOptions,
+    NullCache, OrderControl, PmtbrOptions, ReductionPlan, SamplePoint, Sampling,
 };
 
 use crate::util::{banner, hz, Series};
@@ -21,8 +21,8 @@ fn rms_err(a: &FreqResponse, b: &FreqResponse) -> f64 {
     (num / den).sqrt()
 }
 
-/// Ablation A: uniform vs. log vs. adaptive sampling at an equal solve
-/// budget, on the resonant PEEC structure.
+/// Ablation A: uniform vs. log vs. greedy adaptive sampling at an equal
+/// solve budget, on the resonant PEEC structure.
 pub fn sampling_strategies() -> Result<(), Box<dyn std::error::Error>> {
     banner("Ablation A: sampling strategy (equal budget of 30 solves, order 22)");
     let sys = peec_resonator(&PeecParams::default())?;
@@ -50,19 +50,24 @@ pub fn sampling_strategies() -> Result<(), Box<dyn std::error::Error>> {
         })
         .with_max_order(order),
     )?;
-    let ada = adaptive_pmtbr(&sys, omega_max * 1e-3, omega_max, 1e-9, budget, Some(order))?;
+    let greedy_order = OrderControl::Tolerance { tolerance: 1e-12, max_order: Some(order) };
+    let greedy_plan = ReductionPlan::greedy(omega_max, 1e-9, budget, greedy_order);
+    let greedy = pipeline::run(&sys, &greedy_plan, None, &Budget::default(), &NullCache)?;
 
     let mut s = Series::new("ablation_sampling", &["strategy_id", "error"]);
     let e_uni = err_of(&uni.reduced)?;
     let e_log = err_of(&log.reduced)?;
-    let e_ada = err_of(&ada.model.reduced)?;
+    let e_greedy = err_of(&greedy.model.reduced)?;
     s.push(vec![0.0, e_uni]);
     s.push(vec![1.0, e_log]);
-    s.push(vec![2.0, e_ada]);
+    s.push(vec![2.0, e_greedy]);
     s.emit();
     println!("  0 = uniform: {e_uni:.3e}");
     println!("  1 = log:     {e_log:.3e}");
-    println!("  2 = adaptive ({} points used): {e_ada:.3e}", ada.chosen_omegas.len());
+    println!(
+        "  2 = greedy ({} shifts used): {e_greedy:.3e}",
+        greedy.diagnostics.surviving
+    );
     Ok(())
 }
 

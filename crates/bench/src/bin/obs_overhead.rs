@@ -47,7 +47,7 @@ fn sweep(sys: &Descriptor, shifts: &[c64], threads: usize) -> Result<(), NumErro
 fn run(sys: &Descriptor, npoints: usize) -> Result<OverheadResult, NumError> {
     let points = Sampling::Linear { omega_max: 10.0, n: npoints }.points()?;
     let shifts: Vec<c64> = points.iter().map(|p| p.s).collect();
-    let threads = pmtbr::par::num_threads();
+    let threads = numkit::par::num_threads();
 
     // Warm-up outside the measured section.
     sweep(sys, &shifts, threads)?;

@@ -9,7 +9,7 @@
 //!    pencil assembly plus one symbolic analysis reused by numeric-only
 //!    refactorization at every subsequent shift, single thread;
 //! 3. **engine, parallel** — the same engine fanned across the worker
-//!    pool ([`pmtbr::par::num_threads`] workers, honouring
+//!    pool ([`numkit::par::num_threads`] workers, honouring
 //!    `PMTBR_THREADS`).
 //!
 //! Writes `BENCH_sampling.json` at the repository root and prints the
@@ -67,7 +67,7 @@ fn run_case(name: &str, sys: &Descriptor, npoints: usize) -> Result<CaseResult, 
     let points = Sampling::Linear { omega_max: 10.0, n: npoints }.points()?;
     let shifts: Vec<c64> = points.iter().map(|p| p.s).collect();
     let rhs = sys.b.to_complex();
-    let threads = pmtbr::par::num_threads();
+    let threads = numkit::par::num_threads();
 
     // Warm-up: touch every code path once so first-run page faults and
     // lazy allocations don't land in the measured section.

@@ -9,8 +9,8 @@
 //! whole job.
 //!
 //! The PMTBR-family entries are thin [`pmtbr::ReductionPlan`]
-//! constructors executed by [`pmtbr::pipeline::run`], which means every
-//! method inherits the tolerant parallel sweep: `PMTBR_FAULT` degrades
+//! constructors executed by [`pmtbr::pipeline::run_cached`], which means
+//! every method inherits the tolerant parallel sweep: `PMTBR_FAULT` degrades
 //! the quadrature instead of erroring, `--threads` pins the worker
 //! count, `--trace` records the sweep, and the returned
 //! [`SweepDiagnostics`] drive the binary's exit-code policy uniformly.
@@ -175,43 +175,6 @@ fn run_fsel(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) ->
     run_plan(sys, &plan, req, cache, "frequency-selective-pmtbr")
 }
 
-fn run_adaptive(sys: &Descriptor, req: &ReduceRequest, _cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    let m = pmtbr::adaptive_pmtbr(
-        sys,
-        adaptive_lo(req.omega_max),
-        req.omega_max,
-        req.tol,
-        req.samples.max(3),
-        req.order,
-    )
-    .map_err(|e| e.to_string())?;
-    let mut report = vec![
-        "method: adaptive-pmtbr".to_string(),
-        format!("order: {}", m.model.order),
-        format!("error_estimate: {:.6e}", m.model.error_estimate),
-        format!(
-            "samples_surviving: {}/{}",
-            m.diagnostics.surviving, m.diagnostics.requested
-        ),
-        format!("chosen_points: {}", m.chosen_omegas.len()),
-        "singular_values:".to_string(),
-    ];
-    for (i, s) in m.model.singular_values.iter().take(m.model.order + 5).enumerate() {
-        report.push(format!("  sigma_{i}: {s:.6e}"));
-    }
-    Ok(MethodOutput {
-        reduced: m.model.reduced,
-        report,
-        diagnostics: Some(m.diagnostics),
-        pipeline: None,
-    })
-}
-
-/// Adaptive bisection needs a nonzero lower edge well below the band.
-fn adaptive_lo(omega_max: f64) -> f64 {
-    omega_max * 1e-3
-}
-
 fn run_greedy(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
     let max_shifts = req.greedy_max_shifts.unwrap_or(req.samples).max(1);
     let order = pmtbr::OrderControl::Tolerance { tolerance: req.tol, max_order: req.order };
@@ -337,12 +300,6 @@ pub const METHODS: &[Method] = &[
         summary: "frequency-selective quadrature over --bands (paper Algorithm 2)",
         needs_order: false,
         run: run_fsel,
-    },
-    Method {
-        name: "adaptive",
-        summary: "residual-driven bisection of the band (paper Section V-B)",
-        needs_order: false,
-        run: run_adaptive,
     },
     Method {
         name: "greedy",

@@ -15,7 +15,9 @@
 //! races). The quick CI gate in `scripts/check.sh` runs the same matrix
 //! through this test.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 const RLC_LADDER: &str = "\
 * Two-port RLC ladder with enough states to drop nodes under chaos.
@@ -30,12 +32,20 @@ PORT 1
 PORT 5
 .end";
 
-fn netlist_path() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("pmtbr-chaos");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("ladder.sp");
-    std::fs::write(&path, RLC_LADDER).expect("write netlist");
-    path
+/// The ladder netlist on disk, written exactly once per test process.
+/// Tests run in parallel and their child processes read this file, so
+/// rewriting it per test (truncate, then write) would let a sibling's
+/// child parse a half-written netlist.
+fn netlist_path() -> PathBuf {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("pmtbr-chaos-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("ladder.sp");
+        std::fs::write(&path, RLC_LADDER).expect("write netlist");
+        path
+    })
+    .clone()
 }
 
 /// Runs `reduce` with the given method, fault spec, and thread count;

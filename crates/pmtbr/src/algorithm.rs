@@ -7,36 +7,23 @@
 //! the Hankel singular values, and the trailing-value sum drives order
 //! and error control.
 
-use lti::{LtiSystem, NoFaults, RecoveryPolicy, StateSpace};
-use numkit::{svd, svd_with_sweeps, DMat, NumError, Svd};
+use lti::{LtiSystem, StateSpace};
+use numkit::{svd_with_sweeps, DMat, NumError, Svd};
 
-use crate::pipeline::{InputDirections, ReductionPlan, SweptSamples};
-use crate::{SamplePoint, Sampling};
+use crate::pipeline::{run_cached, spectral_model, OrderControl, ReductionPlan};
+use crate::{Budget, NullCache, SamplePoint, Sampling};
 
-/// SVD of the sample matrix with a convergence safety net.
+/// SVD of the sample matrix with column equilibration — rung 2 of the
+/// pipeline's spectral compressor ladder.
 ///
 /// The one-sided Jacobi SVD can (rarely) exhaust its sweep budget on
-/// sample matrices whose columns span 15+ orders of magnitude. When it
-/// reports [`NumError::NotConverged`], this retries once with column
-/// equilibration: with `D = diag(1/‖aⱼ‖₂)` the scaled matrix `A·D` has
-/// unit columns and converges quickly; `A = U₁·(S₁·V₁ᵀ·D⁻¹)` is then
-/// recombined *exactly* through a second small SVD of the `k × c`
-/// middle factor, so the returned triplet is a genuine SVD of the
-/// original matrix. Both retry stages run with a raised sweep cap.
-///
-/// Returns the factorization and whether the retry path was taken.
-pub(crate) fn robust_svd(a: &DMat) -> Result<(Svd<f64>, bool), NumError> {
-    match svd(a) {
-        Ok(f) => Ok((f, false)),
-        Err(NumError::NotConverged { .. }) => equilibrated_svd(a, 400).map(|f| (f, true)),
-        Err(e) => Err(e),
-    }
-}
-
-/// The equilibrated retry behind [`robust_svd`] (and rung 2 of the
-/// pipeline's compressor ladder): factor `A·D` with unit columns, then
-/// recombine exactly through a second small SVD. Both internal SVDs run
-/// under `max_sweeps`, so a work budget can clamp the retry.
+/// sample matrices whose columns span 15+ orders of magnitude. With
+/// `D = diag(1/‖aⱼ‖₂)` the scaled matrix `A·D` has unit columns and
+/// converges quickly; `A = U₁·(S₁·V₁ᵀ·D⁻¹)` is then recombined *exactly*
+/// through a second small SVD of the `k × c` middle factor, so the
+/// returned triplet is a genuine SVD of the original matrix. Both
+/// internal SVDs run under `max_sweeps`, so a work budget can clamp the
+/// retry.
 pub(crate) fn equilibrated_svd(a: &DMat, max_sweeps: usize) -> Result<Svd<f64>, NumError> {
     let (n, c) = a.shape();
     let norms: Vec<f64> = (0..c)
@@ -174,12 +161,12 @@ impl SampleBasis {
 
 /// Computes the PMTBR sample basis for a system under a sampling scheme.
 ///
-/// Runs the shared pipeline sweep stage ([`crate::pipeline`]) in strict
-/// mode (no fault injection): sparse descriptor systems reuse one
-/// symbolic LU analysis across all sample points and fan the numeric
-/// work across threads (`PMTBR_THREADS` overrides the count). Results
-/// are identical for every thread count, and bit-identical to the
-/// per-variant solve loops this path replaced.
+/// This is [`crate::sample_basis_tolerant`] without fault injection:
+/// sparse descriptor systems reuse one symbolic LU analysis across all
+/// sample points and fan the numeric work across threads
+/// (`PMTBR_THREADS` overrides the count), and the SVD comes from the
+/// pipeline's spectral compressor ladder. Results are identical for
+/// every thread count.
 ///
 /// Strict means strict: where [`crate::sample_basis_tolerant`] degrades
 /// the quadrature, this function turns any dropped sample point into an
@@ -195,28 +182,16 @@ pub fn sample_basis<S: LtiSystem + ?Sized>(
     sys: &S,
     sampling: &Sampling,
 ) -> Result<SampleBasis, NumError> {
-    let SweptSamples { kept, zmat, surviving, requested, reports, mut span, .. } =
-        crate::pipeline::sweep(
-            sys,
-            sampling,
-            &InputDirections::IdentityBlock,
-            false,
-            &RecoveryPolicy::default(),
-            &NoFaults,
-            None,
-        )?;
-    if surviving < requested {
+    let (basis, diag) = crate::sample_basis_tolerant(sys, sampling, None)?;
+    if diag.dropped() > 0 {
         // Strict contract: a dropped node is an error, not degradation.
-        let cause = reports
+        let cause = diag
+            .reports
             .iter()
             .find_map(|r| if r.outcome.is_dropped() { r.error.clone() } else { None });
         return Err(cause.unwrap_or(NumError::InvalidArgument("sample point dropped")));
     }
-    let svd = robust_svd(&zmat)?.0;
-    span.field_u64("surviving", surviving as u64);
-    span.field_u64("total_cols", zmat.ncols() as u64);
-    drop(span);
-    Ok(SampleBasis { svd, points: kept })
+    Ok(basis)
 }
 
 /// A reduced model produced by any PMTBR variant.
@@ -237,11 +212,11 @@ pub struct PmtbrModel {
 
 /// Runs PMTBR (Algorithm 1) end to end.
 ///
-/// Equivalent to executing [`ReductionPlan::pmtbr`] through
-/// [`crate::pipeline::run`]: the sweep honors `PMTBR_FAULT` (degrading
-/// gracefully and discarding the per-point account — use
-/// [`crate::pmtbr_tolerant`] or the pipeline API to inspect it) and is
-/// traced under the `pmtbr.sample_sweep` span.
+/// Executes [`ReductionPlan::pmtbr`] through
+/// [`crate::pipeline::run_cached`]: the sweep honors `PMTBR_FAULT`
+/// (degrading gracefully and discarding the per-point account — use
+/// [`crate::pipeline::run`] to inspect it) and is traced under the
+/// `pmtbr.sample_sweep` span.
 ///
 /// # Errors
 ///
@@ -264,7 +239,7 @@ pub struct PmtbrModel {
 /// # }
 /// ```
 pub fn pmtbr<S: LtiSystem + ?Sized>(sys: &S, opts: &PmtbrOptions) -> Result<PmtbrModel, NumError> {
-    Ok(crate::pipeline::run(sys, &ReductionPlan::pmtbr(opts))?.model)
+    Ok(run_cached(sys, &ReductionPlan::pmtbr(opts), &Budget::default(), &NullCache)?.model)
 }
 
 /// Projects a system onto a precomputed [`SampleBasis`] under the given
@@ -279,28 +254,15 @@ pub fn reduce_with_basis<S: LtiSystem + ?Sized>(
     basis: &SampleBasis,
     opts: &PmtbrOptions,
 ) -> Result<PmtbrModel, NumError> {
-    let s = basis.singular_values();
-    if s.is_empty() || s[0] == 0.0 {
-        return Err(NumError::InvalidArgument("sample basis is empty"));
-    }
-    let by_tol = s.iter().take_while(|&&x| x > opts.tolerance() * s[0]).count().max(1);
-    let order = opts.max_order().map_or(by_tol, |cap| by_tol.min(cap)).min(s.len());
-    let v = basis.basis(order);
-    let reduced = sys.project(&v, &v)?;
-    Ok(PmtbrModel {
-        reduced,
-        v,
-        singular_values: s.to_vec(),
-        order,
-        error_estimate: s.iter().skip(order).sum(),
-    })
+    let order = OrderControl::Tolerance { tolerance: opts.tolerance(), max_order: opts.max_order() };
+    spectral_model(sys, &basis.svd, &order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use circuits::{clock_tree, rc_mesh};
-    use numkit::c64;
+    use numkit::{c64, svd};
 
     #[test]
     fn equilibrated_svd_matches_direct_on_graded_columns() {

@@ -13,8 +13,8 @@
 use lti::LtiSystem;
 use numkit::NumError;
 
-use crate::pipeline::ReductionPlan;
-use crate::{PmtbrModel, Sampling};
+use crate::pipeline::{run_cached, ReductionPlan};
+use crate::{Budget, NullCache, PmtbrModel, Sampling};
 
 /// Runs balanced (two-sided) PMTBR.
 ///
@@ -52,7 +52,8 @@ pub fn balanced_pmtbr<S: LtiSystem + ?Sized>(
     sampling: &Sampling,
     order: usize,
 ) -> Result<PmtbrModel, NumError> {
-    Ok(crate::pipeline::run(sys, &ReductionPlan::balanced(sampling, order))?.model)
+    let plan = ReductionPlan::balanced(sampling, order);
+    Ok(run_cached(sys, &plan, &Budget::default(), &NullCache)?.model)
 }
 
 #[cfg(test)]

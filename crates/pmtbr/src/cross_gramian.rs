@@ -17,8 +17,8 @@
 use lti::LtiSystem;
 use numkit::NumError;
 
-use crate::pipeline::ReductionPlan;
-use crate::{PmtbrModel, Sampling};
+use crate::pipeline::{run_cached, ReductionPlan};
+use crate::{Budget, NullCache, PmtbrModel, Sampling};
 
 /// Runs cross-Gramian PMTBR, producing an order-`order` two-sided model.
 ///
@@ -52,7 +52,8 @@ pub fn cross_gramian_pmtbr<S: LtiSystem + ?Sized>(
     sampling: &Sampling,
     order: usize,
 ) -> Result<PmtbrModel, NumError> {
-    Ok(crate::pipeline::run(sys, &ReductionPlan::cross_gramian(sampling, order))?.model)
+    let plan = ReductionPlan::cross_gramian(sampling, order);
+    Ok(run_cached(sys, &plan, &Budget::default(), &NullCache)?.model)
 }
 
 #[cfg(test)]

@@ -33,13 +33,13 @@ use numkit::{c64, NumError, SplitMix64, ZMat};
 
 /// Stage-level fault injection: everything [`SolveFault`] covers for
 /// the sweep, plus deterministic poisoning of compress/project
-/// attempts in [`crate::pipeline::run_guarded`].
+/// attempts in [`crate::pipeline::run`].
 ///
 /// The `attempt` argument is the pipeline's per-stage attempt counter
 /// (0 = first try), shared across a stage's whole recovery ladder — so
 /// a fault of depth `d` forces exactly `d` escalations before letting
 /// the stage through, whichever rung those escalations land on.
-pub trait StageFault: SolveFault {
+pub(crate) trait StageFault: SolveFault {
     /// The error to inject into attempt `attempt` of `stage`; `None`
     /// lets the attempt run normally.
     fn stage_error(&self, _stage: FaultStage, _attempt: usize) -> Option<NumError> {
@@ -62,6 +62,14 @@ impl StageFault for FaultPlan {
 
     fn stage_panics(&self, stage: FaultStage, attempt: usize) -> bool {
         FaultPlan::stage_panics(self, stage, attempt)
+    }
+}
+
+/// The stage-fault hook for an optional plan (`None` injects nothing).
+pub(crate) fn stage_faults(faults: Option<&FaultPlan>) -> &dyn StageFault {
+    match faults {
+        Some(plan) => plan,
+        None => &NoFaults,
     }
 }
 
@@ -142,11 +150,11 @@ impl FaultStage {
 /// pipeline stages.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    seed: u64,
-    rate: f64,
-    kinds: Vec<FaultKind>,
-    depth: usize,
-    stages: Vec<FaultStage>,
+    pub(crate) seed: u64,
+    pub(crate) rate: f64,
+    pub(crate) kinds: Vec<FaultKind>,
+    pub(crate) depth: usize,
+    pub(crate) stages: Vec<FaultStage>,
 }
 
 impl FaultPlan {

@@ -12,8 +12,8 @@
 use lti::LtiSystem;
 use numkit::NumError;
 
-use crate::pipeline::ReductionPlan;
-use crate::PmtbrModel;
+use crate::pipeline::{run_cached, ReductionPlan};
+use crate::{Budget, NullCache, PmtbrModel};
 
 /// Runs frequency-selective PMTBR over the union of `bands`
 /// (each `(lo, hi)` in rad/s), using `n_samples` total quadrature nodes.
@@ -25,7 +25,7 @@ use crate::PmtbrModel;
 ///
 /// # Errors
 ///
-/// Propagates sampling validation and [`crate::pipeline::run`] errors.
+/// Propagates sampling validation and [`crate::pipeline::run_cached`] errors.
 ///
 /// # Examples
 ///
@@ -49,7 +49,7 @@ pub fn frequency_selective_pmtbr<S: LtiSystem + ?Sized>(
     tolerance: f64,
 ) -> Result<PmtbrModel, NumError> {
     let plan = ReductionPlan::frequency_selective(bands, n_samples, max_order, tolerance);
-    Ok(crate::pipeline::run(sys, &plan)?.model)
+    Ok(run_cached(sys, &plan, &Budget::default(), &NullCache)?.model)
 }
 
 #[cfg(test)]

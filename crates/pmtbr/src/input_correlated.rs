@@ -17,8 +17,8 @@
 use lti::LtiSystem;
 use numkit::{DMat, NumError};
 
-use crate::pipeline::ReductionPlan;
-use crate::{PmtbrModel, Sampling};
+use crate::pipeline::{run_cached, ReductionPlan};
+use crate::{Budget, NullCache, PmtbrModel, Sampling};
 
 /// Configuration for input-correlated PMTBR.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +94,7 @@ pub fn input_correlated_pmtbr<S: LtiSystem + ?Sized>(
     opts: &InputCorrelatedOptions,
 ) -> Result<PmtbrModel, NumError> {
     let plan = ReductionPlan::input_correlated(u_samples, opts);
-    Ok(crate::pipeline::run(sys, &plan)?.model)
+    Ok(run_cached(sys, &plan, &Budget::default(), &NullCache)?.model)
 }
 
 #[cfg(test)]

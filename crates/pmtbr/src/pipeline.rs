@@ -29,18 +29,21 @@
 //!   ([`ReductionPlan::balanced`]) or the joint cross-Gramian
 //!   eigenproblem ([`ReductionPlan::cross_gramian`]).
 //!
-//! Because there is exactly one execution core ([`run_guarded`]),
-//! every variant inherits the same guarantees: the parallel
-//! factorization-reusing `ShiftSolveEngine`, the fault-tolerance
-//! escalation ladders with [`SweepDiagnostics`] and [`PipelineReport`],
-//! `PMTBR_FAULT` chaos testing ([`run`]), deterministic work budgets
-//! with cooperative cancellation ([`Budget`]), `obs` tracing, and
-//! bit-identical results at any thread count.
+//! There are exactly two ways to execute a plan: [`run`], the one
+//! explicit core (fault plan, budget, and artifact cache all passed
+//! in), and [`run_cached`], which reads the fault plan from
+//! `PMTBR_FAULT` and calls it. Every variant therefore inherits the
+//! same guarantees: the parallel factorization-reusing
+//! `ShiftSolveEngine`, the fault-tolerance escalation ladders with
+//! [`SweepDiagnostics`] and [`PipelineReport`], deterministic work
+//! budgets with cooperative cancellation ([`Budget`]), content-addressed
+//! caching, `obs` tracing, and bit-identical results at any thread
+//! count.
 //!
 //! ## Fault containment beyond the sweep
 //!
 //! The sweep stage has always degraded gracefully (its per-shift
-//! escalation ladder drops nodes instead of aborting). [`run_guarded`]
+//! escalation ladder drops nodes instead of aborting). [`run`]
 //! extends the same discipline to the other two stages:
 //!
 //! - **compress** escalates through a deterministic ladder — plain SVD
@@ -61,10 +64,11 @@
 //! aborted process.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use lti::{
-    input_correlation_svd, realified_ncols, realify_columns_into, LtiSystem, NoFaults,
-    RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, StateSpace, TolerantSweep,
+    input_correlation_svd, realified_ncols, realify_columns_into, LtiSystem, RecoveryPolicy,
+    ShiftOutcome, ShiftReport, SolveFault, StateSpace, TolerantSweep,
 };
 use numkit::{
     c64, eig, svd, svd_with_opts, svd_with_sweeps, DMat, Lu, NumError, SplitMix64, Svd,
@@ -73,7 +77,8 @@ use numkit::{
 
 use crate::algorithm::equilibrated_svd;
 use crate::budget::BudgetTracker;
-use crate::fault::{FaultStage, StageFault};
+use crate::cache::{self, Artifact, ArtifactCache, CacheKey, CachedReduction, CachedSweep};
+use crate::fault::{stage_faults, FaultPlan, FaultStage, StageFault};
 use crate::{
     Budget, IncrementalBasis, InputCorrelatedOptions, PmtbrModel, PmtbrOptions, SamplePoint,
     Sampling, SweepDiagnostics,
@@ -143,16 +148,16 @@ pub enum OrderControl {
 
 /// A complete, declarative description of one reduction: sampling
 /// nodes/weights, input directions, compressor, and order control.
-/// Execute with [`run`] / [`run_with`].
+/// Execute with [`run`] / [`run_cached`].
 ///
 /// ```
-/// use pmtbr::{pipeline::run, PmtbrOptions, ReductionPlan, Sampling};
+/// use pmtbr::{pipeline::run, Budget, NullCache, PmtbrOptions, ReductionPlan, Sampling};
 ///
 /// # fn main() -> Result<(), numkit::NumError> {
 /// let sys = circuits::rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0)?;
 /// let opts =
 ///     PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 12 }).with_max_order(6);
-/// let red = run(&sys, &ReductionPlan::pmtbr(&opts))?;
+/// let red = run(&sys, &ReductionPlan::pmtbr(&opts), None, &Budget::default(), &NullCache)?;
 /// assert!(red.model.order <= 6);
 /// assert!(red.report.is_clean());
 /// # Ok(())
@@ -249,14 +254,15 @@ impl ReductionPlan {
     /// [`ReductionPlan::sampling`] directly for a denser off-grid pool.
     ///
     /// ```
-    /// use pmtbr::{pipeline::run, OrderControl, ReductionPlan};
+    /// use pmtbr::{pipeline::run, Budget, NullCache, OrderControl, ReductionPlan};
     ///
     /// # fn main() -> Result<(), numkit::NumError> {
     /// let sys = circuits::rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0)?;
     /// // At most 6 solves, stopping early once the surrogate or the
     /// // reduced transfer function has converged below 1e-4.
     /// let order = OrderControl::Tolerance { tolerance: 1e-8, max_order: Some(6) };
-    /// let red = run(&sys, &ReductionPlan::greedy(20.0, 1e-4, 6, order))?;
+    /// let plan = ReductionPlan::greedy(20.0, 1e-4, 6, order);
+    /// let red = run(&sys, &plan, None, &Budget::default(), &NullCache)?;
     /// assert!(red.diagnostics.surviving <= 6);
     /// # Ok(())
     /// # }
@@ -410,9 +416,11 @@ pub struct Reduction {
     pub report: PipelineReport,
 }
 
-/// Executes a plan with the default [`RecoveryPolicy`], no budget, and
-/// the fault plan from the `PMTBR_FAULT` environment variable (none
-/// when unset) — so chaos testing applies uniformly to every variant.
+/// Executes a plan with the fault plan from the `PMTBR_FAULT`
+/// environment variable (none when unset), so chaos testing applies
+/// uniformly to every variant, the CLI, and the serve daemon. This is
+/// the only place the library reads `PMTBR_FAULT`; everything else is
+/// [`run`].
 ///
 /// # Errors
 ///
@@ -420,61 +428,28 @@ pub struct Reduction {
 ///   malformed — a bad spec must never run silently unfaulted. (The
 ///   CLI validates the variable up front and prints the detailed parse
 ///   error; this in-library error is deliberately static.)
-/// - See [`run_guarded`] for the rest.
-pub fn run<S: LtiSystem + ?Sized>(sys: &S, plan: &ReductionPlan) -> Result<Reduction, NumError> {
-    run_budgeted(sys, plan, &Budget::default())
-}
-
-/// [`run`] with an explicit work budget: default policy, `PMTBR_FAULT`
-/// chaos faults, budget caps, and cooperative cancellation. This is
-/// what the CLI's `--budget-*` flags call.
+/// - See [`run`] for the rest.
 ///
-/// # Errors
+/// ```
+/// use pmtbr::{pipeline::run_cached, Budget, NullCache, PmtbrOptions, ReductionPlan, Sampling};
 ///
-/// See [`run`] and [`run_guarded`].
-pub fn run_budgeted<S: LtiSystem + ?Sized>(
-    sys: &S,
-    plan: &ReductionPlan,
-    budget: &Budget,
-) -> Result<Reduction, NumError> {
-    run_cached(sys, plan, budget, &crate::cache::NullCache)
-}
-
-/// [`run_budgeted`] consulting a content-addressed [`ArtifactCache`](crate::ArtifactCache) at
-/// stage boundaries — the entry point behind reduction-as-a-service.
-///
-/// The lookup ladder, keyed on [`LtiSystem::pencil_hash`] plus a digest
-/// of the plan, the `PMTBR_FAULT` spec, and the budget caps:
-///
-/// 1. **Model hit** — the finished [`Reduction`] is returned and the
-///    trace events captured by the computing run are replayed
-///    byte-for-byte ([`obs::replay`]); the whole pipeline is skipped.
-/// 2. **Sweep hit** — the realified sample matrix is reused and the run
-///    skips straight to compress/project, so plans differing only in
-///    compressor or order control share the expensive LU sweep.
-/// 3. **Miss** — the full pipeline runs and its artifacts are offered
-///    for admission.
-///
-/// [`NullCache`](crate::cache::NullCache) (what [`run_budgeted`] uses)
-/// makes every lookup miss, so cached and uncached runs execute the
-/// identical code path and are byte-identical — model, report, trace,
-/// and counters. A Degraded result is never admitted (see
-/// [`crate::cache`] for the full identity contract).
-///
-/// # Errors
-///
-/// See [`run`] and [`run_guarded`]. A cache hit can still return
-/// [`NumError::Cancelled`] when the budget's token is already raised.
+/// # fn main() -> Result<(), numkit::NumError> {
+/// let sys = circuits::rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0)?;
+/// let opts =
+///     PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 12 }).with_max_order(6);
+/// let red = run_cached(&sys, &ReductionPlan::pmtbr(&opts), &Budget::default(), &NullCache)?;
+/// assert!(red.model.order <= 6);
+/// # Ok(())
+/// # }
+/// ```
 pub fn run_cached<S: LtiSystem + ?Sized>(
     sys: &S,
     plan: &ReductionPlan,
     budget: &Budget,
-    cache: &dyn crate::cache::ArtifactCache,
+    cache: &dyn ArtifactCache,
 ) -> Result<Reduction, NumError> {
-    let policy = RecoveryPolicy::default();
-    match crate::fault::FaultPlan::from_env() {
-        Ok(Some(p)) => run_guarded_cached(sys, plan, &policy, &p, budget, cache),
-        Ok(None) => run_guarded_cached(sys, plan, &policy, &NoFaults, budget, cache),
+    match FaultPlan::from_env() {
+        Ok(faults) => run(sys, plan, faults.as_ref(), budget, cache),
         Err(_) => Err(NumError::InvalidArgument(
             "malformed PMTBR_FAULT spec: fix or unset it (the pmtbr CLI prints the detailed \
              parse error)",
@@ -482,57 +457,22 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
     }
 }
 
-/// Executes a plan with an explicit recovery policy and sweep-level
-/// fault hook, no stage-level fault injection, and no budget.
-///
-/// Kept for callers that only need the sweep-stage [`SolveFault`]
-/// surface; [`run_guarded`] is the full execution core.
-///
-/// # Errors
-///
-/// See [`run_guarded`].
-pub fn run_with<S: LtiSystem + ?Sized>(
-    sys: &S,
-    plan: &ReductionPlan,
-    policy: &RecoveryPolicy,
-    faults: &dyn SolveFault,
-) -> Result<Reduction, NumError> {
-    run_guarded(sys, plan, policy, &SweepOnly(faults), &Budget::default())
-}
-
-/// Adapts a sweep-only [`SolveFault`] to the [`StageFault`] surface
-/// (stage hooks inert).
-struct SweepOnly<'a>(&'a dyn SolveFault);
-
-impl SolveFault for SweepOnly<'_> {
-    fn inject_error(&self, index: usize, attempt: usize) -> Option<NumError> {
-        self.0.inject_error(index, attempt)
-    }
-
-    fn corrupt(&self, index: usize, attempt: usize, z: &mut ZMat) {
-        self.0.corrupt(index, attempt, z);
-    }
-
-    fn inject_panic(&self, index: usize) -> bool {
-        self.0.inject_panic(index)
-    }
-}
-
-impl StageFault for SweepOnly<'_> {}
-
-/// Executes a plan: sweep → compress → project, with an explicit
-/// recovery policy, stage-level fault hook, and deterministic work
-/// budget.
+/// Executes a plan: sweep → compress → project, with an explicit fault
+/// plan, deterministic work budget, and [`ArtifactCache`].
 ///
 /// This is the single execution core behind every reduction entry
 /// point. All shifted solves go through the tolerant multipoint sweep
-/// ([`LtiSystem::solve_shifted_many_tolerant`] and friends), so sparse
-/// systems get the factorization-reusing parallel engine; failures
-/// degrade the quadrature instead of aborting it; compression and
-/// projection failures escalate through deterministic recovery ladders
-/// (see the module docs); and the whole run is traced under the
+/// ([`LtiSystem::solve_shifted_many_tolerant`] and friends) under the
+/// default [`RecoveryPolicy`], so sparse systems get the
+/// factorization-reusing parallel engine; failures degrade the
+/// quadrature instead of aborting it; compression and projection
+/// failures escalate through deterministic recovery ladders (see the
+/// module docs); and the whole run is traced under the
 /// `pmtbr.sample_sweep` / `pmtbr.compress` / `pmtbr.project` spans with
 /// per-stage outcomes.
+///
+/// `faults` injects deterministic chaos into the stages it targets
+/// (`None` runs unfaulted, whatever the environment says).
 ///
 /// The budget's caps are enforced off the deterministic `obs` counters
 /// (never wall clock): the sweep attempts at most the remaining
@@ -543,6 +483,25 @@ impl StageFault for SweepOnly<'_> {}
 /// [`numkit::CancelToken`] is polled at stage boundaries and once per
 /// sweep shift.
 ///
+/// The cache is consulted at stage boundaries, keyed on
+/// [`LtiSystem::pencil_hash`] plus a digest of the plan, the fault
+/// plan, and the budget caps:
+///
+/// 1. **Model hit** — the finished [`Reduction`] is returned and the
+///    trace events captured by the computing run are replayed
+///    byte-for-byte ([`obs::replay`]); the whole pipeline is skipped.
+/// 2. **Sweep hit** — the realified sample matrix is reused and the run
+///    skips straight to compress/project, so plans differing only in
+///    compressor or order control share the expensive LU sweep.
+/// 3. **Miss** — the full pipeline runs and its artifacts are offered
+///    for admission.
+///
+/// [`NullCache`](crate::cache::NullCache) makes every lookup miss, so
+/// cached and uncached runs execute the identical code path and are
+/// byte-identical — model, report, trace, and counters. A Degraded
+/// result is never admitted (see [`crate::cache`] for the full identity
+/// contract).
+///
 /// # Errors
 ///
 /// - Plan validation ([`NumError::InvalidArgument`]).
@@ -552,14 +511,14 @@ impl StageFault for SweepOnly<'_> {}
 /// - [`NumError::BudgetExhausted`] when a budget leaves room for no
 ///   work at all (e.g. zero remaining LU factorizations before the
 ///   sweep).
-/// - [`NumError::Cancelled`] when the budget's token is raised.
+/// - [`NumError::Cancelled`] when the budget's token is raised, even on
+///   a cache hit.
 /// - Propagates unrecoverable SVD/eigen/projection errors (after the
 ///   compressor ladder and fallbacks are exhausted).
 ///
 /// ```
-/// use lti::{NoFaults, RecoveryPolicy};
 /// use pmtbr::{
-///     pipeline::run_guarded, Budget, PmtbrOptions, ReductionPlan, Sampling, StageOutcome,
+///     pipeline::run, Budget, NullCache, PmtbrOptions, ReductionPlan, Sampling, StageOutcome,
 /// };
 ///
 /// # fn main() -> Result<(), numkit::NumError> {
@@ -567,59 +526,32 @@ impl StageFault for SweepOnly<'_> {}
 /// let opts =
 ///     PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
 /// let plan = ReductionPlan::pmtbr(&opts);
-/// let red = run_guarded(
-///     &sys,
-///     &plan,
-///     &RecoveryPolicy::default(),
-///     &NoFaults,
-///     &Budget::default().with_max_lu_factors(1_000),
-/// )?;
+/// let budget = Budget::default().with_max_lu_factors(1_000);
+/// let red = run(&sys, &plan, None, &budget, &NullCache)?;
 /// assert_eq!(red.report.worst(), StageOutcome::Clean);
 /// assert!(red.report.budget_exhausted.is_none());
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_guarded<S: LtiSystem + ?Sized>(
+pub fn run<S: LtiSystem + ?Sized>(
     sys: &S,
     plan: &ReductionPlan,
-    policy: &RecoveryPolicy,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     budget: &Budget,
+    cache: &dyn ArtifactCache,
 ) -> Result<Reduction, NumError> {
-    run_core(sys, plan, policy, faults, budget, None, false).map(|(reduction, _)| reduction)
-}
-
-/// [`run_guarded`] with an [`ArtifactCache`](crate::cache::ArtifactCache)
-/// consulted at stage boundaries: the explicit-everything core behind
-/// [`run_cached`] (and the serve daemon). See [`run_cached`] for the
-/// lookup ladder and the identity contract.
-///
-/// # Errors
-///
-/// See [`run_guarded`].
-pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
-    sys: &S,
-    plan: &ReductionPlan,
-    policy: &RecoveryPolicy,
-    faults: &dyn StageFault,
-    budget: &Budget,
-    cache: &dyn crate::cache::ArtifactCache,
-) -> Result<Reduction, NumError> {
-    use crate::cache::{self, Artifact, CacheKey, CachedReduction};
-
     plan.validate()?;
     BudgetTracker::start(budget).check_cancelled()?;
     // A system without a content address cannot be cached; run the
     // identical core directly (no lookup spans: there is no key to
     // look up, and the omission is deterministic per system type).
     let Some(pencil) = sys.pencil_hash() else {
-        return run_core(sys, plan, policy, faults, budget, None, false)
-            .map(|(reduction, _)| reduction);
+        return run_core(sys, plan, faults, budget, None, false).map(|(reduction, _)| reduction);
     };
-    let env = cache::fault_env_digest();
+    let fault_word = cache::fault_digest(faults);
     let traced = obs::is_enabled();
 
-    let model_key = CacheKey::model(pencil, cache::model_digest(plan, env, budget));
+    let model_key = CacheKey::model(pencil, cache::model_digest(plan, fault_word, budget));
     if let Some(Artifact::Model(entry)) = cache.get(&model_key) {
         // An entry captured without a trace cannot serve a traced run:
         // replaying nothing would silently drop the pipeline spans, so
@@ -635,7 +567,7 @@ pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
     }
     cache::record_lookup(&model_key, false);
 
-    let sweep_key = CacheKey::sweep(pencil, cache::sweep_digest(plan, env, budget));
+    let sweep_key = CacheKey::sweep(pencil, cache::sweep_digest(plan, fault_word, budget));
     let warm_sweep = match cache.get(&sweep_key) {
         Some(Artifact::Sweep(s)) => {
             cache::record_lookup(&sweep_key, true);
@@ -652,9 +584,9 @@ pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
     // live, before the mark).
     let mark = obs::flushed_len();
     let (reduction, sweep_artifact) =
-        run_core(sys, plan, policy, faults, budget, warm_sweep.as_deref(), true)?;
+        run_core(sys, plan, faults, budget, warm_sweep.as_deref(), true)?;
     if let Some(sw) = sweep_artifact {
-        cache::record_offer(cache, sweep_key, Artifact::Sweep(std::sync::Arc::new(sw)));
+        cache::record_offer(cache, sweep_key, Artifact::Sweep(Arc::new(sw)));
     }
     // Poisoned-entry rejection: a Degraded result encodes this run's
     // fault/budget history and is never admitted.
@@ -670,7 +602,7 @@ pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
             events,
             traced: faithful,
         };
-        cache::record_offer(cache, model_key, Artifact::Model(std::sync::Arc::new(entry)));
+        cache::record_offer(cache, model_key, Artifact::Model(Arc::new(entry)));
     }
     Ok(reduction)
 }
@@ -681,30 +613,21 @@ pub fn run_guarded_cached<S: LtiSystem + ?Sized>(
 fn run_core<S: LtiSystem + ?Sized>(
     sys: &S,
     plan: &ReductionPlan,
-    policy: &RecoveryPolicy,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     budget: &Budget,
-    warm_sweep: Option<&crate::cache::CachedSweep>,
+    warm_sweep: Option<&CachedSweep>,
     want_sweep_artifact: bool,
-) -> Result<(Reduction, Option<crate::cache::CachedSweep>), NumError> {
-    plan.validate()?;
+) -> Result<(Reduction, Option<CachedSweep>), NumError> {
+    let faults = stage_faults(faults);
     let tracker = BudgetTracker::start(budget);
     tracker.check_cancelled()?;
     let mut report = PipelineReport::default();
-    // Thread the budget's cancellation token into the sweep policy when
-    // the caller didn't set one, so a single token stops every stage.
-    let policy_with_cancel;
-    let policy = match (policy.cancel.is_none(), tracker.cancel()) {
-        (true, Some(token)) => {
-            policy_with_cancel =
-                RecoveryPolicy { cancel: Some(token.clone()), ..policy.clone() };
-            &policy_with_cancel
-        }
-        _ => policy,
-    };
+    // The budget's cancellation token rides in the sweep policy, so a
+    // single token stops every stage.
+    let policy = RecoveryPolicy { cancel: budget.cancel.clone(), ..RecoveryPolicy::default() };
     let mut sweep_span: Option<obs::SpanGuard> = None;
     let mut budget_truncated = 0;
-    let cold: Option<crate::cache::CachedSweep> = if warm_sweep.is_some() {
+    let cold: Option<CachedSweep> = if warm_sweep.is_some() {
         None
     } else {
         let SweptSamples {
@@ -723,13 +646,13 @@ fn run_core<S: LtiSystem + ?Sized>(
             &plan.sampling,
             &plan.directions,
             plan.compressor.is_two_sided(),
-            policy,
+            &policy,
             faults,
             tracker.node_cap(),
         )?;
         sweep_span = Some(span);
         budget_truncated = truncated;
-        Some(crate::cache::CachedSweep { zmat, blocks, zl, reports, requested, surviving, renorm })
+        Some(CachedSweep { zmat, blocks, zl, reports, requested, surviving, renorm })
     };
     let data = match (cold.as_ref(), warm_sweep) {
         (Some(s), _) => s,
@@ -1234,7 +1157,7 @@ fn injected_outcome(
 /// caller can fall back to the SVD-free incremental compressor.
 ///
 /// Returns the factorization and the rung that certified it.
-fn spectral_ladder(
+pub(crate) fn spectral_ladder(
     a: &DMat,
     faults: &dyn StageFault,
     tracker: &BudgetTracker,
@@ -1567,6 +1490,26 @@ pub(crate) fn truncated_order(s: &[f64], order: &OrderControl) -> Result<usize, 
     }
 }
 
+/// Order selection and congruence projection onto the dominant left
+/// singular vectors of `f`: the spectral compressor's projection, also
+/// behind [`crate::reduce_with_basis`] and [`crate::pod_reduce`].
+pub(crate) fn spectral_model<S: LtiSystem + ?Sized>(
+    sys: &S,
+    f: &Svd<f64>,
+    order: &OrderControl,
+) -> Result<PmtbrModel, NumError> {
+    let q = truncated_order(&f.s, order)?;
+    let v = f.u.leading_cols(q);
+    let reduced: StateSpace = sys.project(&v, &v)?;
+    Ok(PmtbrModel {
+        reduced,
+        v,
+        singular_values: f.s.clone(),
+        order: q,
+        error_estimate: f.s.iter().skip(q).sum(),
+    })
+}
+
 /// Order selection + projector assembly + congruence projection.
 ///
 /// Injected stage faults (chaos testing) poison whole attempts: each
@@ -1601,18 +1544,7 @@ fn project<S: LtiSystem + ?Sized>(
     }
     let n = sys.nstates();
     let model = match compressed {
-        Compressed::Spectral { f, .. } => {
-            let q = truncated_order(&f.s, order)?;
-            let v = f.u.leading_cols(q);
-            let reduced: StateSpace = sys.project(&v, &v)?;
-            Ok(PmtbrModel {
-                reduced,
-                v,
-                singular_values: f.s.clone(),
-                order: q,
-                error_estimate: f.s.iter().skip(q).sum(),
-            })
-        }
+        Compressed::Spectral { f, .. } => spectral_model(sys, &f, order),
         Compressed::Incremental { basis, s } => {
             let mut q = truncated_order(&s, order)?;
             if matches!(order, OrderControl::Tolerance { .. }) {
@@ -1765,6 +1697,7 @@ fn project<S: LtiSystem + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NullCache;
     use circuits::rc_mesh;
     use numkit::c64;
 
@@ -1772,14 +1705,18 @@ mod tests {
         rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).unwrap()
     }
 
+    fn run_clean(sys: &lti::Descriptor, plan: &ReductionPlan) -> Result<Reduction, NumError> {
+        run(sys, plan, None, &Budget::default(), &NullCache)
+    }
+
     #[test]
     fn plan_validation_rejects_degenerate_requests() {
         let sampling = Sampling::Linear { omega_max: 10.0, n: 8 };
-        let err = run(&mesh(), &ReductionPlan::balanced(&sampling, 0)).unwrap_err();
+        let err = run_clean(&mesh(), &ReductionPlan::balanced(&sampling, 0)).unwrap_err();
         assert!(matches!(err, NumError::InvalidArgument(_)));
         let mut plan = ReductionPlan::cross_gramian(&sampling, 3);
         plan.order = OrderControl::Tolerance { tolerance: 1e-10, max_order: None };
-        assert!(run(&mesh(), &plan).is_err());
+        assert!(run_clean(&mesh(), &plan).is_err());
     }
 
     #[test]
@@ -1787,7 +1724,7 @@ mod tests {
         let sys = mesh();
         let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 15 }).with_max_order(6);
         let classic = crate::pmtbr(&sys, &opts).unwrap();
-        let planned = run(&sys, &ReductionPlan::pmtbr(&opts)).unwrap();
+        let planned = run_clean(&sys, &ReductionPlan::pmtbr(&opts)).unwrap();
         assert_eq!(classic.order, planned.model.order);
         assert_eq!(classic.singular_values, planned.model.singular_values);
         assert!(!planned.diagnostics.is_degraded());
@@ -1797,12 +1734,10 @@ mod tests {
     fn incremental_compressor_matches_svd_subspace() {
         let sys = mesh();
         let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 12 }).with_max_order(5);
-        let svd_red = run(&sys, &ReductionPlan::pmtbr(&opts)).unwrap();
-        let inc_red = run(
-            &sys,
-            &ReductionPlan::pmtbr(&opts).with_compressor(Compressor::Incremental),
-        )
-        .unwrap();
+        let svd_red = run_clean(&sys, &ReductionPlan::pmtbr(&opts)).unwrap();
+        let inc_red =
+            run_clean(&sys, &ReductionPlan::pmtbr(&opts).with_compressor(Compressor::Incremental))
+                .unwrap();
         assert_eq!(svd_red.model.order, inc_red.model.order);
         // Same singular values (the R factor is exact) and same subspace.
         for (a, b) in svd_red
@@ -1825,21 +1760,14 @@ mod tests {
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
         let plan = ReductionPlan::pmtbr(&opts);
-        let clean = run(&sys, &plan).unwrap();
+        let clean = run_clean(&sys, &plan).unwrap();
         // Depth d poisons the first d rungs (drift ⇒ NotConverged), so
         // the ladder certifies on rung d: 1 = raised cap, 2 =
         // equilibration, 3 = direct Jacobi.
         for depth in 1..=3 {
             let faults = FaultPlan::new(11, 1.0, vec![FaultKind::Drift], depth)
                 .with_stages(vec![FaultStage::Compress]);
-            let red = run_guarded(
-                &sys,
-                &plan,
-                &RecoveryPolicy::default(),
-                &faults,
-                &Budget::default(),
-            )
-            .unwrap();
+            let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
             assert_eq!(red.report.compress, StageOutcome::Recovered, "depth {depth}");
             assert!(!red.report.compressor_downgraded, "depth {depth}");
             assert!(
@@ -1871,14 +1799,7 @@ mod tests {
         // downgrade instead of erroring.
         let faults = FaultPlan::new(11, 1.0, vec![FaultKind::Drift], 4)
             .with_stages(vec![FaultStage::Compress]);
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
         assert_eq!(red.report.compress, StageOutcome::Degraded);
         assert!(red.report.compressor_downgraded);
         assert!(red.report.is_degraded());
@@ -1902,14 +1823,7 @@ mod tests {
         // The injected panic unwinds inside the stage's catch_unwind;
         // the ladder records it as a contained worker panic and
         // certifies on the next rung.
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
         assert_eq!(red.report.compress, StageOutcome::Recovered);
         assert!(!red.report.compressor_downgraded);
     }
@@ -1925,14 +1839,7 @@ mod tests {
         // succeed on its first (fifth overall) attempt.
         let faults = FaultPlan::new(11, 1.0, vec![FaultKind::Drift], 4)
             .with_stages(vec![FaultStage::Compress]);
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
         assert_eq!(red.report.compress, StageOutcome::Degraded);
         assert!(red.report.compressor_downgraded);
         assert!(red
@@ -1949,17 +1856,10 @@ mod tests {
         let sys = mesh();
         let sampling = Sampling::Linear { omega_max: 20.0, n: 12 };
         let plan = ReductionPlan::cross_gramian(&sampling, 3);
-        let clean = run(&sys, &plan).unwrap();
+        let clean = run_clean(&sys, &plan).unwrap();
         let faults = FaultPlan::new(5, 1.0, vec![FaultKind::Nan], 2)
             .with_stages(vec![FaultStage::Compress]);
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
         assert_eq!(red.report.compress, StageOutcome::Recovered);
         assert!(!red.report.compressor_downgraded);
         // Retried attempts re-run the identical eigensolve: the model
@@ -1975,17 +1875,10 @@ mod tests {
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
         let plan = ReductionPlan::pmtbr(&opts);
-        let clean = run(&sys, &plan).unwrap();
+        let clean = run_clean(&sys, &plan).unwrap();
         let faults = FaultPlan::new(9, 1.0, vec![FaultKind::Singular], 2)
             .with_stages(vec![FaultStage::Project]);
-        let red = run_guarded(
-            &sys,
-            &plan,
-            &RecoveryPolicy::default(),
-            &faults,
-            &Budget::default(),
-        )
-        .unwrap();
+        let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
         assert_eq!(red.report.project, StageOutcome::Recovered);
         assert_eq!(red.report.compress, StageOutcome::Clean);
         // Poisoned attempts never touch the data: bit-identical model.
@@ -2003,7 +1896,7 @@ mod tests {
         // concurrently, so the effective cap may shrink below 4 — a
         // budget run must then still terminate with either a best-effort
         // degraded model or an explicit exhaustion error, never a hang.
-        match run_guarded(&sys, &plan, &RecoveryPolicy::default(), &NoFaults, &budget) {
+        match run(&sys, &plan, None, &budget, &NullCache) {
             Ok(red) => {
                 assert_eq!(red.report.budget_exhausted, Some("lu-factorizations"));
                 assert_eq!(red.report.sweep, StageOutcome::Degraded);
@@ -2028,8 +1921,7 @@ mod tests {
         // run still completes on the SVD-free incremental compressor
         // with the exhaustion recorded.
         let budget = Budget::default().with_max_svd_sweeps(0);
-        let red = run_guarded(&sys, &plan, &RecoveryPolicy::default(), &NoFaults, &budget)
-            .unwrap();
+        let red = run(&sys, &plan, None, &budget, &NullCache).unwrap();
         assert_eq!(red.report.budget_exhausted, Some("svd-sweeps"));
         assert!(red.report.compressor_downgraded);
         assert!(red.report.is_degraded());
@@ -2045,8 +1937,7 @@ mod tests {
         let token = numkit::CancelToken::new();
         token.cancel();
         let budget = Budget::default().with_cancel(token);
-        let err = run_guarded(&sys, &plan, &RecoveryPolicy::default(), &NoFaults, &budget)
-            .unwrap_err();
+        let err = run(&sys, &plan, None, &budget, &NullCache).unwrap_err();
         assert_eq!(err, NumError::Cancelled);
     }
 
@@ -2057,7 +1948,7 @@ mod tests {
         let sampling = Sampling::Linear { omega_max: 20.0, n: 16 };
         let plan = ReductionPlan::balanced(&sampling, 4);
         let faults = FaultPlan::new(7, 0.25, vec![FaultKind::Panic], 2);
-        let red = run_with(&sys, &plan, &RecoveryPolicy::default(), &faults).unwrap();
+        let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
         assert!(red.diagnostics.dropped() > 0, "plan must actually drop nodes");
         assert_eq!(red.model.order, 4);
         assert!(red.diagnostics.weight_renormalization > 1.0);

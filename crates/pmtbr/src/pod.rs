@@ -13,6 +13,7 @@
 use lti::{state_snapshots, Descriptor};
 use numkit::{svd, DMat, NumError};
 
+use crate::pipeline::{spectral_model, OrderControl};
 use crate::PmtbrModel;
 
 /// Options for snapshot-based (POD) reduction.
@@ -72,21 +73,8 @@ pub fn pod_reduce(
     opts: &PodOptions,
 ) -> Result<PmtbrModel, NumError> {
     let snaps = state_snapshots(sys, u, opts.h, opts.stride)?;
-    let f = svd(&snaps)?;
-    if f.s.is_empty() || f.s[0] == 0.0 {
-        return Err(NumError::InvalidArgument("trajectory snapshots are identically zero"));
-    }
-    let by_tol = f.s.iter().take_while(|&&x| x > opts.tolerance * f.s[0]).count().max(1);
-    let order = opts.max_order.map_or(by_tol, |cap| by_tol.min(cap)).min(f.s.len());
-    let v = f.u.leading_cols(order);
-    let reduced = sys.project(&v, &v)?;
-    Ok(PmtbrModel {
-        reduced,
-        v,
-        singular_values: f.s.clone(),
-        order,
-        error_estimate: f.s.iter().skip(order).sum(),
-    })
+    let order = OrderControl::Tolerance { tolerance: opts.tolerance, max_order: opts.max_order };
+    spectral_model(sys, &svd(&snaps)?, &order)
 }
 
 #[cfg(test)]

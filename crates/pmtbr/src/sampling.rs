@@ -164,7 +164,7 @@ impl Sampling {
             }
             Sampling::Greedy { .. } => Err(NumError::InvalidArgument(
                 "greedy sampling has no a-priori point list; execute the plan through \
-                 pmtbr::pipeline (run/run_budgeted/run_guarded), which resolves the \
+                 pmtbr::pipeline (run/run_cached), which resolves the \
                  placement adaptively",
             )),
             Sampling::Custom(pts) => {

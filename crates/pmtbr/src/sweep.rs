@@ -23,12 +23,14 @@
 //! of *each* requested sample point, which the CLI surfaces as a
 //! degradation report and exit-code policy.
 
-use lti::{LtiSystem, RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault};
+use lti::{LtiSystem, RecoveryPolicy, ShiftOutcome, ShiftReport};
 use numkit::NumError;
 
-use crate::algorithm::{robust_svd, PmtbrModel, PmtbrOptions, SampleBasis};
-use crate::pipeline::{InputDirections, ReductionPlan, SweptSamples};
-use crate::Sampling;
+use crate::algorithm::SampleBasis;
+use crate::budget::BudgetTracker;
+use crate::fault::stage_faults;
+use crate::pipeline::{spectral_ladder, InputDirections, SweptSamples};
+use crate::{Budget, FaultPlan, Sampling};
 
 /// The complete account of a fault-tolerant sampling sweep.
 #[derive(Debug, Clone)]
@@ -43,7 +45,9 @@ pub struct SweepDiagnostics {
     /// The uniform factor applied to surviving quadrature weights
     /// (`1.0` for a complete sweep).
     pub weight_renormalization: f64,
-    /// Whether the sample-matrix SVD needed the equilibrated retry.
+    /// Whether the sample-matrix SVD needed a recovery rung of the
+    /// spectral compressor ladder (raised sweep cap, equilibration, or
+    /// direct Jacobi).
     pub svd_retried: bool,
 }
 
@@ -108,7 +112,7 @@ impl SweepDiagnostics {
             ));
         }
         if self.svd_retried {
-            s.push_str(", svd retried with equilibration");
+            s.push_str(", svd retried on a compressor-ladder rung");
         }
         if let Some(worst) = self
             .reports
@@ -128,6 +132,11 @@ impl SweepDiagnostics {
 /// surviving quadrature weights are renormalized, and the full
 /// per-point account is returned alongside the basis.
 ///
+/// The sweep runs under the default `RecoveryPolicy`, and the SVD comes
+/// from the pipeline's spectral compressor ladder, so `faults` may
+/// target the sweep and the compress stage alike (`None` injects
+/// nothing).
+///
 /// The returned [`SampleBasis`] keeps only surviving points, each with
 /// the shift *actually solved* (perturbed where the ladder had to
 /// nudge) and its renormalized weight.
@@ -138,23 +147,29 @@ impl SweepDiagnostics {
 /// - [`NumError::InvalidArgument`] if every sample point was dropped or
 ///   all surviving weighted samples vanished — with zero quadrature
 ///   nodes there is no model to build, degraded or otherwise.
+/// - Propagates the SVD error once the spectral ladder is exhausted.
 pub fn sample_basis_tolerant<S: LtiSystem + ?Sized>(
     sys: &S,
     sampling: &Sampling,
-    policy: &RecoveryPolicy,
-    faults: &dyn SolveFault,
+    faults: Option<&FaultPlan>,
 ) -> Result<(SampleBasis, SweepDiagnostics), NumError> {
+    let faults = stage_faults(faults);
     let SweptSamples { kept, zmat, reports, requested, surviving, renorm, mut span, .. } =
         crate::pipeline::sweep(
             sys,
             sampling,
             &InputDirections::IdentityBlock,
             false,
-            policy,
+            &RecoveryPolicy::default(),
             faults,
             None,
         )?;
-    let (svd, svd_retried) = robust_svd(&zmat)?;
+    // No budget: every rung keeps its own sweep cap.
+    let unlimited = Budget::default();
+    let mut attempt = 0;
+    let (svd, rung) =
+        spectral_ladder(&zmat, faults, &BudgetTracker::start(&unlimited), &mut attempt)?;
+    let svd_retried = rung > 0;
     span.field_u64("surviving", surviving as u64);
     span.field_u64("total_cols", zmat.ncols() as u64);
     span.field_f64("renorm", renorm);
@@ -170,35 +185,13 @@ pub fn sample_basis_tolerant<S: LtiSystem + ?Sized>(
     Ok((SampleBasis { svd, points: kept }, diagnostics))
 }
 
-/// Fault-tolerant PMTBR end to end: [`sample_basis_tolerant`] followed
-/// by the usual truncation and congruence projection.
-///
-/// The model is built from whatever quadrature nodes survived; consult
-/// the returned [`SweepDiagnostics`] (e.g.
-/// [`SweepDiagnostics::is_degraded`]) to decide whether a degraded
-/// sweep is acceptable — the library accepts any sweep with at least
-/// one surviving sample and leaves the policy decision to the caller.
-///
-/// # Errors
-///
-/// Propagates [`sample_basis_tolerant`] and projection errors.
-pub fn pmtbr_tolerant<S: LtiSystem + ?Sized>(
-    sys: &S,
-    opts: &PmtbrOptions,
-    policy: &RecoveryPolicy,
-    faults: &dyn SolveFault,
-) -> Result<(PmtbrModel, SweepDiagnostics), NumError> {
-    let red = crate::pipeline::run_with(sys, &ReductionPlan::pmtbr(opts), policy, faults)?;
-    Ok((red.model, red.diagnostics))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultPlan};
-    use crate::{pmtbr, sample_basis};
+    use crate::fault::FaultKind;
+    use crate::pipeline::{run, ReductionPlan};
+    use crate::{pmtbr, sample_basis, NullCache, PmtbrOptions};
     use circuits::rc_mesh;
-    use lti::NoFaults;
     use numkit::c64;
 
     #[test]
@@ -206,13 +199,7 @@ mod tests {
         let sys = rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).unwrap();
         let sampling = Sampling::Linear { omega_max: 20.0, n: 15 };
         let strict = sample_basis(&sys, &sampling).unwrap();
-        let (tolerant, diag) = sample_basis_tolerant(
-            &sys,
-            &sampling,
-            &RecoveryPolicy::default(),
-            &NoFaults,
-        )
-        .unwrap();
+        let (tolerant, diag) = sample_basis_tolerant(&sys, &sampling, None).unwrap();
         assert!(!diag.is_degraded());
         assert_eq!(diag.surviving, diag.requested);
         assert_eq!(diag.weight_renormalization, 1.0);
@@ -229,8 +216,10 @@ mod tests {
         // Panic faults drop points outright — the harshest degradation.
         let plan = FaultPlan::new(11, 0.3, vec![FaultKind::Panic], 2);
         let opts = PmtbrOptions::new(sampling.clone()).with_max_order(8);
-        let (model, diag) =
-            pmtbr_tolerant(&sys, &opts, &RecoveryPolicy::default(), &plan).unwrap();
+        let red =
+            run(&sys, &ReductionPlan::pmtbr(&opts), Some(&plan), &Budget::default(), &NullCache)
+                .unwrap();
+        let (model, diag) = (red.model, red.diagnostics);
         assert!(diag.dropped() > 0, "plan must actually drop points");
         assert!(diag.surviving > 0);
         assert!(diag.weight_renormalization > 1.0);
@@ -260,8 +249,7 @@ mod tests {
         let (_, diag) = sample_basis_tolerant(
             &sys,
             &Sampling::Linear { omega_max: 10.0, n: 12 },
-            &RecoveryPolicy::default(),
-            &plan,
+            Some(&plan),
         )
         .unwrap();
         let text = diag.summary();
@@ -279,8 +267,7 @@ mod tests {
         let err = sample_basis_tolerant(
             &sys,
             &Sampling::Linear { omega_max: 10.0, n: 6 },
-            &RecoveryPolicy::default(),
-            &plan,
+            Some(&plan),
         )
         .unwrap_err();
         assert!(matches!(err, NumError::InvalidArgument(_)));
@@ -293,8 +280,7 @@ mod tests {
         let (_, diag) = sample_basis_tolerant(
             &sys,
             &Sampling::Linear { omega_max: 20.0, n: 12 },
-            &RecoveryPolicy::default(),
-            &plan,
+            Some(&plan),
         )
         .unwrap();
         assert_eq!(diag.dropped(), 0, "drift must never cost a sample");

@@ -1,7 +1,7 @@
 //! Integration tests for the content-addressed artifact cache: the
 //! bit-identity contract between uncached, cold-cached, and warm-cached
 //! runs (models *and* traces, at several thread counts), byte-budget
-//! eviction, and poisoned-entry (Degraded) rejection.
+//! eviction, poisoned-entry (Degraded) rejection, and fault-plan keying.
 //!
 //! The obs collector, counters, and `PMTBR_THREADS` are process-global,
 //! so every test serializes on one mutex.
@@ -10,9 +10,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use obs::ClockKind;
 use pmtbr::cache::{Artifact, ArtifactCache, CacheKey};
-use pmtbr::pipeline::{run_budgeted, run_cached};
+use pmtbr::pipeline::{run, run_cached};
 use pmtbr::{
-    Budget, Compressor, LruCache, NullCache, PmtbrOptions, Reduction, ReductionPlan, Sampling,
+    Budget, Compressor, FaultKind, FaultPlan, LruCache, NullCache, PmtbrOptions, Reduction,
+    ReductionPlan, Sampling, StageOutcome,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -80,7 +81,7 @@ fn cached_and_uncached_runs_are_bit_identical_across_threads() {
     for threads in ["1", "2", "8"] {
         std::env::set_var("PMTBR_THREADS", threads);
         let (baseline, baseline_trace) =
-            traced(|| run_budgeted(&sys, &plan, &budget).expect("uncached run"));
+            traced(|| run_cached(&sys, &plan, &budget, &NullCache).expect("uncached run"));
 
         // Cold run through a real cache: byte-identical to the uncached
         // run — same model, same report, same trace, same counters line.
@@ -180,6 +181,30 @@ fn degraded_results_are_never_cached() {
     assert_eq!(cache.stats(), (0, 0), "no poisoned entries admitted");
     // The degraded report names the stage that consumed the budget.
     assert!(red.report.notes.iter().any(|n| n.contains("sweep")), "notes: {:?}", red.report.notes);
+}
+
+#[test]
+fn faulted_results_are_keyed_apart_from_clean_ones() {
+    let _g = lock();
+    let sys = mesh();
+    let plan = plan();
+    let budget = Budget::default();
+    // Singular faults on every shift at depth 3 push all 8 nodes onto
+    // the perturbation rung. The run is Recovered, not Degraded, so its
+    // artifacts are admitted — and must land under a faulted key.
+    let faults = FaultPlan::new(42, 1.0, vec![FaultKind::Singular], 3);
+    let cache = LruCache::new(64 << 20);
+    let faulted = run(&sys, &plan, Some(&faults), &budget, &cache).expect("faulted run");
+    assert_eq!(faulted.diagnostics.count("perturbed"), 8);
+    assert_eq!(faulted.report.sweep, StageOutcome::Recovered);
+    assert!(!faulted.report.is_degraded());
+    assert!(cache.stats().0 > 0, "the recovered result was admitted");
+    // A later clean request through the same cache must compute the
+    // clean answer, never replay the perturbed one.
+    let clean = run(&sys, &plan, None, &budget, &NullCache).expect("uncached clean run");
+    let via_cache = run_cached(&sys, &plan, &budget, &cache).expect("clean cached run");
+    assert_bit_identical(&clean, &via_cache);
+    assert!(via_cache.report.is_clean(), "report: {:?}", via_cache.report);
 }
 
 #[test]

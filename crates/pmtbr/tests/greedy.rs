@@ -1,18 +1,30 @@
 //! Greedy adaptive frequency selection: accuracy at a matched solve
-//! budget, deterministic selection across thread counts, and recovery
-//! composition (dropped shifts re-enter selection; LU budgets truncate
-//! with honest accounting).
+//! budget, early convergence on smooth responses, resonance resolution
+//! within a shift budget, deterministic selection across thread counts,
+//! and recovery composition (dropped shifts re-enter selection; LU
+//! budgets truncate with honest accounting).
 
-use lti::{Descriptor, NoFaults, RecoveryPolicy};
+use circuits::{peec_resonator, PeecParams};
+use lti::{frequency_response, linspace, max_rel_error, Descriptor};
 use numkit::{c64, NumError};
 use pmtbr::{
-    pipeline::{run_guarded, run_with},
-    Budget, FaultKind, FaultPlan, FaultStage, OrderControl, PmtbrOptions, ReductionPlan, Sampling,
+    pipeline::run, Budget, FaultKind, FaultPlan, FaultStage, NullCache, OrderControl,
+    PmtbrOptions, Reduction, ReductionPlan, Sampling,
 };
 
 fn test_system() -> Descriptor {
     let ports = circuits::spread_ports(4, 6, 8);
     circuits::rc_mesh(4, 6, &ports, 1.0, 1.0, 2.0).unwrap()
+}
+
+/// The smooth single-port 3×3 RC mesh.
+fn small_mesh() -> Descriptor {
+    circuits::rc_mesh(3, 3, &[0], 1.0, 1.0, 2.0).unwrap()
+}
+
+/// Runs a plan unfaulted, unbudgeted, and uncached.
+fn reduce(sys: &Descriptor, plan: &ReductionPlan) -> Result<Reduction, NumError> {
+    run(sys, plan, None, &Budget::default(), &NullCache)
 }
 
 /// In-band max relative transfer-function error on a fixed grid.
@@ -47,25 +59,13 @@ fn greedy_no_worse_than_fixed_grid_at_equal_solve_budget() {
     let fixed_opts = PmtbrOptions::new(Sampling::Linear { omega_max, n: budget })
         .with_tolerance(1e-12)
         .with_max_order(6);
-    let fixed = run_with(
-        &sys,
-        &ReductionPlan::pmtbr(&fixed_opts),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let fixed = reduce(&sys, &ReductionPlan::pmtbr(&fixed_opts)).unwrap();
     // tol = 0 disables early stopping: exactly `budget` accepted shifts,
     // the same number of LU-backed solves the fixed grid spends. The
     // default pool is the budget's own midpoint grid, so the exhausted
     // greedy selection is the fixed grid — only accepted in
     // surrogate-score order.
-    let greedy = run_with(
-        &sys,
-        &ReductionPlan::greedy(omega_max, 0.0, budget, order()),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let greedy = reduce(&sys, &ReductionPlan::greedy(omega_max, 0.0, budget, order())).unwrap();
     assert_eq!(greedy.diagnostics.surviving, budget);
     assert_eq!(greedy.diagnostics.requested, budget);
     assert!(greedy.report.is_clean(), "clean run expected: {:?}", greedy.report);
@@ -91,7 +91,7 @@ fn greedy_no_worse_than_fixed_grid_at_equal_solve_budget() {
     let mut dense = ReductionPlan::greedy(omega_max, 0.0, budget, order());
     dense.sampling =
         Sampling::Greedy { omega_max, pool: 4 * budget, tol: 0.0, max_shifts: budget };
-    let dense = run_with(&sys, &dense, &RecoveryPolicy::default(), &NoFaults).unwrap();
+    let dense = reduce(&sys, &dense).unwrap();
     let dense_err = inband_error(&sys, &dense.model.reduced, omega_max);
     assert!(
         dense_err <= fixed_err * 1.25,
@@ -104,13 +104,7 @@ fn greedy_converges_early_under_loose_tolerance() {
     let sys = test_system();
     // A loose tolerance with a generous shift budget must trigger the
     // frequency-aware stopping rule well before the budget.
-    let red = run_with(
-        &sys,
-        &ReductionPlan::greedy(10.0, 0.05, 32, order()),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let red = reduce(&sys, &ReductionPlan::greedy(10.0, 0.05, 32, order())).unwrap();
     assert!(
         red.diagnostics.surviving < 32,
         "expected early convergence, used {} shifts",
@@ -122,19 +116,45 @@ fn greedy_converges_early_under_loose_tolerance() {
     let fixed_opts = PmtbrOptions::new(Sampling::Linear { omega_max: 10.0, n: 8 })
         .with_tolerance(1e-12)
         .with_max_order(6);
-    let fixed = run_with(
-        &sys,
-        &ReductionPlan::pmtbr(&fixed_opts),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let fixed = reduce(&sys, &ReductionPlan::pmtbr(&fixed_opts)).unwrap();
     let fixed_err = inband_error(&sys, &fixed.model.reduced, 10.0);
     let greedy_err = inband_error(&sys, &red.model.reduced, 10.0);
     assert!(
         greedy_err <= fixed_err * 1.5,
         "converged greedy {greedy_err:.3e} vs fixed grid {fixed_err:.3e}"
     );
+
+    // A smooth response converges in a handful of shifts even at a
+    // tight tolerance and a generous budget.
+    let tight = OrderControl::Tolerance { tolerance: 1e-12, max_order: None };
+    let red = reduce(&small_mesh(), &ReductionPlan::greedy(10.0, 1e-8, 30, tight)).unwrap();
+    assert!(
+        red.diagnostics.surviving < 12,
+        "the RC mesh is smooth; {} shifts is too many",
+        red.diagnostics.surviving
+    );
+    assert!(!red.diagnostics.is_degraded());
+}
+
+#[test]
+fn greedy_resolves_resonances_within_its_shift_budget() {
+    let sys = peec_resonator(&PeecParams::default()).unwrap();
+    let w_hi = 2.0 * std::f64::consts::PI * 20e9;
+    let tight = OrderControl::Tolerance { tolerance: 1e-12, max_order: None };
+    // Sharp resonances: greedy must place enough shifts on the peaks to
+    // keep the whole band accurate, well inside a 40-shift budget.
+    let red = reduce(&sys, &ReductionPlan::greedy(w_hi, 1e-7, 40, tight)).unwrap();
+    assert!(red.diagnostics.surviving < 40, "expected early convergence");
+    let grid = linspace(w_hi * 0.01, w_hi * 0.99, 60);
+    let h = frequency_response(&sys, &grid).unwrap();
+    let hr = frequency_response(&red.model.reduced, &grid).unwrap();
+    let err = max_rel_error(&h, &hr);
+    assert!(err < 0.05, "greedy model in-band error {err:.3e}");
+
+    // A tolerance the budget cannot reach stops at exactly the budget.
+    let red = reduce(&sys, &ReductionPlan::greedy(w_hi, 1e-12, 8, tight)).unwrap();
+    assert!(red.diagnostics.requested <= 8);
+    assert_eq!(red.diagnostics.reports.len(), red.diagnostics.requested);
 }
 
 fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
@@ -154,7 +174,7 @@ fn greedy_selection_bit_identical_across_thread_counts() {
     let plan = ReductionPlan::greedy(10.0, 1e-4, 10, order());
     let run = |threads: usize| {
         with_threads(threads, || {
-            run_with(&sys, &plan, &RecoveryPolicy::default(), &NoFaults).unwrap()
+            reduce(&sys, &plan).unwrap()
         })
     };
     let base = run(1);
@@ -185,8 +205,7 @@ fn greedy_dropped_shifts_reenter_selection() {
     // drops stay visible in the per-node reports.
     let faults = FaultPlan::new(7, 0.25, vec![FaultKind::Panic], 2)
         .with_stages(vec![FaultStage::Sweep]);
-    let red = run_guarded(&sys, &plan, &RecoveryPolicy::default(), &faults, &Budget::default())
-        .unwrap();
+    let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
     assert!(red.diagnostics.dropped() > 0, "fault plan must actually drop shifts");
     assert_eq!(
         red.diagnostics.surviving, max_shifts,
@@ -205,7 +224,7 @@ fn greedy_dropped_shifts_reenter_selection() {
     // seed reproduce the run bit for bit, at any worker count.
     for threads in [1usize, 2, 8] {
         let again = with_threads(threads, || {
-            run_guarded(&sys, &plan, &RecoveryPolicy::default(), &faults, &Budget::default())
+            run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache)
                 .unwrap()
         });
         assert_eq!(
@@ -215,6 +234,16 @@ fn greedy_dropped_shifts_reenter_selection() {
         assert_eq!(again.model.v, red.model.v, "threads {threads}: basis differs under faults");
         assert_eq!(again.diagnostics.requested, red.diagnostics.requested);
     }
+
+    // With early stopping on, a faulted run still honours the order cap
+    // and accounts for every attempted shift.
+    let faults = FaultPlan::new(13, 0.25, vec![FaultKind::Panic], 2);
+    let capped = OrderControl::Tolerance { tolerance: 1e-12, max_order: Some(6) };
+    let plan = ReductionPlan::greedy(10.0, 1e-8, 20, capped);
+    let red = run(&small_mesh(), &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
+    assert!(red.diagnostics.dropped() > 0, "fault plan must actually drop shifts");
+    assert!(red.model.order <= 6);
+    assert_eq!(red.diagnostics.reports.len(), red.diagnostics.requested);
 }
 
 #[test]
@@ -226,7 +255,7 @@ fn greedy_composes_with_lu_budget() {
     // concurrently, so the effective cap may shrink below 3 — the run
     // must then still terminate with either a best-effort degraded
     // model or an explicit exhaustion error, never a hang.
-    match run_guarded(&sys, &plan, &RecoveryPolicy::default(), &NoFaults, &budget) {
+    match run(&sys, &plan, None, &budget, &NullCache) {
         Ok(red) => {
             assert_eq!(red.report.budget_exhausted, Some("lu-factorizations"));
             assert!(red.report.is_degraded());
@@ -243,7 +272,7 @@ fn greedy_composes_with_lu_budget() {
 #[test]
 fn greedy_plan_validation() {
     let sys = test_system();
-    let run = |plan: &ReductionPlan| run_with(&sys, plan, &RecoveryPolicy::default(), &NoFaults);
+    let run = |plan: &ReductionPlan| reduce(&sys, plan);
     // Degenerate parameters are rejected before any solve.
     let mut plan = ReductionPlan::greedy(10.0, 1e-3, 4, order());
     plan.sampling = Sampling::Greedy { omega_max: 10.0, pool: 2, tol: 1e-3, max_shifts: 4 };
@@ -268,17 +297,12 @@ fn greedy_works_two_sided() {
     let sys = test_system();
     let mut plan = ReductionPlan::greedy(10.0, 0.0, 8, OrderControl::Exact(4));
     plan.compressor = pmtbr::Compressor::Balance;
-    let red = run_with(&sys, &plan, &RecoveryPolicy::default(), &NoFaults).unwrap();
+    let red = reduce(&sys, &plan).unwrap();
     assert_eq!(red.model.order, 4);
     // Exhausting the default pool must land on the fixed-grid balanced
     // reduction (same nodes, same weights, both pencils solved).
-    let fixed = run_with(
-        &sys,
-        &ReductionPlan::balanced(&Sampling::Linear { omega_max: 10.0, n: 8 }, 4),
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    )
-    .unwrap();
+    let fixed_plan = ReductionPlan::balanced(&Sampling::Linear { omega_max: 10.0, n: 8 }, 4);
+    let fixed = reduce(&sys, &fixed_plan).unwrap();
     let fixed_err = inband_error(&sys, &fixed.model.reduced, 10.0);
     let greedy_err = inband_error(&sys, &red.model.reduced, 10.0);
     assert!(
@@ -286,3 +310,4 @@ fn greedy_works_two_sided() {
         "two-sided greedy {greedy_err:.3e} vs fixed balanced {fixed_err:.3e}"
     );
 }
+

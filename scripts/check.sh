@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Full local gate: release build, tier-1 tests, warning-free clippy and
-# rustdoc passes over the whole workspace, the numlint rules, the
-# observability golden tests, the chaos/variants/greedy benches, and
-# the doc-consistency pass. CI and pre-merge runs should both call
-# this script so the two can never drift apart.
+# Full local gate: release build, the whole workspace's tests,
+# warning-free clippy and rustdoc passes over the whole workspace, the
+# numlint rules, the observability golden tests, the
+# chaos/variants/greedy benches, and the doc-consistency pass. CI and
+# pre-merge runs should both call this script so the two can never
+# drift apart.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -37,9 +38,9 @@ if [ "${numlint_warm_ms}" -ge 1000 ]; then
     exit 1
 fi
 
-# The obs golden tests run as part of `cargo test -q` above; rerun them
-# by name so a trace-schema or counter-accounting regression is called
-# out explicitly rather than buried in the full-suite output.
+# The obs golden tests run as part of `cargo test -q --workspace` above;
+# rerun them by name so a trace-schema or counter-accounting regression
+# is called out explicitly rather than buried in the full-suite output.
 echo "==> obs golden tests (trace determinism + counter accounting)"
 cargo test -q -p pmtbr-cli --test trace_golden
 cargo test -q --test obs_counters
@@ -49,16 +50,16 @@ cargo test -q --test obs_counters
 # worker threads. Asserts containment (exit codes within the documented
 # set, no escaped panics, finite output) and bit-identical stdout per
 # thread count at a fixed fault seed, plus budget-exhaustion exit codes.
-# Runs as part of `cargo test -q` too; named here so a containment
-# regression is called out explicitly.
+# Runs as part of `cargo test -q --workspace` too; named here so a
+# containment regression is called out explicitly.
 echo "==> chaos gate (PMTBR_FAULT matrix: methods x stages x 1/2/8 threads)"
 cargo test -q -p pmtbr-cli --test chaos
 
 # Service gate: serve/submit round-trips over real sockets — byte-level
 # parity with local `reduce` (stdout and exit codes), the chaos matrix
 # through the server's environment, protocol failures as exit 5, and
-# served traces riding back. Runs as part of `cargo test -q` too; named
-# here so a wire-contract regression is called out explicitly.
+# served traces riding back. Runs as part of `cargo test -q --workspace`
+# too; named here so a wire-contract regression is called out explicitly.
 echo "==> service gate (serve/submit parity + chaos through the wire)"
 cargo test -q -p pmtbr-cli --test serve
 

@@ -7,9 +7,18 @@
 //! quadrature nodes.
 
 use circuits::rc_mesh;
-use lti::RecoveryPolicy;
 use numkit::c64;
-use pmtbr::{pmtbr, pmtbr_tolerant, FaultKind, FaultPlan, PmtbrOptions, Sampling};
+use pmtbr::pipeline::run;
+use pmtbr::{
+    pmtbr, Budget, FaultKind, FaultPlan, NullCache, PmtbrOptions, Reduction, ReductionPlan,
+    Sampling,
+};
+
+/// Runs Algorithm 1 under `faults`, unbudgeted and uncached.
+fn faulted_pmtbr(sys: &lti::Descriptor, opts: &PmtbrOptions, faults: &FaultPlan) -> Reduction {
+    run(sys, &ReductionPlan::pmtbr(opts), Some(faults), &Budget::default(), &NullCache)
+        .expect("degraded sweep")
+}
 
 #[test]
 fn quarter_faulted_sweep_degrades_gracefully() {
@@ -28,11 +37,10 @@ fn quarter_faulted_sweep_degrades_gracefully() {
         "expected roughly a quarter of 24 points faulted, got {faulted:?}"
     );
 
-    let policy = RecoveryPolicy::default();
     let opts = PmtbrOptions::new(sampling).with_max_order(10);
     // No catch_unwind here: if a worker panic escaped the library, this
     // call would abort the test. Completing at all is part of the claim.
-    let (model, diag) = pmtbr_tolerant(&sys, &opts, &policy, &plan).expect("degraded sweep");
+    let Reduction { model, diagnostics: diag, .. } = faulted_pmtbr(&sys, &opts, &plan);
 
     // Every requested shift is accounted for, exactly once, in order.
     assert_eq!(diag.requested, 24);
@@ -69,9 +77,8 @@ fn quarter_faulted_sweep_degrades_gracefully() {
     // from exactly the surviving quadrature nodes (same shifts as
     // actually solved, same renormalized weights). The tolerant basis
     // records both, so rerun the (deterministic) sweep for the points.
-    let (basis, diag2) =
-        pmtbr::sample_basis_tolerant(&sys, opts.sampling(), &policy, &plan)
-            .expect("deterministic rerun");
+    let (basis, diag2) = pmtbr::sample_basis_tolerant(&sys, opts.sampling(), Some(&plan))
+        .expect("deterministic rerun");
     assert_eq!(diag2.reports, diag.reports, "sweeps must be reproducible");
     assert_eq!(basis.points.len(), diag.surviving);
     let reference_opts =
@@ -117,13 +124,13 @@ fn faulted_sweep_is_reproducible() {
         2,
     );
     let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 16 }).with_max_order(8);
-    let policy = RecoveryPolicy::default();
-    let (m1, d1) = pmtbr_tolerant(&sys, &opts, &policy, &plan).expect("first run");
-    let (m2, d2) = pmtbr_tolerant(&sys, &opts, &policy, &plan).expect("second run");
+    let first = faulted_pmtbr(&sys, &opts, &plan);
+    let second = faulted_pmtbr(&sys, &opts, &plan);
+    let (d1, d2) = (&first.diagnostics, &second.diagnostics);
     assert_eq!(d1.reports, d2.reports);
     assert_eq!(d1.surviving, d2.surviving);
-    assert_eq!(m1.order, m2.order);
-    for (a, b) in m1.singular_values.iter().zip(&m2.singular_values) {
+    assert_eq!(first.model.order, second.model.order);
+    for (a, b) in first.model.singular_values.iter().zip(&second.model.singular_values) {
         assert_eq!(a, b, "singular values must be bit-identical");
     }
 }

@@ -15,9 +15,10 @@
 
 use circuits::{rc_mesh, spread_ports};
 use lti::dithered_square_inputs;
+use pmtbr::pipeline::run_cached;
 use pmtbr::{
-    frequency_selective_pmtbr, input_correlated_pmtbr, FaultPlan, InputCorrelatedOptions,
-    ReductionPlan, Sampling,
+    frequency_selective_pmtbr, input_correlated_pmtbr, Budget, FaultPlan, InputCorrelatedOptions,
+    NullCache, ReductionPlan, Sampling,
 };
 
 const FAULT_SPEC: &str = "seed=5,rate=0.25,kinds=panic,depth=2";
@@ -47,7 +48,7 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
     // diagnostics the shim discards: every requested node accounted
     // for, some dropped, weights renormalized.
     let fsel_plan = ReductionPlan::frequency_selective(&bands, 12, Some(5), 1e-10);
-    let red = pmtbr::pipeline::run(&sys, &fsel_plan).expect("pipeline run");
+    let red = run_cached(&sys, &fsel_plan, &Budget::default(), &NullCache).expect("pipeline run");
     let diag = &red.diagnostics;
     assert!(diag.requested > 0, "diagnostics must not be empty");
     assert_eq!(diag.reports.len(), diag.requested);
@@ -74,7 +75,8 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
     assert!(m_ic.order >= 1 && m_ic.order <= 5);
 
     let ic_plan = ReductionPlan::input_correlated(&u_train, &opts);
-    let red_ic = pmtbr::pipeline::run(&sys_mc, &ic_plan).expect("pipeline run");
+    let red_ic =
+        run_cached(&sys_mc, &ic_plan, &Budget::default(), &NullCache).expect("pipeline run");
     let diag_ic = &red_ic.diagnostics;
     assert!(diag_ic.requested > 0, "diagnostics must not be empty");
     assert_eq!(diag_ic.reports.len(), diag_ic.requested);
@@ -91,7 +93,7 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
 
     // Clean reruns (no env) must not be degraded — the variable really
     // was the only fault source.
-    let clean = pmtbr::pipeline::run(&sys, &fsel_plan).expect("clean run");
+    let clean = run_cached(&sys, &fsel_plan, &Budget::default(), &NullCache).expect("clean run");
     assert!(!clean.diagnostics.is_degraded());
     assert_eq!(clean.diagnostics.weight_renormalization, 1.0);
 }
