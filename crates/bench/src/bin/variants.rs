@@ -8,11 +8,11 @@
 //! writes `BENCH_variants.json` at the repository root.
 //! `scripts/check.sh` runs this as the variant-coverage gate: a
 //! registry entry that cannot reduce its mesh fails the build, and so
-//! does a sampling-based method whose wall time regresses more than
-//! 1.5× against the committed baseline
-//! (`crates/bench/baselines/variants_wall.txt` — set
-//! `VARIANTS_NO_PERF_GATE=1` on machines whose absolute speed differs
-//! from the baseline's).
+//! does a sampling-based method whose wall time, divided by the time of
+//! a dense reference kernel run in the same process, regresses more
+//! than 1.5× against the committed ratio
+//! (`crates/bench/baselines/variants_wall.txt`; set
+//! `VARIANTS_NO_PERF_GATE=1` to skip the trend check).
 //!
 //! All sampling-based methods (the seven pipeline variants plus the
 //! sparse Krylov baselines) run on `rc_mesh(32, 32)` with 16 ports —
@@ -34,17 +34,41 @@ use std::time::Instant;
 
 use circuits::{rc_mesh_jittered, spread_ports};
 use lti::{frequency_response, linspace, max_rel_error, Descriptor, FreqResponse};
+use numkit::{DMat, SplitMix64};
 use pmtbr_cli::{Method, ReduceRequest, METHODS};
 
-/// Committed wall-time baseline, one `name seconds` line per method.
-/// Regenerate by copying `wall_s` from a fresh healthy
-/// `BENCH_variants.json` after an intentional perf change.
+/// Committed wall-time baseline, one `name ratio` line per method,
+/// where the ratio is `wall_s / ref_s`. Regenerate from the
+/// `wall_ratio` fields of fresh healthy `BENCH_variants.json` runs after
+/// an intentional perf change (the file's header says how).
 const WALL_BASELINE: &str = include_str!("../../baselines/variants_wall.txt");
 
 /// Regression threshold for the perf trend gate: a sampling-based
-/// method may not exceed its committed baseline wall time by more than
-/// this factor.
+/// method's wall ratio may not exceed its committed baseline ratio by
+/// more than this factor.
 const MAX_WALL_RATIO: f64 = 1.5;
+
+/// Seconds of the dense reference kernel the wall ratios divide by:
+/// one fixed seeded `numkit::svd` of a 512×128 matrix plus one
+/// `numkit::Lu` of a 256×256 matrix, median of 5 runs. It is dense on
+/// purpose, so a sparse-LU regression still shows in the ratios, and it
+/// runs in this process on this machine, so the ratios cancel the
+/// machine's speed.
+fn reference_seconds() -> Result<f64, numkit::NumError> {
+    let mut rng = SplitMix64::new(2004);
+    let tall = DMat::from_fn(512, 128, |_, _| rng.next_range(-1.0, 1.0));
+    let square =
+        DMat::from_fn(256, 256, |i, j| rng.next_range(-1.0, 1.0) + if i == j { 8.0 } else { 0.0 });
+    let mut times = Vec::with_capacity(5);
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        std::hint::black_box(numkit::svd(std::hint::black_box(&tall))?);
+        std::hint::black_box(numkit::Lu::new(std::hint::black_box(square.clone()))?);
+        times.push(t0.elapsed().as_secs_f64());
+    }
+    times.sort_by(f64::total_cmp);
+    Ok(times[2])
+}
 
 #[derive(Default, Clone, Copy)]
 struct StageSeconds {
@@ -136,9 +160,14 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn write_json(path: &std::path::Path, results: &[VariantResult]) -> std::io::Result<()> {
+fn write_json(
+    path: &std::path::Path,
+    results: &[VariantResult],
+    ref_s: f64,
+) -> std::io::Result<()> {
     let mut out = String::from("{\n  \"bench\": \"reduction_variants\",\n");
     out.push_str("  \"system\": \"rc_mesh_32x32 (1024 states, 16 ports); dense-Gramian baselines on jittered rc_mesh_16x16 (256 states, 8 ports) unless VARIANTS_FULL=1\",\n");
+    out.push_str(&format!("  \"ref_s\": {ref_s:.6},\n"));
     out.push_str("  \"methods\": [\n");
     for (i, r) in results.iter().enumerate() {
         // A failed method keeps its registry slot: `error` carries the
@@ -163,6 +192,7 @@ fn write_json(path: &std::path::Path, results: &[VariantResult]) -> std::io::Res
                 "      \"order\": {},\n",
                 "      \"in_band_max_rel_error\": {},\n",
                 "      \"wall_s\": {:.6},\n",
+                "      \"wall_ratio\": {:.3},\n",
                 "      \"sweep_s\": {:.6},\n",
                 "      \"compress_s\": {:.6},\n",
                 "      \"project_s\": {:.6},\n",
@@ -176,6 +206,7 @@ fn write_json(path: &std::path::Path, results: &[VariantResult]) -> std::io::Res
             r.order,
             in_band,
             r.wall_s,
+            r.wall_s / ref_s,
             r.stages.sweep_s,
             r.stages.compress_s,
             r.stages.project_s,
@@ -188,9 +219,13 @@ fn write_json(path: &std::path::Path, results: &[VariantResult]) -> std::io::Res
         "  \"notes\": \"Every pmtbr-cli reduce method registry entry, run with identical \
          band/samples/order requests. in_band_max_rel_error is the max relative \
          transfer-function error over a 20-point grid inside the band, against the \
-         full model of nstates_full states. sweep_s/compress_s/project_s are the \
-         pipeline stage times read off the obs spans under a wall clock (zero for \
-         methods that bypass the staged pipeline); sweep_s excludes the nested \
+         full model of nstates_full states. wall_ratio is wall_s / ref_s, where \
+         ref_s times a fixed dense reference kernel (one 512x128 numkit::svd plus \
+         one 256x256 numkit::Lu, median of 5) in the same process; the perf trend \
+         gate compares it with crates/bench/baselines/variants_wall.txt. \
+         sweep_s/compress_s/project_s are the pipeline stage times read off the \
+         obs spans under a wall clock (zero for methods that bypass the staged \
+         pipeline); sweep_s excludes the nested \
          compression span. The -n24 records rerun the compression-heavy variants \
          with 24 quadrature nodes (a 768-column realified sample stack) to pin \
          the large-SVD regime; cross-n24 runs only under VARIANTS_FULL=1 because \
@@ -277,11 +312,11 @@ fn run_method(
 }
 
 /// Perf trend gate: every sampling-based method listed in the committed
-/// baseline must stay within [`MAX_WALL_RATIO`] of its baseline wall
-/// time. Dense-Gramian baselines are exempt — their `O(n³)` dense eig
-/// dominates and its wall time is a property of the BLAS-free kernels,
-/// not of the sampled pipeline this gate protects.
-fn enforce_wall_baseline(results: &[VariantResult]) -> Result<(), String> {
+/// baseline must keep `wall_s / ref_s` within [`MAX_WALL_RATIO`] of its
+/// baseline ratio. Dense-Gramian baselines are exempt — their `O(n³)`
+/// dense eig dominates and its wall time is a property of the
+/// BLAS-free kernels, not of the sampled pipeline this gate protects.
+fn enforce_wall_baseline(results: &[VariantResult], ref_s: f64) -> Result<(), String> {
     let mut failures = Vec::new();
     for line in WALL_BASELINE.lines() {
         let line = line.trim();
@@ -294,7 +329,7 @@ fn enforce_wall_baseline(results: &[VariantResult]) -> Result<(), String> {
         };
         let base: f64 = base
             .parse()
-            .map_err(|_| format!("unparseable baseline seconds in line: {line:?}"))?;
+            .map_err(|_| format!("unparseable baseline ratio in line: {line:?}"))?;
         if is_dense_gramian_baseline(name) {
             continue;
         }
@@ -306,9 +341,11 @@ fn enforce_wall_baseline(results: &[VariantResult]) -> Result<(), String> {
             // reports it — no wall time to compare.
             continue;
         }
-        if r.wall_s > MAX_WALL_RATIO * base {
+        let ratio = r.wall_s / ref_s;
+        if ratio > MAX_WALL_RATIO * base {
             failures.push(format!(
-                "{name}: {:.3}s exceeds {MAX_WALL_RATIO}x the committed baseline {base:.3}s",
+                "{name}: wall ratio {ratio:.3} ({:.3}s / {ref_s:.3}s) exceeds \
+                 {MAX_WALL_RATIO}x the committed baseline ratio {base:.3}",
                 r.wall_s
             ));
         }
@@ -339,6 +376,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "; dense-Gramian baselines on jittered rc_mesh_16x16 (256 states)"
         }
     );
+
+    let ref_s = reference_seconds()?;
+    println!("dense reference kernel: {ref_s:.4}s (median of 5)");
 
     let mut results = Vec::new();
     for m in METHODS {
@@ -380,9 +420,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if std::env::var("VARIANTS_NO_PERF_GATE").is_ok_and(|v| v == "1") {
         println!("perf trend gate skipped (VARIANTS_NO_PERF_GATE=1)");
     } else {
-        enforce_wall_baseline(&results)?;
+        enforce_wall_baseline(&results, ref_s)?;
         println!(
-            "perf trend gate passed (all sampling-based methods within {MAX_WALL_RATIO}x of baseline)"
+            "perf trend gate passed \
+             (all sampling-based wall ratios within {MAX_WALL_RATIO}x of baseline)"
         );
     }
 
@@ -391,7 +432,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // artifact to diagnose.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join("BENCH_variants.json");
-    write_json(&path, &results)?;
+    write_json(&path, &results, ref_s)?;
     println!("wrote {}", path.display());
 
     let failed: Vec<String> = results

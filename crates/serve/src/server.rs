@@ -226,7 +226,9 @@ mod tests {
         assert_eq!(kbad, 0);
 
         // Pre-connect several clients before the server starts its
-        // loop, so they all land in one drained batch.
+        // loop, so they all land in one drained batch. The connections
+        // open one after another on this thread, which fixes their
+        // arrival order; each client thread only sends and waits.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let order = std::sync::Mutex::new(Vec::new());
@@ -234,13 +236,15 @@ mod tests {
             let jobs: Vec<_> = [("a", RC), ("b", other), ("c", RC), ("d", other)]
                 .into_iter()
                 .map(|(tag, nl)| {
-                    let addr = addr.clone();
+                    let mut stream = TcpStream::connect(&addr).unwrap();
+                    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
                     let req = request(nl, tag);
-                    scope.spawn(move || submit(&addr, &req, Duration::from_secs(10)).unwrap())
+                    scope.spawn(move || {
+                        write_frame(&mut stream, &req.encode()).unwrap();
+                        JobResponse::decode(&read_frame(&mut stream).unwrap()).unwrap()
+                    })
                 })
                 .collect();
-            // Give all four connections time to queue.
-            std::thread::sleep(Duration::from_millis(100));
             let handler = |req: &JobRequest| {
                 order.lock().unwrap().push(req.method.clone());
                 JobResponse::Err("ok".into())

@@ -300,10 +300,13 @@ impl WireMat {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let rows = r.u64()? as usize;
         let cols = r.u64()? as usize;
+        // One word per entry: a count beyond the bytes left in the
+        // payload is rejected before allocating.
+        let words_left = (r.buf.len() - r.pos) / 8;
         let n = rows
             .checked_mul(cols)
-            .filter(|&n| n <= MAX_FRAME / 8)
-            .ok_or_else(|| protocol("matrix dimensions overflow the frame cap"))?;
+            .filter(|&n| n <= words_left)
+            .ok_or_else(|| protocol("matrix dimensions exceed the bytes left in the frame"))?;
         let mut bits = Vec::with_capacity(n);
         for _ in 0..n {
             bits.push(r.u64()?);
@@ -674,6 +677,24 @@ mod tests {
         let mut padded = payload.clone();
         padded.push(0);
         assert!(matches!(JobRequest::decode(&padded), Err(WireError::Protocol(_))));
+    }
+
+    #[test]
+    fn matrix_count_is_bounded_by_the_bytes_left() {
+        // An `Ok` response whose `A` header claims 1000×1000 entries (well
+        // under the frame cap) followed by a single word.
+        let mut w = WireWriter::new(&RESPONSE_MAGIC);
+        w.flag(true);
+        w.strs(&[]);
+        w.flag(false);
+        w.flag(false);
+        w.u64(1000);
+        w.u64(1000);
+        w.u64(0);
+        match JobResponse::decode(&w.finish()) {
+            Err(WireError::Protocol(msg)) => assert!(msg.contains("bytes left"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

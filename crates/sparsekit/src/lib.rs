@@ -2,8 +2,9 @@
 //!
 //! Compressed sparse row/column matrices built from a coordinate-format
 //! [`Triplet`] accumulator, plus a left-looking Gilbert–Peierls sparse LU
-//! factorization ([`SparseLu`]) with partial pivoting, generic over real
-//! (`f64`) and complex (`numkit::c64`) scalars.
+//! factorization ([`SparseLu`]) with an approximate-minimum-degree column
+//! order and partial pivoting, generic over real (`f64`) and complex
+//! (`numkit::c64`) scalars.
 //!
 //! This crate is the circuit-solver substrate of the PMTBR reproduction:
 //! MNA stamping produces [`Triplet`]s, frequency sweeps factor complex
@@ -41,5 +42,4 @@ mod triplet;
 pub use csc::Csc;
 pub use csr::Csr;
 pub use lu::{inf_norm, one_norm, residual_norm, residual_norm_transpose, SolveCert, SparseLu, SymbolicLu};
-pub use ordering::{permute_symmetric, rcm_ordering};
 pub use triplet::Triplet;

@@ -1,21 +1,25 @@
 //! Sparse LU factorization: left-looking Gilbert–Peierls with partial
-//! pivoting, generic over real and complex scalars.
+//! pivoting, in an approximate-minimum-degree column order, generic over
+//! real and complex scalars.
 //!
 //! This is the solver the PMTBR cost model assumes: each column is
 //! computed with a sparse triangular solve whose nonzero pattern is found
 //! by depth-first search, so the work is proportional to the fill-in
-//! rather than `n²`. It handles the complex shifted systems
-//! `(sE − A)x = b` directly — the "immature sparse complex solver"
-//! gap this reproduction had to close.
+//! rather than `n²`, and the column order keeps that fill-in small. It
+//! handles the complex shifted systems `(sE − A)x = b` directly — the
+//! "immature sparse complex solver" gap this reproduction had to close.
 
 use numkit::{c64, NumError, Scalar};
 
+use crate::ordering::amd_order;
 use crate::Csc;
 
 /// Marker for "row not yet pivotal".
 const UNSET: usize = usize::MAX;
 
-/// A sparse LU factorization `P·A = L·U` with partial pivoting.
+/// A sparse LU factorization `P·A·Q = L·U`: a fill-reducing column
+/// order `Q` (approximate minimum degree on the pattern of `A + Aᵀ`,
+/// found in the symbolic phase) and partial pivoting `P`.
 ///
 /// # Examples
 ///
@@ -51,6 +55,8 @@ pub struct SparseLu<T> {
     u_vals: Vec<T>,
     /// `p[k]` = original row index pivotal at elimination step `k`.
     p: Vec<usize>,
+    /// `q[k]` = original column eliminated at step `k`.
+    q: Vec<usize>,
     /// Pivot growth `max|U| / max|A|` — a cheap stability monitor.
     growth: f64,
 }
@@ -210,7 +216,8 @@ pub fn residual_norm_transpose<T: Scalar>(
 }
 
 impl<T: Scalar> SparseLu<T> {
-    /// Factors the square CSC matrix `a`.
+    /// Factors the square CSC matrix `a`, eliminating its columns in
+    /// approximate-minimum-degree order.
     ///
     /// # Errors
     ///
@@ -235,6 +242,7 @@ impl<T: Scalar> SparseLu<T> {
         if n != a.ncols() {
             return Err(NumError::NotSquare { rows: n, cols: a.ncols() });
         }
+        let q = amd_order(n, a.colptr(), a.rowidx());
         // pinv[orig_row] = pivot step, or UNSET.
         let mut pinv = vec![UNSET; n];
         let mut p = Vec::with_capacity(n);
@@ -255,10 +263,10 @@ impl<T: Scalar> SparseLu<T> {
         let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
         let mut ucol_scratch: Vec<(usize, T)> = Vec::new();
 
-        for j in 0..n {
-            let (a_rows, a_vals) = a.col(j);
+        for (j, &col) in q.iter().enumerate() {
+            let (a_rows, a_vals) = a.col(col);
 
-            // --- Symbolic: reach of pattern(A[:,j]) through the L graph.
+            // --- Symbolic: reach of pattern(A[:,q[j]]) through the L graph.
             topo.clear();
             for &start in a_rows {
                 if mark[start] {
@@ -290,7 +298,7 @@ impl<T: Scalar> SparseLu<T> {
             // `topo` is a post-order: dependencies of a node appear AFTER
             // it, so process in reverse for the triangular solve.
 
-            // --- Numeric: sparse solve x = L⁻¹ A[:,j].
+            // --- Numeric: sparse solve x = L⁻¹ A[:,q[j]].
             for (&r, &v) in a_rows.iter().zip(a_vals) {
                 x[r] = v;
             }
@@ -327,7 +335,7 @@ impl<T: Scalar> SparseLu<T> {
                     x[s] = T::zero();
                     mark[s] = false;
                 }
-                return Err(NumError::Singular { pivot: j });
+                return Err(NumError::Singular { pivot: col });
             }
             let ujj = x[piv_row];
 
@@ -377,7 +385,7 @@ impl<T: Scalar> SparseLu<T> {
             *r = pinv[*r];
         }
         let growth = pivot_growth_of(a.values(), &u_vals);
-        Ok(SparseLu { n, l_colptr, l_rows, l_vals, u_colptr, u_rows, u_vals, p, growth })
+        Ok(SparseLu { n, l_colptr, l_rows, l_vals, u_colptr, u_rows, u_vals, p, q, growth })
     }
 
     /// Matrix dimension.
@@ -405,7 +413,7 @@ impl<T: Scalar> SparseLu<T> {
             });
         }
         // y = P·b.
-        let mut y: Vec<T> = (0..n).map(|k| b[self.p[k]]).collect();
+        let mut y: Vec<T> = self.p.iter().map(|&r| b[r]).collect();
         // Forward: L·z = y (unit diagonal), column-oriented.
         for k in 0..n {
             let yk = y[k];
@@ -433,7 +441,12 @@ impl<T: Scalar> SparseLu<T> {
                 y[r] -= self.u_vals[idx] * xk;
             }
         }
-        Ok(y)
+        // x = Q·y.
+        let mut x = vec![T::zero(); n];
+        for (k, &c) in self.q.iter().enumerate() {
+            x[c] = y[k];
+        }
+        Ok(x)
     }
 
     /// Solves for several right-hand sides given as columns of a dense
@@ -458,8 +471,9 @@ impl<T: Scalar> SparseLu<T> {
         Ok(out)
     }
 
-    /// Extracts the symbolic analysis (pivot order plus L/U sparsity
-    /// patterns) for reuse on other matrices with the same structure.
+    /// Extracts the symbolic analysis (column order, pivot order and L/U
+    /// sparsity patterns) for reuse on other matrices with the same
+    /// structure.
     ///
     /// `a` must be the matrix this factorization was computed from; its
     /// structure is recorded so [`SymbolicLu::refactor`] can verify that
@@ -479,6 +493,7 @@ impl<T: Scalar> SparseLu<T> {
             n: self.n,
             p: self.p.clone(),
             pinv,
+            q: self.q.clone(),
             l_colptr: self.l_colptr.clone(),
             l_rows: self.l_rows.clone(),
             u_colptr: self.u_colptr.clone(),
@@ -501,11 +516,11 @@ impl<T: Scalar> SparseLu<T> {
 
     /// Solves `Aᵀ·x = b` (plain transpose, not conjugate).
     ///
-    /// With `P·A = L·U` this is `Uᵀ·Lᵀ·P·x = b`: a forward sweep with
-    /// `Uᵀ` (lower triangular, diagonal stored last per column), a
-    /// backward sweep with `Lᵀ` (unit upper), and the inverse row
-    /// permutation. Needed by the 1-norm condition estimator, which
-    /// alternates solves with `A` and `Aᴴ`.
+    /// With `P·A·Q = L·U` this is `Uᵀ·Lᵀ·P·x = Qᵀ·b`: the column
+    /// permutation, a forward sweep with `Uᵀ` (lower triangular, diagonal
+    /// stored last per column), a backward sweep with `Lᵀ` (unit upper),
+    /// and the inverse row permutation. Needed by the 1-norm condition
+    /// estimator, which alternates solves with `A` and `Aᴴ`.
     ///
     /// # Errors
     ///
@@ -519,9 +534,9 @@ impl<T: Scalar> SparseLu<T> {
                 right: (b.len(), 1),
             });
         }
-        // Forward: Uᵀ·w = b. Column k of U (rows < k ascending, diagonal
-        // last) is row k of Uᵀ — a ready-made dot product.
-        let mut w: Vec<T> = b.to_vec();
+        // Forward: Uᵀ·w = Qᵀ·b. Column k of U (rows < k ascending,
+        // diagonal last) is row k of Uᵀ — a ready-made dot product.
+        let mut w: Vec<T> = self.q.iter().map(|&c| b[c]).collect();
         for k in 0..n {
             let lo = self.u_colptr[k];
             let hi = self.u_colptr[k + 1];
@@ -553,7 +568,7 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// This is what lets a *two-sided* sweep reuse one factorization per
     /// shift: the observability samples `(sE − A)⁻ᵀ·Cᵀ` come out of the
-    /// same `P·A = L·U` that produced the controllability samples,
+    /// same `P·A·Q = L·U` that produced the controllability samples,
     /// instead of factoring the transposed pencil from scratch.
     ///
     /// # Errors
@@ -763,16 +778,17 @@ impl<T: Scalar> SparseLu<T> {
     }
 }
 
-/// Reusable symbolic LU analysis: the pivot order and the L/U sparsity
-/// patterns discovered by one [`SparseLu::new`] run, detached from any
-/// numeric values.
+/// Reusable symbolic LU analysis: the column order, the pivot order and
+/// the L/U sparsity patterns discovered by one [`SparseLu::new`] run,
+/// detached from any numeric values.
 ///
 /// This is the KLU-style refactorization split that makes multipoint
-/// sampling cheap: the symbolic work (DFS reach, pivot search, fill
-/// pattern) is done once at the first shift, and every subsequent shifted
-/// pencil `s·E − A` — which shares the sparsity structure exactly — is
-/// factored by [`refactor`](SymbolicLu::refactor), a numeric-only pass
-/// with no graph traversal and no pivot search.
+/// sampling cheap: the symbolic work (minimum-degree ordering, DFS
+/// reach, pivot search, fill pattern) is done once at the first shift,
+/// and every subsequent shifted pencil `s·E − A` — which shares the
+/// sparsity structure exactly — is factored by
+/// [`refactor`](SymbolicLu::refactor), a numeric-only pass with no
+/// ordering, no graph traversal and no pivot search.
 ///
 /// The stored patterns include entries that were numerically zero at the
 /// analyzed shift (see [`SparseLu::new`]), so shift-dependent
@@ -784,6 +800,8 @@ pub struct SymbolicLu {
     p: Vec<usize>,
     /// `pinv[orig_row]` = pivot step.
     pinv: Vec<usize>,
+    /// `q[k]` = original column eliminated at step `k`.
+    q: Vec<usize>,
     /// L pattern (unit lower, diag implicit), rows in pivot order.
     l_colptr: Vec<usize>,
     l_rows: Vec<usize>,
@@ -816,7 +834,8 @@ impl SymbolicLu {
     }
 
     /// Numeric-only refactorization: factors `a` along the precomputed
-    /// pivot order and fill pattern, skipping all symbolic work.
+    /// column order, pivot order and fill pattern, skipping all symbolic
+    /// work.
     ///
     /// The pivots are NOT re-chosen; if a fixed pivot is exactly zero (or
     /// non-finite) for this particular matrix, [`NumError::Singular`] is
@@ -853,11 +872,11 @@ impl SymbolicLu {
         // positions are ever touched, and they are re-zeroed per column.
         let mut x = vec![T::zero(); n];
 
-        for j in 0..n {
-            // Scatter A[:,j] into pivot coordinates. Every structural
+        for (j, &col) in self.q.iter().enumerate() {
+            // Scatter A[:,q[j]] into pivot coordinates. Every structural
             // entry lies inside the reach pattern, so clearing the
             // pattern below restores x to all-zeros.
-            let (a_rows, a_vals) = a.col(j);
+            let (a_rows, a_vals) = a.col(col);
             for (&r, &v) in a_rows.iter().zip(a_vals) {
                 x[self.pinv[r]] = v;
             }
@@ -882,7 +901,7 @@ impl SymbolicLu {
 
             let ujj = x[j];
             if ujj == T::zero() || !ujj.abs().is_finite() {
-                return Err(NumError::Singular { pivot: j });
+                return Err(NumError::Singular { pivot: col });
             }
             u_vals.push(ujj);
             for lidx in self.l_colptr[j]..self.l_colptr[j + 1] {
@@ -908,6 +927,7 @@ impl SymbolicLu {
             u_rows: self.u_rows.clone(),
             u_vals,
             p: self.p.clone(),
+            q: self.q.clone(),
             growth,
         })
     }
@@ -930,8 +950,8 @@ impl SymbolicLu {
 // adversarial artifact is rejected with `NumError::InvalidArgument`
 // instead of panicking mid-solve.
 
-const SYMBOLIC_MAGIC: &[u8; 8] = b"PMTBRSY1";
-const FACTOR_MAGIC: &[u8; 8] = b"PMTBRFZ1";
+const SYMBOLIC_MAGIC: &[u8; 8] = b"PMTBRSY2";
+const FACTOR_MAGIC: &[u8; 8] = b"PMTBRFZ2";
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -1047,11 +1067,12 @@ impl SymbolicLu {
     /// little-endian u64 words). The inverse is
     /// [`SymbolicLu::from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + 8 * (3 * self.n + self.pattern_nnz()));
+        let mut out = Vec::with_capacity(16 + 8 * (4 * self.n + self.pattern_nnz()));
         out.extend_from_slice(SYMBOLIC_MAGIC);
         put_u64(&mut out, self.n as u64);
         put_usizes(&mut out, &self.p);
         put_usizes(&mut out, &self.pinv);
+        put_usizes(&mut out, &self.q);
         put_usizes(&mut out, &self.l_colptr);
         put_usizes(&mut out, &self.l_rows);
         put_usizes(&mut out, &self.u_colptr);
@@ -1074,6 +1095,7 @@ impl SymbolicLu {
         let n = r.usize()?;
         let p = r.usizes()?;
         let pinv = r.usizes()?;
+        let q = r.usizes()?;
         let l_colptr = r.usizes()?;
         let l_rows = r.usizes()?;
         let u_colptr = r.usizes()?;
@@ -1083,7 +1105,8 @@ impl SymbolicLu {
         r.finish()?;
         let perms_ok = is_permutation(&p, n)
             && pinv.len() == n
-            && p.iter().enumerate().all(|(k, &row)| pinv[row] == k);
+            && p.iter().enumerate().all(|(k, &row)| pinv[row] == k)
+            && is_permutation(&q, n);
         if !perms_ok
             || !l_pattern_ok(&l_colptr, &l_rows, n)
             || !u_pattern_ok(&u_colptr, &u_rows, n)
@@ -1091,7 +1114,7 @@ impl SymbolicLu {
         {
             return Err(NumError::InvalidArgument("symbolic artifact fails validation"));
         }
-        Ok(SymbolicLu { n, p, pinv, l_colptr, l_rows, u_colptr, u_rows, a_colptr, a_rowidx })
+        Ok(SymbolicLu { n, p, pinv, q, l_colptr, l_rows, u_colptr, u_rows, a_colptr, a_rowidx })
     }
 }
 
@@ -1101,7 +1124,7 @@ impl SparseLu<c64> {
     /// patterns, so a round-tripped factorization solves bit-identically.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out =
-            Vec::with_capacity(24 + 8 * (3 * self.n + 3 * (self.l_vals.len() + self.u_vals.len())));
+            Vec::with_capacity(24 + 8 * (4 * self.n + 3 * (self.l_vals.len() + self.u_vals.len())));
         out.extend_from_slice(FACTOR_MAGIC);
         put_u64(&mut out, self.n as u64);
         put_usizes(&mut out, &self.l_colptr);
@@ -1109,6 +1132,7 @@ impl SparseLu<c64> {
         put_usizes(&mut out, &self.u_colptr);
         put_usizes(&mut out, &self.u_rows);
         put_usizes(&mut out, &self.p);
+        put_usizes(&mut out, &self.q);
         put_u64(&mut out, self.growth.to_bits());
         for v in self.l_vals.iter().chain(self.u_vals.iter()) {
             put_u64(&mut out, v.re.to_bits());
@@ -1131,8 +1155,10 @@ impl SparseLu<c64> {
         let u_colptr = r.usizes()?;
         let u_rows = r.usizes()?;
         let p = r.usizes()?;
+        let q = r.usizes()?;
         let growth = r.f64()?;
         if !is_permutation(&p, n)
+            || !is_permutation(&q, n)
             || !l_pattern_ok(&l_colptr, &l_rows, n)
             || !u_pattern_ok(&u_colptr, &u_rows, n)
         {
@@ -1144,7 +1170,7 @@ impl SparseLu<c64> {
         let l_vals = read_vals(&mut r, l_rows.len())?;
         let u_vals = read_vals(&mut r, u_rows.len())?;
         r.finish()?;
-        Ok(SparseLu { n, l_colptr, l_rows, l_vals, u_colptr, u_rows, u_vals, p, growth })
+        Ok(SparseLu { n, l_colptr, l_rows, l_vals, u_colptr, u_rows, u_vals, p, q, growth })
     }
 }
 
@@ -1230,29 +1256,28 @@ mod tests {
 
     #[test]
     fn artifact_roundtrips_are_bit_identical() {
+        let bits_eq = |x: &[c64], y: &[c64]| {
+            x.iter().zip(y).all(|(p, q)| {
+                p.re.to_bits() == q.re.to_bits() && p.im.to_bits() == q.im.to_bits()
+            })
+        };
         // Factored-shift artifact: decode → solve must equal the
-        // original solve bit-for-bit (the cache-identity contract).
-        let t = random_sparse(25, 3, 11);
-        let a = t.to_csc();
+        // original solve bit-for-bit (the cache-identity contract). The
+        // MNA pencil's column order is not the identity.
         let s = c64::new(0.3, 1.7);
-        let mut tz = Triplet::<c64>::new(25, 25);
-        for (i, j, v) in t.to_csr().iter() {
-            tz.push(i, j, c64::from_real(-v));
+        for shifted in [shifted_pencil(25, 11, s), mna_pencil(s)] {
+            let n = shifted.nrows();
+            let lu = SparseLu::new(&shifted).unwrap();
+            let back = SparseLu::from_bytes(&lu.to_bytes()).unwrap();
+            assert_eq!(back.q, lu.q);
+            let b: Vec<c64> = (0..n).map(|i| c64::new((i as f64).cos(), 0.5)).collect();
+            assert!(bits_eq(&lu.solve(&b).unwrap(), &back.solve(&b).unwrap()));
         }
-        for i in 0..25 {
-            tz.push(i, i, s);
-        }
-        let shifted = tz.to_csc();
-        let lu = SparseLu::new(&shifted).unwrap();
-        let back = SparseLu::from_bytes(&lu.to_bytes()).unwrap();
-        let b: Vec<c64> = (0..25).map(|i| c64::new((i as f64).cos(), 0.5)).collect();
-        let x0 = lu.solve(&b).unwrap();
-        let x1 = back.solve(&b).unwrap();
-        assert!(x0.iter().zip(&x1).all(|(p, q)| p.re.to_bits() == q.re.to_bits()
-            && p.im.to_bits() == q.im.to_bits()));
+        assert!(SparseLu::new(&mna_pencil(s)).unwrap().q.iter().enumerate().any(|(k, &c)| c != k));
 
         // Symbolic artifact: decode → refactor must equal a direct
         // refactor from the live analysis bit-for-bit.
+        let a = random_sparse(25, 3, 11).to_csc();
         let sym = SparseLu::new(&a).unwrap().symbolic(&a);
         let sym2 = SymbolicLu::from_bytes(&sym.to_bytes()).unwrap();
         let f0 = sym.refactor(&a).unwrap();
@@ -1260,6 +1285,14 @@ mod tests {
         let y0 = f0.solve(&[1.0f64; 25]).unwrap();
         let y1 = f1.solve(&[1.0f64; 25]).unwrap();
         assert!(y0.iter().zip(&y1).all(|(p, q)| p.to_bits() == q.to_bits()));
+        let a0 = mna_pencil(s);
+        let sym = SparseLu::new(&a0).unwrap().symbolic(&a0);
+        let sym2 = SymbolicLu::from_bytes(&sym.to_bytes()).unwrap();
+        let a1 = mna_pencil(c64::new(0.0, 7.0));
+        let b = vec![c64::new(1.0, -0.5); a1.nrows()];
+        let z0 = sym.refactor(&a1).unwrap().solve(&b).unwrap();
+        let z1 = sym2.refactor(&a1).unwrap().solve(&b).unwrap();
+        assert!(bits_eq(&z0, &z1));
     }
 
     #[test]
@@ -1278,12 +1311,20 @@ mod tests {
         assert!(SymbolicLu::from_bytes(&trailing).is_err());
         // Structural damage: clobber a permutation word past the header
         // (magic + n + len), breaking bijectivity.
-        let mut bad_perm = bytes;
+        let mut bad_perm = bytes.clone();
         let off = 8 + 8 + 8;
         for byte in &mut bad_perm[off..off + 8] {
             *byte = 0xee;
         }
         assert!(SymbolicLu::from_bytes(&bad_perm).is_err());
+        // A column order that repeats a column (in range, so only the
+        // permutation check can catch it): q[0] ← q[1]. q follows magic,
+        // n, and the length-prefixed p and pinv.
+        let n = 12;
+        let q0 = 8 + 8 + 2 * (8 + 8 * n) + 8;
+        let mut bad_q = bytes;
+        bad_q.copy_within(q0 + 8..q0 + 16, q0);
+        assert!(SymbolicLu::from_bytes(&bad_q).is_err());
     }
 
     #[test]
@@ -1301,27 +1342,134 @@ mod tests {
         assert_eq!(ax, b);
     }
 
-    #[test]
-    fn tridiagonal_has_no_fill() {
-        let n = 50;
-        let mut t = Triplet::new(n, n);
+    /// `jω·C + G` for unit capacitors to ground and unit conductances
+    /// along `edges`, with node 0 grounded: an RC network pencil.
+    fn rc_pencil(n: usize, edges: &[(usize, usize)]) -> Csc<c64> {
+        let g = c64::from_real(1.0);
+        let mut t = Triplet::<c64>::new(n, n);
+        t.push(0, 0, g);
         for i in 0..n {
-            t.push(i, i, 4.0);
-            if i > 0 {
-                t.push(i, i - 1, -1.0);
-                t.push(i - 1, i, -1.0);
+            t.push(i, i, c64::new(0.0, 0.7));
+        }
+        for &(i, j) in edges {
+            t.push(i, i, g);
+            t.push(j, j, g);
+            t.push(i, j, -g);
+            t.push(j, i, -g);
+        }
+        t.to_csc()
+    }
+
+    #[test]
+    fn ordered_factor_fill_is_bounded() {
+        // A chain has no fill in any leaf-first order.
+        let chain: Vec<(usize, usize)> = (1..50).map(|i| (i - 1, i)).collect();
+        // A row-major 34×34 grid: the natural order fills the whole
+        // bandwidth-34 band, about 2·34·n entries.
+        let side = 34;
+        let mut grid = Vec::new();
+        for k in 0..side * side {
+            if k % side + 1 < side {
+                grid.push((k, k + 1));
+            }
+            if k + side < side * side {
+                grid.push((k, k + side));
             }
         }
-        let lu = SparseLu::new(&t.to_csc()).unwrap();
-        // L and U each have at most 2 entries per column for a
-        // diagonally dominant tridiagonal matrix (no pivoting needed).
-        assert!(lu.factor_nnz() <= 3 * n, "unexpected fill-in: {}", lu.factor_nnz());
-        let b = vec![1.0; n];
-        let x = lu.solve(&b).unwrap();
-        let ax = t.to_csc().mul_vec(&x);
-        for (axi, bi) in ax.iter().zip(&b) {
-            assert!((axi - bi).abs() < 1e-10);
+        // A heap-numbered binary tree (a clock tree): minimum degree
+        // eliminates leaves first, so there is no fill at all; the
+        // natural order, root first, fills to 525,309 entries.
+        let tree: Vec<(usize, usize)> = (1..1023).map(|k| ((k - 1) / 2, k)).collect();
+        for (n, edges) in [(50, chain), (side * side, grid), (1023, tree)] {
+            let a = rc_pencil(n, &edges);
+            let lu = SparseLu::new(&a).unwrap();
+            if n == side * side {
+                assert!(lu.factor_nnz() < side * n, "grid fill {}", lu.factor_nnz());
+            } else {
+                assert_eq!(lu.factor_nnz(), a.nnz(), "n = {n}: fill-in appeared");
+            }
+            let b: Vec<c64> = (0..n).map(|i| c64::new(1.0, (i % 7) as f64)).collect();
+            let ax = a.mul_vec(&lu.solve(&b).unwrap());
+            for (axi, bi) in ax.iter().zip(&b) {
+                assert!((*axi - *bi).abs() < 1e-10, "n = {n}");
+            }
         }
+    }
+
+    /// A scrambled complex MNA pencil: a 10-node RC ladder, two voltage
+    /// sources and one inductor, whose branch rows have zero diagonals
+    /// (sources) or small ones (the inductor), so partial pivoting must
+    /// leave the diagonal. Indices go through `i ↦ 5i + 3 mod 13`.
+    fn mna_pencil(s: c64) -> Csc<c64> {
+        let n = 13;
+        let perm = |i: usize| (5 * i + 3) % n;
+        let mut t = Triplet::<c64>::new(n, n);
+        let mut push = |i: usize, j: usize, v: c64| t.push(perm(i), perm(j), v);
+        let (g, c) = (c64::from_real(0.1), 0.1);
+        for k in 0..10 {
+            push(k, k, s.scale(c));
+            if k + 1 < 10 {
+                push(k, k, g);
+                push(k + 1, k + 1, g);
+                push(k, k + 1, -g);
+                push(k + 1, k, -g);
+            }
+        }
+        push(9, 9, g);
+        for (branch, node) in [(10, 0), (11, 6)] {
+            push(node, branch, c64::from_real(1.0));
+            push(branch, node, c64::from_real(1.0));
+        }
+        push(3, 12, c64::from_real(1.0));
+        push(7, 12, c64::from_real(-1.0));
+        push(12, 3, c64::from_real(1.0));
+        push(12, 7, c64::from_real(-1.0));
+        push(12, 12, -s.scale(0.05));
+        t.to_csc()
+    }
+
+    #[test]
+    fn ordered_factor_with_off_diagonal_pivots_matches_dense() {
+        let close = |x: &[c64], y: &[c64]| {
+            let scale = y.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
+            x.iter().zip(y).all(|(p, q)| (*p - *q).abs() <= 1e-10 * scale)
+        };
+        let a = mna_pencil(c64::new(0.2, 1.3));
+        let n = a.nrows();
+        let lu = SparseLu::new(&a).unwrap();
+        assert!(lu.q.iter().enumerate().any(|(k, &c)| c != k), "identity order {:?}", lu.q);
+        assert!(lu.p.iter().zip(&lu.q).any(|(r, c)| r != c), "no off-diagonal pivot");
+        let dense = Lu::new(a.to_dense()).unwrap();
+        let b: Vec<c64> =
+            (0..n).map(|i| c64::new((i as f64).sin(), 0.5 - i as f64 / 9.0)).collect();
+        assert!(close(&lu.solve(&b).unwrap(), &dense.solve(&b).unwrap()));
+        assert!(close(&lu.solve_transpose(&b).unwrap(), &dense.solve_transpose(&b).unwrap()));
+
+        // One refinement step from a drifted solution lands on the dense one.
+        let bm = numkit::Mat::from_fn(n, 2, |i, j| c64::new(1.0 + i as f64, j as f64));
+        let mut x = lu.solve_mat(&bm).unwrap();
+        for i in 0..n {
+            x[(i, 1)] = x[(i, 1)].scale(1.0 + 1e-7);
+        }
+        lu.refine_mat(&a, &bm, &mut x).unwrap();
+        let xd = dense.solve_mat(&bm).unwrap();
+        for j in 0..2 {
+            assert!(close(&x.col(j), &xd.col(j)), "refined column {j}");
+        }
+
+        // Hager's estimate finds the exact ‖A⁻¹‖₁ on this small matrix.
+        let inv = dense.inverse().unwrap();
+        let inv_norm =
+            (0..n).map(|j| inv.col(j).iter().map(|v| v.abs()).sum::<f64>()).fold(0.0, f64::max);
+        let exact = 1.0 / (one_norm(&a) * inv_norm);
+        let est = lu.rcond1_estimate(&a);
+        assert!((est - exact).abs() <= 1e-10 * exact, "rcond1 {est} vs {exact}");
+
+        // A refactor at a second shift reuses q and the pivot order.
+        let a1 = mna_pencil(c64::new(0.0, 7.0));
+        let re = lu.symbolic(&a).refactor(&a1).unwrap();
+        assert_eq!(re.q, lu.q);
+        assert!(close(&re.solve(&b).unwrap(), &Lu::new(a1.to_dense()).unwrap().solve(&b).unwrap()));
     }
 
     #[test]
@@ -1331,6 +1479,15 @@ mod tests {
         t.push(1, 1, 1.0);
         // Column 2 completely empty.
         assert!(matches!(SparseLu::new(&t.to_csc()), Err(NumError::Singular { .. })));
+        // Empty column 1 is eliminated first (lowest degree) and the
+        // error names the original column, not the step.
+        let mut t = Triplet::new(3, 3);
+        t.push(0, 0, 1.0);
+        t.push(1, 0, 1.0);
+        t.push(0, 2, 1.0);
+        t.push(2, 0, 1.0);
+        t.push(2, 2, 1.0);
+        assert!(matches!(SparseLu::new(&t.to_csc()), Err(NumError::Singular { pivot: 1 })));
     }
 
     #[test]

@@ -1,215 +1,219 @@
-//! Fill-reducing orderings: reverse Cuthill–McKee (RCM).
+//! Fill-reducing column order for [`SparseLu`](crate::SparseLu):
+//! approximate minimum degree (Amestoy, Davis & Duff) on the quotient
+//! graph of the symmetrized pattern `A + Aᵀ`.
 //!
-//! Gilbert–Peierls factors in the given column order; a bandwidth-
-//! reducing permutation can cut fill-in dramatically for mesh-like
-//! circuit matrices. RCM is simple, deterministic and effective for the
-//! grid/tree topologies this workspace generates.
+//! Eliminating a variable turns it into an *element*: the clique its
+//! elimination would create, stored as a member list instead of as fill
+//! edges, so the graph never grows. A variable's degree is replaced by
+//! the ADD approximate external degree, an upper bound that needs only
+//! each adjacent element's overlap with the newest element. Elements
+//! that lie wholly inside the newest element are absorbed into it. Ties
+//! break by lowest index, so the order is a pure function of the
+//! pattern.
+//!
+//! Storage is flat: the variable adjacency is a CSR array pruned in
+//! place, and element member lists and per-variable element lists live
+//! in append-only arenas addressed by `(start, len)` pairs.
 
-use numkit::Scalar;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use crate::{Csc, Csr, Triplet};
-
-/// Computes a reverse Cuthill–McKee ordering of the symmetrized pattern
-/// of `a`. Returns `perm` with `perm[k]` = original index of the node
-/// placed at position `k`.
-///
-/// Disconnected components are ordered one after another, each from a
-/// pseudo-peripheral starting node.
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn rcm_ordering<T: Scalar>(a: &Csr<T>) -> Vec<usize> {
-    let n = a.nrows();
-    assert_eq!(n, a.ncols(), "rcm ordering needs a square matrix");
-    // Symmetrized adjacency (pattern only).
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+/// Returns `q` with `q[k]` = the column eliminated at step `k`, for the
+/// `n × n` pattern given in CSC form (`colptr`, `rowidx`). Diagonal
+/// entries and duplicates are ignored.
+pub(crate) fn amd_order(n: usize, colptr: &[usize], rowidx: &[usize]) -> Vec<usize> {
+    // --- A + Aᵀ without the diagonal, as CSR rows `adj_start[i]..+adj_len[i]`.
+    let mut adj_start = vec![0usize; n + 1];
+    let offdiag = || {
+        (0..n).flat_map(move |j| rowidx[colptr[j]..colptr[j + 1]].iter().map(move |&i| (i, j)))
+    };
+    for (i, j) in offdiag().filter(|&(i, j)| i != j) {
+        adj_start[i + 1] += 1;
+        adj_start[j + 1] += 1;
+    }
     for i in 0..n {
-        let (cols, _) = a.row(i);
-        for &j in cols {
-            if i != j {
-                adj[i].push(j);
-                adj[j].push(i);
+        adj_start[i + 1] += adj_start[i];
+    }
+    let mut adj = vec![0usize; adj_start[n]];
+    let mut adj_len = vec![0usize; n];
+    for (i, j) in offdiag().filter(|&(i, j)| i != j) {
+        adj[adj_start[i] + adj_len[i]] = j;
+        adj_len[i] += 1;
+        adj[adj_start[j] + adj_len[j]] = i;
+        adj_len[j] += 1;
+    }
+    // `mark[v] == tag` flags membership in the set being built; tags
+    // `0..n` deduplicate the rows, tags `n + step` mark `L_p`.
+    let mut mark = vec![usize::MAX; n];
+    for i in 0..n {
+        let s = adj_start[i];
+        let mut len = 0;
+        for k in s..s + adj_len[i] {
+            let v = adj[k];
+            if mark[v] != i {
+                mark[v] = i;
+                adj[s + len] = v;
+                len += 1;
             }
         }
+        adj_len[i] = len;
     }
-    for l in adj.iter_mut() {
-        l.sort_unstable();
-        l.dedup();
-    }
-    let degree: Vec<usize> = adj.iter().map(|l| l.len()).collect();
 
-    let mut visited = vec![false; n];
+    // `degree[i]` is the live key of variable `i` in the heap; an
+    // eliminated variable's key is `usize::MAX`, so stale heap entries
+    // (degree changed or variable gone) are skipped on pop.
+    let mut degree = adj_len.clone();
+    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
+        (0..n).map(|i| Reverse((degree[i], i))).collect();
+    // Element `e` holds `elem[elem_start[e]..+elem_len[e]]`; variable `i`
+    // touches elements `vel[vel_start[i]..+vel_len[i]]`.
+    let mut elem: Vec<usize> = Vec::with_capacity(adj.len() + n);
+    let (mut elem_start, mut elem_len) = (vec![0usize; n], vec![0usize; n]);
+    let mut vel: Vec<usize> = Vec::with_capacity(adj.len() + n);
+    let (mut vel_start, mut vel_len) = (vec![0usize; n], vec![0usize; n]);
+    // `w[e]` = |L_e \ L_p| for elements seen under the current tag.
+    let (mut w, mut w_tag) = (vec![0usize; n], vec![usize::MAX; n]);
     let mut order = Vec::with_capacity(n);
-    for start_candidate in 0..n {
-        if visited[start_candidate] {
+
+    while let Some(Reverse((d, p))) = heap.pop() {
+        if d != degree[p] {
             continue;
         }
-        // Pseudo-peripheral node: repeated BFS to a farthest node.
-        let mut start = start_candidate;
-        for _ in 0..2 {
-            let far = bfs_farthest(&adj, start, &visited);
-            if far == start {
-                break;
+        let step = order.len();
+        let tag = n + step;
+        order.push(p);
+        degree[p] = usize::MAX;
+        mark[p] = tag;
+
+        // L_p: p's variable neighbours plus the members of its elements,
+        // which p absorbs. Live elements never hold eliminated variables
+        // (eliminating v absorbs every element containing v).
+        let lp_start = elem.len();
+        for k in adj_start[p]..adj_start[p] + adj_len[p] {
+            let v = adj[k];
+            if mark[v] != tag {
+                mark[v] = tag;
+                elem.push(v);
             }
-            start = far;
         }
-        // Cuthill–McKee BFS from `start`, neighbors by increasing degree.
-        let mut queue = std::collections::VecDeque::new();
-        visited[start] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<usize> =
-                adj[v].iter().copied().filter(|&u| !visited[u]).collect();
-            nbrs.sort_by_key(|&u| degree[u]);
-            for u in nbrs {
-                visited[u] = true;
-                queue.push_back(u);
+        for k in vel_start[p]..vel_start[p] + vel_len[p] {
+            let e = vel[k];
+            for m in elem_start[e]..elem_start[e] + elem_len[e] {
+                let v = elem[m];
+                if mark[v] != tag {
+                    mark[v] = tag;
+                    elem.push(v);
+                }
+            }
+            (w_tag[e], w[e]) = (tag, 0);
+        }
+        let lp_len = elem.len() - lp_start;
+        (elem_start[p], elem_len[p]) = (lp_start, lp_len);
+
+        // w[e] = |L_e \ L_p| for every element next to L_p; 0 marks an
+        // element absorbed into p (those of E_p, and any L_e ⊆ L_p).
+        for k in lp_start..lp_start + lp_len {
+            let i = elem[k];
+            for m in vel_start[i]..vel_start[i] + vel_len[i] {
+                let e = vel[m];
+                if w_tag[e] != tag {
+                    (w_tag[e], w[e]) = (tag, elem_len[e]);
+                }
+                w[e] = w[e].saturating_sub(1);
+            }
+        }
+
+        let live = n - step - 1;
+        for k in lp_start..lp_start + lp_len {
+            let i = elem[k];
+            // E_i ← surviving elements plus p, rewritten at the arena end.
+            let start = vel.len();
+            let mut external = 0;
+            for m in vel_start[i]..vel_start[i] + vel_len[i] {
+                let e = vel[m];
+                if w[e] > 0 {
+                    external += w[e];
+                    vel.push(e);
+                }
+            }
+            vel.push(p);
+            (vel_start[i], vel_len[i]) = (start, vel.len() - start);
+            // A_i ← A_i \ (L_p ∪ {p}): element p now covers those edges.
+            let s = adj_start[i];
+            let mut len = 0;
+            for m in s..s + adj_len[i] {
+                let v = adj[m];
+                if mark[v] != tag {
+                    adj[s + len] = v;
+                    len += 1;
+                }
+            }
+            adj_len[i] = len;
+            // ADD bound: min(n_live − 1, d_old + |L_p \ i|,
+            // |A_i| + |L_p \ i| + Σ_e |L_e \ L_p|).
+            let d = (len + lp_len - 1 + external).min(degree[i] + lp_len - 1).min(live - 1);
+            if d != degree[i] {
+                degree[i] = d;
+                heap.push(Reverse((d, i)));
             }
         }
     }
-    order.reverse();
     order
-}
-
-/// Breadth-first search returning a node at maximum distance from
-/// `start`, ignoring already-visited nodes.
-fn bfs_farthest(adj: &[Vec<usize>], start: usize, visited: &[bool]) -> usize {
-    let n = adj.len();
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[start] = true;
-    queue.push_back(start);
-    let mut last = start;
-    while let Some(v) = queue.pop_front() {
-        last = v;
-        for &u in &adj[v] {
-            if !seen[u] && !visited[u] {
-                seen[u] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    last
-}
-
-/// Applies a symmetric permutation to a square CSC matrix:
-/// `B = P·A·Pᵀ` with `B[k, l] = A[perm[k], perm[l]]`.
-///
-/// # Panics
-///
-/// Panics if the permutation length differs from the dimension.
-pub fn permute_symmetric<T: Scalar>(a: &Csc<T>, perm: &[usize]) -> Csc<T> {
-    let n = a.nrows();
-    assert_eq!(n, a.ncols(), "permute_symmetric needs a square matrix");
-    assert_eq!(perm.len(), n, "permutation length mismatch");
-    // inverse permutation: position of original index i.
-    let mut inv = vec![0usize; n];
-    for (k, &p) in perm.iter().enumerate() {
-        inv[p] = k;
-    }
-    let mut t = Triplet::with_capacity(n, n, a.nnz());
-    for j in 0..n {
-        let (rows, vals) = a.col(j);
-        for (&r, &v) in rows.iter().zip(vals) {
-            t.push(inv[r], inv[j], v);
-        }
-    }
-    t.to_csc()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SparseLu;
+    use crate::Triplet;
 
-    /// 2-D grid Laplacian with the given node numbering map.
-    fn grid(nside: usize, number: impl Fn(usize, usize) -> usize) -> Triplet<f64> {
-        let n = nside * nside;
-        let mut t = Triplet::new(n, n);
-        for i in 0..nside {
-            for j in 0..nside {
-                let me = number(i, j);
-                t.push(me, me, 4.2);
-                if j + 1 < nside {
-                    let right = number(i, j + 1);
-                    t.push(me, right, -1.0);
-                    t.push(right, me, -1.0);
-                }
-                if i + 1 < nside {
-                    let down = number(i + 1, j);
-                    t.push(me, down, -1.0);
-                    t.push(down, me, -1.0);
-                }
-            }
-        }
-        t
+    fn order_of(t: &Triplet<f64>) -> Vec<usize> {
+        let a = t.to_csc();
+        amd_order(a.nrows(), a.colptr(), a.rowidx())
     }
 
-    #[test]
-    fn rcm_is_a_permutation() {
-        let a = grid(6, |i, j| i * 6 + j).to_csr();
-        let perm = rcm_ordering(&a);
-        let mut sorted = perm.clone();
+    fn is_perm(q: &[usize], n: usize) -> bool {
+        let mut sorted = q.to_vec();
         sorted.sort_unstable();
-        assert_eq!(sorted, (0..36).collect::<Vec<_>>());
+        sorted == (0..n).collect::<Vec<_>>()
     }
 
     #[test]
-    fn rcm_reduces_fill_after_scrambling() {
-        // Scramble a grid numbering, then let RCM recover locality: the
-        // factor of the RCM-ordered matrix must have much less fill.
-        let nside = 20;
-        let n = nside * nside;
-        let scramble = |i: usize, j: usize| (i * nside + j).wrapping_mul(73) % n;
-        // `scramble` is a bijection when gcd(73, n) = 1; n = 400, ok.
-        let t = grid(nside, scramble);
-        let csc = t.to_csc();
-        let lu_scrambled = SparseLu::new(&csc).unwrap();
-
-        let perm = rcm_ordering(&t.to_csr());
-        let reordered = permute_symmetric(&csc, &perm);
-        let lu_rcm = SparseLu::new(&reordered).unwrap();
-        assert!(
-            lu_rcm.factor_nnz() * 2 < lu_scrambled.factor_nnz(),
-            "rcm fill {} should be far below scrambled fill {}",
-            lu_rcm.factor_nnz(),
-            lu_scrambled.factor_nnz()
-        );
-    }
-
-    #[test]
-    fn permuted_solve_matches_original() {
-        let t = grid(8, |i, j| i * 8 + j);
-        let csc = t.to_csc();
-        let n = 64;
-        let b: Vec<f64> = (0..n).map(|k| (k as f64 * 0.1).sin()).collect();
-        let x_direct = SparseLu::new(&csc).unwrap().solve(&b).unwrap();
-
-        let perm = rcm_ordering(&t.to_csr());
-        let reordered = permute_symmetric(&csc, &perm);
-        let b_perm: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
-        let x_perm = SparseLu::new(&reordered).unwrap().solve(&b_perm).unwrap();
-        // Un-permute and compare.
-        for (k, &p) in perm.iter().enumerate() {
-            assert!((x_perm[k] - x_direct[p]).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn handles_disconnected_components() {
-        let mut t = Triplet::new(5, 5);
-        for i in 0..5 {
+    fn order_is_a_permutation_of_any_pattern() {
+        // n = 0, n = 1, an isolated node, and two disconnected components.
+        assert!(amd_order(0, &[0], &[]).is_empty());
+        let mut one = Triplet::new(1, 1);
+        one.push(0, 0, 1.0);
+        assert_eq!(order_of(&one), vec![0]);
+        let mut t = Triplet::new(6, 6);
+        for i in 0..6 {
             t.push(i, i, 1.0);
         }
-        t.push(0, 1, -0.5);
-        t.push(1, 0, -0.5);
-        t.push(3, 4, -0.5);
-        t.push(4, 3, -0.5);
-        let perm = rcm_ordering(&t.to_csr());
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
+        for (i, j) in [(0, 1), (1, 2), (4, 5)] {
+            t.push(i, j, -0.5);
+            t.push(j, i, -0.5);
+        }
+        let q = order_of(&t);
+        assert!(is_perm(&q, 6), "{q:?}");
+        // Isolated node 3 has degree 0 and goes first; then the lowest-
+        // index degree-1 leaf.
+        assert_eq!(&q[..2], &[3, 0]);
+        // An unsymmetric pattern orders by A + Aᵀ.
+        let mut u = Triplet::new(3, 3);
+        u.push(0, 2, 1.0);
+        u.push(1, 0, 1.0);
+        u.push(2, 1, 1.0);
+        assert!(is_perm(&order_of(&u), 3));
+        // A scattered pattern: the order depends on it alone, not on
+        // the values.
+        let mut t = Triplet::new(30, 30);
+        for i in 0..30 {
+            t.push(i, i, 4.0);
+            t.push(i, (i * 7 + 3) % 30, -1.0);
+            t.push((i * 11 + 5) % 30, i, -1.0);
+        }
+        let q = order_of(&t);
+        assert!(is_perm(&q, 30));
+        let a = t.to_csc().map(|v| v * 3.0 + 1.0);
+        assert_eq!(q, amd_order(30, a.colptr(), a.rowidx()));
     }
 }

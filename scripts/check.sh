@@ -65,11 +65,12 @@ cargo test -q -p pmtbr-cli --test serve
 
 # Variant-coverage + perf trend gate: every `reduce` method registry
 # entry must reduce the headline 1024-state mesh, and no sampling-based
-# method may regress its wall time more than 1.5x against the committed
-# baseline (crates/bench/baselines/variants_wall.txt; dense-Gramian
-# baselines are exempt, VARIANTS_NO_PERF_GATE=1 skips the trend check
-# on machines with different absolute speed). Writes BENCH_variants.json
-# (order, in-band error, wall time, and per-stage seconds per method).
+# method may regress its wall time, as a ratio to a dense reference
+# kernel timed in the same process, more than 1.5x against the
+# committed ratio (crates/bench/baselines/variants_wall.txt;
+# dense-Gramian baselines are exempt, VARIANTS_NO_PERF_GATE=1 skips the
+# trend check). Writes BENCH_variants.json (order, in-band error, wall
+# time and ratio, and per-stage seconds per method).
 echo "==> variant coverage + perf trend (every registry method on the 1024-state mesh)"
 cargo run --release -q -p bench --bin variants
 test -s BENCH_variants.json
