@@ -31,4 +31,4 @@ mod orth;
 mod prima;
 
 pub use mpproj::{mpproj, MpprojModel};
-pub use prima::{prima, prima_multipoint, PrimaModel};
+pub use prima::{prima, PrimaModel};

@@ -98,94 +98,6 @@ pub fn prima(sys: &Descriptor, order: usize, s0: f64) -> Result<PrimaModel, NumE
     Ok(PrimaModel { moments_matched: v.ncols() / p.max(1), reduced, v })
 }
 
-/// Multipoint PRIMA: block rational Krylov with congruence projection,
-/// distributing the basis budget over several real expansion points
-/// (cf. the multipoint passive reduction of Elfadel–Ling, paper
-/// reference \[7\]). Matches block moments at every point while keeping
-/// the passivity-preserving congruence structure.
-///
-/// # Errors
-///
-/// - [`NumError::InvalidArgument`] if `order == 0` or no points given.
-/// - [`NumError::Singular`] if a pencil `(s₀E − A)` is singular.
-///
-/// # Examples
-///
-/// ```
-/// use circuits::rc_mesh;
-/// use krylov::prima_multipoint;
-///
-/// # fn main() -> Result<(), numkit::NumError> {
-/// let sys = rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0)?;
-/// let m = prima_multipoint(&sys, 8, &[0.0, 5.0, 20.0])?;
-/// assert!(m.reduced.nstates() <= 8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn prima_multipoint(
-    sys: &Descriptor,
-    order: usize,
-    shifts: &[f64],
-) -> Result<PrimaModel, NumError> {
-    if order == 0 {
-        return Err(NumError::InvalidArgument("reduction order must be at least 1"));
-    }
-    if shifts.is_empty() {
-        return Err(NumError::InvalidArgument("multipoint prima needs expansion points"));
-    }
-    let n = sys.nstates();
-    let p = sys.ninputs();
-    // One factorization per expansion point, reused across its blocks.
-    let mut factors = Vec::with_capacity(shifts.len());
-    for &s0 in shifts {
-        let mut t = Triplet::with_capacity(n, n, sys.e.nnz() + sys.a.nnz());
-        for (i, j, v) in sys.e.iter() {
-            t.push(i, j, s0 * v);
-        }
-        for (i, j, v) in sys.a.iter() {
-            t.push(i, j, -v);
-        }
-        factors.push(SparseLu::new(&t.to_csc())?);
-    }
-    // Round-robin over points: starting block then Krylov continuations,
-    // so the order budget spreads evenly.
-    let mut basis: Vec<Vec<f64>> = Vec::new();
-    // Per-point most recent block (columns of the global basis).
-    let mut last_block: Vec<Vec<Vec<f64>>> = vec![Vec::new(); shifts.len()];
-    for (k, lu) in factors.iter().enumerate() {
-        if basis.len() >= order {
-            break;
-        }
-        let r = lu.solve_mat(&sys.b)?;
-        let before = basis.len();
-        orthonormalize_into(&mut basis, &r);
-        last_block[k] = basis[before..].to_vec();
-    }
-    let mut round = 0usize;
-    while basis.len() < order && round < 8 * order {
-        let k = round % factors.len();
-        round += 1;
-        if last_block[k].is_empty() {
-            continue;
-        }
-        let mut next = DMat::zeros(n, last_block[k].len());
-        for (j, col) in last_block[k].iter().enumerate() {
-            let ecol = sys.e.mul_vec(col);
-            next.set_col(j, &factors[k].solve(&ecol)?);
-        }
-        let before = basis.len();
-        orthonormalize_into(&mut basis, &next);
-        last_block[k] = basis[before..].to_vec();
-        if last_block.iter().all(|b| b.is_empty()) {
-            break; // every point's subspace is exhausted
-        }
-    }
-    basis.truncate(order);
-    let v = columns_to_mat(&basis);
-    let reduced = sys.project(&v, &v)?;
-    Ok(PrimaModel { moments_matched: v.ncols() / p.max(1), reduced, v })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,60 +174,5 @@ mod tests {
     #[test]
     fn zero_order_rejected() {
         assert!(prima(&small_mesh(), 0, 0.0).is_err());
-    }
-}
-
-#[cfg(test)]
-mod multipoint_tests {
-    use super::*;
-    use circuits::rc_mesh;
-    use numkit::c64;
-
-    #[test]
-    fn interpolates_at_every_expansion_point() {
-        let sys = rc_mesh(4, 4, &[0], 1.0, 1.0, 2.0).unwrap();
-        let shifts = [0.0, 4.0, 15.0];
-        let m = prima_multipoint(&sys, 6, &shifts).unwrap();
-        for &s0 in &shifts {
-            let s = c64::from_real(s0);
-            let h = sys.transfer_function(s).unwrap();
-            let hr = m.reduced.transfer_function(s).unwrap();
-            assert!(
-                (&h - &hr).norm_max() < 1e-8 * h.norm_max().max(1e-12),
-                "must interpolate at s0 = {s0}"
-            );
-        }
-    }
-
-    #[test]
-    fn beats_single_point_prima_off_expansion() {
-        let sys = rc_mesh(5, 5, &[0, 24], 1.0, 1.0, 2.0).unwrap();
-        let order = 8;
-        let probe = c64::new(0.0, 10.0);
-        let h = sys.transfer_function(probe).unwrap();
-        let single = prima(&sys, order, 0.0).unwrap();
-        let multi = prima_multipoint(&sys, order, &[0.0, 5.0, 15.0]).unwrap();
-        let e_single = (&single.reduced.transfer_function(probe).unwrap() - &h).norm_max();
-        let e_multi = (&multi.reduced.transfer_function(probe).unwrap() - &h).norm_max();
-        assert!(
-            e_multi < e_single,
-            "spreading points must help off dc: multi {e_multi:.2e} vs single {e_single:.2e}"
-        );
-    }
-
-    #[test]
-    fn congruence_structure_preserved() {
-        let sys = rc_mesh(3, 3, &[0], 1.0, 1.0, 2.0).unwrap();
-        let m = prima_multipoint(&sys, 5, &[0.0, 10.0]).unwrap();
-        let a = &m.reduced.a;
-        assert!((a - &a.transpose()).norm_max() < 1e-9);
-        assert!(m.reduced.is_stable().unwrap());
-    }
-
-    #[test]
-    fn validation() {
-        let sys = rc_mesh(2, 2, &[0], 1.0, 1.0, 2.0).unwrap();
-        assert!(prima_multipoint(&sys, 0, &[0.0]).is_err());
-        assert!(prima_multipoint(&sys, 3, &[]).is_err());
     }
 }

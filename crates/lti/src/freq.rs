@@ -42,12 +42,6 @@ impl FreqResponse {
     pub fn magnitude(&self, i: usize, j: usize) -> Vec<f64> {
         self.h.iter().map(|m| m[(i, j)].abs()).collect()
     }
-
-    /// Real part of the `(i, j)` entry across the sweep — e.g. the
-    /// effective resistance of an impedance transfer function.
-    pub fn real_part(&self, i: usize, j: usize) -> Vec<f64> {
-        self.h.iter().map(|m| m[(i, j)].re).collect()
-    }
 }
 
 /// Evaluates `H(jω)` over a frequency grid.
@@ -101,24 +95,6 @@ pub fn max_rel_error(a: &FreqResponse, b: &FreqResponse) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Sampled estimate of the H∞ norm: `max_k ‖H(jωₖ)‖₂` (spectral norm at
-/// each grid point). A lower bound on the true norm; grid density governs
-/// tightness.
-///
-/// # Errors
-///
-/// Propagates SVD failures.
-pub fn hinf_estimate(resp: &FreqResponse) -> Result<f64, NumError> {
-    let mut best = 0.0f64;
-    for m in &resp.h {
-        let s = numkit::singular_values(m)?;
-        if let Some(&s0) = s.first() {
-            best = best.max(s0);
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,14 +134,6 @@ mod tests {
         assert!((mag[0] - 1.0).abs() < 1e-12);
         assert!((mag[1] - 1.0 / 2f64.sqrt()).abs() < 1e-12);
         assert!(mag[2] < 0.1);
-    }
-
-    #[test]
-    fn hinf_of_lowpass_is_dc_gain() {
-        let sys = one_pole();
-        let resp = frequency_response(&sys, &linspace(0.0, 5.0, 21)).unwrap();
-        let hinf = hinf_estimate(&resp).unwrap();
-        assert!((hinf - 1.0).abs() < 1e-10);
     }
 
     #[test]

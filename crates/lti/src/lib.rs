@@ -9,13 +9,11 @@
 //!   `2·Σσ` error bound;
 //! - the cross-Gramian method of the paper's Section V-D;
 //! - frequency sweeps ([`frequency_response`]) and trapezoidal transient
-//!   simulation ([`simulate_descriptor`], [`simulate_ss`]), plus exact
-//!   ZOH/Tustin discretization ([`c2d_zoh`], [`c2d_tustin`]);
+//!   simulation ([`simulate_descriptor`], [`simulate_ss`]);
 //! - frequency-limited (Gawronski–Juang) Gramians and TBR
 //!   ([`frequency_limited_tbr`]) — the exact counterpart of
 //!   frequency-selective PMTBR;
-//! - balanced residualization ([`tbr_residualized`], dc-exact) and the
-//!   [`h2_norm`];
+//! - balanced residualization ([`tbr_residualized`], dc-exact);
 //! - sampled passivity verification ([`is_passive_sampled`]);
 //! - the waveform generators behind the input-correlated experiments
 //!   ([`dithered_square_inputs`], [`latent_mixture_inputs`]) and state
@@ -46,9 +44,7 @@
 // are reserved for violated internal invariants (and tests).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-mod compose;
 mod descriptor;
-mod discretize;
 mod freq;
 mod freqlim;
 pub mod hash;
@@ -63,21 +59,18 @@ mod system;
 mod tbr;
 mod tolerant;
 mod transient;
-mod weighted;
 
 pub use descriptor::{Descriptor, ShiftedPencilAssembler};
-pub use discretize::{c2d_tustin, c2d_zoh, DiscreteStateSpace};
 pub use freq::{
-    frequency_response, hinf_estimate, linspace, logspace, max_abs_error, max_rel_error,
-    FreqResponse,
+    frequency_response, linspace, logspace, max_abs_error, max_rel_error, FreqResponse,
 };
 pub use freqlim::{band_controllability_gramian, band_observability_gramian, frequency_limited_tbr};
 pub use lyap::{lyap, lyap_residual, sylvester};
-pub use passivity::{hermitian_part_eigenvalues, is_passive_sampled, passivity_margin};
+pub use passivity::is_passive_sampled;
 pub use realify::{realified_ncols, realify_columns, realify_columns_into};
-pub use shift_engine::{solve_shifted_sweep, ShiftSolveEngine};
+pub use shift_engine::ShiftSolveEngine;
 pub use signal::{
-    correlation_rank, dithered_square_inputs, input_correlation_svd, latent_mixture_inputs,
+    dithered_square_inputs, input_correlation_svd, latent_mixture_inputs,
     random_phase_square_inputs, SquareWave,
 };
 pub use snapshots::state_snapshots;
@@ -85,7 +78,7 @@ pub use ss::StateSpace;
 pub use system::LtiSystem;
 pub use tbr::{
     controllability_gramian, correlated_controllability_gramian, cross_gramian,
-    cross_gramian_reduce, h2_norm, hankel_from_gramians, hankel_singular_values,
+    cross_gramian_reduce, hankel_from_gramians, hankel_singular_values,
     observability_gramian, tbr, tbr_error_bounds, tbr_from_gramians, tbr_residualized, TbrModel,
 };
 pub use tolerant::{
@@ -93,4 +86,3 @@ pub use tolerant::{
     TolerantSweep,
 };
 pub use transient::{max_transient_error, simulate_descriptor, simulate_ss, Transient};
-pub use weighted::{weighted_controllability_gramian, weighted_observability_gramian, weighted_tbr};

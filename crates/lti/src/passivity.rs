@@ -5,12 +5,12 @@
 //! passivity. This module verifies either claim numerically: an
 //! impedance-form system is passive iff its Hermitian part
 //! `(Z(jω) + Z(jω)ᴴ)/2` is positive semidefinite at every frequency.
-//! The margin returned is the most negative eigenvalue found over the
-//! sweep — non-negative for a passive network.
+//! [`is_passive_sampled`] checks the most negative eigenvalue found over
+//! the sweep — non-negative for a passive network.
 
 use numkit::{eigh, DMat, NumError, ZMat};
 
-use crate::{frequency_response, FreqResponse, LtiSystem};
+use crate::{frequency_response, LtiSystem};
 
 /// Eigenvalues (ascending-by-magnitude not guaranteed; sorted
 /// descending) of the Hermitian part of a complex square matrix, via the
@@ -21,7 +21,7 @@ use crate::{frequency_response, FreqResponse, LtiSystem};
 ///
 /// [`NumError::NotSquare`] for rectangular input; propagates eigensolver
 /// failures.
-pub fn hermitian_part_eigenvalues(h: &ZMat) -> Result<Vec<f64>, NumError> {
+fn hermitian_part_eigenvalues(h: &ZMat) -> Result<Vec<f64>, NumError> {
     let (n, m) = h.shape();
     if n != m {
         return Err(NumError::NotSquare { rows: n, cols: m });
@@ -44,24 +44,6 @@ pub fn hermitian_part_eigenvalues(h: &ZMat) -> Result<Vec<f64>, NumError> {
     let e = eigh(&big)?;
     // Every eigenvalue is doubled: take every other one.
     Ok(e.values.iter().step_by(2).copied().collect())
-}
-
-/// The passivity margin of a sampled response: the most negative
-/// eigenvalue of the Hermitian part over the sweep (≥ 0 ⇔ passive on
-/// the grid).
-///
-/// # Errors
-///
-/// Propagates eigensolver failures; [`NumError::NotSquare`] for
-/// non-square responses (passivity needs an impedance/admittance form).
-pub fn passivity_margin(resp: &FreqResponse) -> Result<f64, NumError> {
-    let mut margin = f64::INFINITY;
-    for h in &resp.h {
-        let eigs = hermitian_part_eigenvalues(h)?;
-        let min = eigs.last().copied().unwrap_or(0.0);
-        margin = margin.min(min);
-    }
-    Ok(margin)
 }
 
 /// Checks passivity of an impedance-form system over a frequency grid.
@@ -138,8 +120,6 @@ mod tests {
             None,
         )
         .unwrap();
-        let resp = frequency_response(&sys, &linspace(0.0, 50.0, 40)).unwrap();
-        assert!(passivity_margin(&resp).unwrap() >= 0.0);
         assert!(is_passive_sampled(&sys, &linspace(0.0, 50.0, 40), 1e-12).unwrap());
     }
 
@@ -154,8 +134,6 @@ mod tests {
         )
         .unwrap();
         assert!(!is_passive_sampled(&sys, &linspace(0.0, 50.0, 40), 1e-12).unwrap());
-        let resp = frequency_response(&sys, &linspace(0.0, 50.0, 40)).unwrap();
-        assert!(passivity_margin(&resp).unwrap() < -0.5);
     }
 
     #[test]

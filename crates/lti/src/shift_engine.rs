@@ -24,7 +24,7 @@
 //! calling thread before any fan-out, so each remaining shift performs
 //! exactly the same arithmetic regardless of how work is scheduled.
 
-use numkit::par::{num_threads, par_map_with, try_par_map_with};
+use numkit::par::{par_map_with, try_par_map_with};
 use numkit::{c64, NumError, ZMat};
 use sparsekit::{residual_norm, residual_norm_transpose, SparseLu, SymbolicLu};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -116,9 +116,10 @@ impl ShiftSolveEngine {
     }
 
     /// Solves the pencil at every shift against one shared right-hand
-    /// side, fanning across `threads` workers ([`num_threads`] picks a
-    /// default). Output order matches `shifts`, and the numeric results
-    /// are identical for every thread count.
+    /// side, fanning across `threads` workers
+    /// ([`numkit::par::num_threads`] picks a default). Output order
+    /// matches `shifts`, and the numeric results are identical for every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -603,19 +604,6 @@ impl ShiftSolveEngine {
     }
 }
 
-/// Convenience: solves at many shifts with the default thread count.
-///
-/// # Errors
-///
-/// See [`ShiftSolveEngine::solve_many`].
-pub fn solve_shifted_sweep(
-    sys: &Descriptor,
-    shifts: &[c64],
-    rhs: &ZMat,
-) -> Result<Vec<ZMat>, NumError> {
-    ShiftSolveEngine::new(sys).solve_many(shifts, rhs, num_threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,18 +721,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sweep_helper_runs() {
-        let sys = rc_ladder(6);
-        let zs = solve_shifted_sweep(
-            &sys,
-            &[c64::new(0.0, 1.0)],
-            &sys.b.to_complex(),
-        )
-        .unwrap();
-        assert_eq!(zs.len(), 1);
-        assert_eq!(zs[0].nrows(), 6);
     }
 }

@@ -196,16 +196,6 @@ pub fn input_correlation_svd(u: &DMat) -> Result<Svd<f64>, NumError> {
     Ok(Svd { u: e.vectors, s, v })
 }
 
-/// Effective correlation rank: number of singular values above
-/// `tol·s₀` in the waveform SVD.
-///
-/// # Errors
-///
-/// Propagates SVD failures.
-pub fn correlation_rank(u: &DMat, tol: f64) -> Result<usize, NumError> {
-    Ok(input_correlation_svd(u)?.rank(tol))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +221,7 @@ mod tests {
     #[test]
     fn dithered_inputs_are_strongly_correlated() {
         let u = dithered_square_inputs(16, 400, 0.01e-9, 1e-9, 0.1, 42);
-        let r = correlation_rank(&u, 0.05).unwrap();
+        let r = input_correlation_svd(&u).unwrap().rank(0.05);
         assert!(r < 8, "dithered ensemble should be low-rank-ish, got rank {r}");
     }
 
@@ -239,11 +229,11 @@ mod tests {
     fn random_phase_inputs_are_less_correlated() {
         let nd = {
             let u = dithered_square_inputs(16, 400, 0.01e-9, 1e-9, 0.1, 1);
-            correlation_rank(&u, 0.05).unwrap()
+            input_correlation_svd(&u).unwrap().rank(0.05)
         };
         let nr = {
             let u = random_phase_square_inputs(16, 400, 0.01e-9, 1e-9, 1);
-            correlation_rank(&u, 0.05).unwrap()
+            input_correlation_svd(&u).unwrap().rank(0.05)
         };
         assert!(
             nr > nd,
@@ -254,10 +244,10 @@ mod tests {
     #[test]
     fn latent_mixture_rank_tracks_latent_count() {
         let u = latent_mixture_inputs(50, 600, 0.01e-9, 3, 0.0, 9);
-        let r = correlation_rank(&u, 1e-6).unwrap();
+        let r = input_correlation_svd(&u).unwrap().rank(1e-6);
         assert!(r <= 3, "noiseless mixture rank must be ≤ latent count, got {r}");
         let un = latent_mixture_inputs(50, 600, 0.01e-9, 3, 0.05, 9);
-        let rn = correlation_rank(&un, 0.02).unwrap();
+        let rn = input_correlation_svd(&un).unwrap().rank(0.02);
         assert!(rn >= 3, "noise should not hide the latent signals");
     }
 

@@ -253,45 +253,6 @@ pub fn tbr_residualized(sys: &StateSpace, order: usize) -> Result<TbrModel, NumE
     })
 }
 
-/// The H₂ norm `‖H‖₂ = √(trace(C·X·Cᵀ))` of a strictly proper stable
-/// system.
-///
-/// # Errors
-///
-/// - [`NumError::InvalidArgument`] if `D ≠ 0` (the H₂ norm is infinite).
-/// - Propagates Gramian errors (unstable systems).
-///
-/// # Examples
-///
-/// ```
-/// use lti::{h2_norm, StateSpace};
-/// use numkit::DMat;
-///
-/// # fn main() -> Result<(), numkit::NumError> {
-/// // H(s) = 1/(s + 2): ‖H‖₂² = 1/(2·2).
-/// let sys = StateSpace::new(
-///     DMat::from_rows(&[&[-2.0]]),
-///     DMat::from_rows(&[&[1.0]]),
-///     DMat::from_rows(&[&[1.0]]),
-///     None,
-/// )?;
-/// assert!((h2_norm(&sys)? - (0.25f64).sqrt()).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn h2_norm(sys: &StateSpace) -> Result<f64, NumError> {
-    if sys.d.norm_max() != 0.0 {
-        return Err(NumError::InvalidArgument(
-            "h2 norm is infinite for systems with direct feedthrough",
-        ));
-    }
-    let x = controllability_gramian(sys)?;
-    let cx = sys.c.matmul(&x)?;
-    let cxc = cx.matmul(&sys.c.transpose())?;
-    let trace: f64 = cxc.diag().iter().sum();
-    Ok(trace.max(0.0).sqrt())
-}
-
 /// Cross-Gramian `X_CG`: solves `A·X + X·A + B·C = 0` (Section V-D).
 ///
 /// Only defined for square transfer functions (`p = q`).
@@ -511,33 +472,6 @@ mod tests {
                 res.error_bound
             );
         }
-    }
-
-    #[test]
-    fn h2_norm_matches_analytic_value() {
-        // H(s) = 1/(s+a) + 1/(s+b): ‖H‖₂² = 1/(2a) + 1/(2b) + 2/(a+b).
-        let (a, b) = (1.5, 4.0);
-        let sys = StateSpace::new(
-            DMat::from_diag(&[-a, -b]),
-            DMat::from_rows(&[&[1.0], &[1.0]]),
-            DMat::from_rows(&[&[1.0, 1.0]]),
-            None,
-        )
-        .unwrap();
-        let expect = (1.0 / (2.0 * a) + 1.0 / (2.0 * b) + 2.0 / (a + b)).sqrt();
-        assert!((h2_norm(&sys).unwrap() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn h2_norm_rejects_feedthrough() {
-        let sys = StateSpace::new(
-            DMat::from_diag(&[-1.0]),
-            DMat::from_rows(&[&[1.0]]),
-            DMat::from_rows(&[&[1.0]]),
-            Some(DMat::from_rows(&[&[1.0]])),
-        )
-        .unwrap();
-        assert!(h2_norm(&sys).is_err());
     }
 
     #[test]

@@ -43,12 +43,6 @@ pub enum NumError {
     },
     /// The input contained a NaN or infinity.
     NotFinite,
-    /// A matrix expected to be symmetric/Hermitian positive (semi)definite
-    /// was not, within tolerance.
-    NotPositiveDefinite {
-        /// Index (e.g. Cholesky step or eigenvalue position) of the failure.
-        index: usize,
-    },
     /// An argument was outside its documented domain.
     InvalidArgument(&'static str),
     /// A worker thread panicked while computing the given index of a
@@ -90,9 +84,6 @@ impl fmt::Display for NumError {
                 write!(f, "square matrix required, got {rows}x{cols}")
             }
             NumError::NotFinite => write!(f, "input contains NaN or infinite entries"),
-            NumError::NotPositiveDefinite { index } => {
-                write!(f, "matrix is not positive definite (failure at index {index})")
-            }
             NumError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             NumError::WorkerPanicked { index } => {
                 write!(f, "worker thread panicked while computing index {index}")

@@ -43,12 +43,10 @@
 
 mod angles;
 mod cancel;
-mod cholesky;
 mod complex;
 mod eig;
 mod eigh;
 mod error;
-mod expm;
 mod lu;
 mod mat;
 pub mod par;
@@ -57,16 +55,13 @@ mod rng;
 mod scalar;
 mod schur;
 mod svd;
-pub mod vec_ops;
 
 pub use angles::{max_principal_angle, principal_angles, vector_subspace_angle};
 pub use cancel::CancelToken;
-pub use cholesky::Cholesky;
 pub use complex::c64;
 pub use eig::{eig, eig_residual, Eig};
 pub use eigh::{eigh, psd_sqrt_factor, SymEig};
 pub use error::NumError;
-pub use expm::expm;
 pub use lu::Lu;
 pub use mat::{DMat, Mat, ZMat};
 pub use qr::{PivotedQr, Qr};

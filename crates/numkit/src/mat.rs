@@ -141,12 +141,6 @@ impl<T: Scalar> Mat<T> {
         &self.data
     }
 
-    /// Mutably borrows the underlying row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Row `i` as a slice.
     ///
     /// # Panics

@@ -172,50 +172,6 @@ fn eig_residuals_small() {
     }
 }
 
-/// exp(A)·exp(−A) = I for any (moderate) matrix.
-#[test]
-fn expm_inverse_identity() {
-    for seed in 0..24 {
-        let mut rng = SplitMix64::new(seed);
-        let a = random_mat(5, 5, &mut rng).scale(0.3);
-        let e = numkit::expm(&a).unwrap();
-        let eneg = numkit::expm(&(-&a)).unwrap();
-        let prod = &e * &eneg;
-        assert!((&prod - &DMat::identity(5)).norm_max() < 1e-9, "seed {seed}");
-    }
-}
-
-/// det(exp(A)) = exp(trace(A)).
-#[test]
-fn expm_determinant_is_exp_trace() {
-    for seed in 0..24 {
-        let mut rng = SplitMix64::new(seed);
-        let m = random_mat(4, 4, &mut rng).scale(0.4);
-        let tr: f64 = m.diag().iter().sum();
-        let det = Lu::new(numkit::expm(&m).unwrap()).unwrap().det();
-        assert!((det - tr.exp()).abs() < 1e-8 * (1.0 + tr.exp()), "seed {seed}");
-    }
-}
-
-/// Cholesky solve agrees with LU solve on random SPD systems.
-#[test]
-fn cholesky_matches_lu() {
-    for seed in 0..24 {
-        let mut rng = SplitMix64::new(seed);
-        let raw = random_mat(6, 8, &mut rng);
-        let b = random_vec(6, -2.0, 2.0, &mut rng);
-        let mut spd = &raw * &raw.transpose();
-        for i in 0..6 {
-            spd[(i, i)] += 1.0;
-        }
-        let xc = numkit::Cholesky::new(&spd).unwrap().solve(&b).unwrap();
-        let xl = Lu::new(spd).unwrap().solve(&b).unwrap();
-        for (c, l) in xc.iter().zip(&xl) {
-            assert!((c - l).abs() < 1e-8, "seed {seed}");
-        }
-    }
-}
-
 /// Pivoted QR rank equals SVD rank on randomly rank-deficient input.
 #[test]
 fn pivoted_qr_rank_matches_svd() {

@@ -14,7 +14,7 @@
 //! [`lti::LtiSystem::pencil_hash`] and a digest of everything else that
 //! can change the bits of the result — the full [`ReductionPlan`]
 //! (sampling nodes, input directions, compressor, order control), the
-//! raw `PMTBR_FAULT` environment spec, and the [`Budget`] caps. Two
+//! fault plan the run injects, and the [`Budget`] caps. Two
 //! runs with equal keys are bit-identical by the determinism contract,
 //! so a cache hit is exact, never approximate.
 //!
@@ -61,11 +61,6 @@ pub enum ArtifactKind {
     Model,
     /// A realified sample sweep (skips straight to compress/project).
     Sweep,
-    /// A serialized symbolic LU analysis (`sparsekit::SymbolicLu`
-    /// bytes), keyed on the pencil and its priming shift.
-    Symbolic,
-    /// A serialized factored shift (`sparsekit::SparseLu<c64>` bytes).
-    Factor,
 }
 
 impl ArtifactKind {
@@ -74,8 +69,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Model => "model",
             ArtifactKind::Sweep => "sweep",
-            ArtifactKind::Symbolic => "symbolic",
-            ArtifactKind::Factor => "factor",
         }
     }
 }
@@ -101,28 +94,6 @@ impl CacheKey {
     pub fn sweep(pencil: u64, digest: u64) -> Self {
         CacheKey { kind: ArtifactKind::Sweep, pencil, digest }
     }
-
-    /// Key for a serialized symbolic LU analysis. The digest is the
-    /// priming shift's bit pattern: reusing a symbolic analysis primed
-    /// at a *different* shift would change the pivot order and thus the
-    /// result's bits (see `DESIGN.md`, "Service architecture").
-    pub fn symbolic(pencil: u64, shift: numkit::c64) -> Self {
-        CacheKey { kind: ArtifactKind::Symbolic, pencil, digest: shift_digest(shift) }
-    }
-
-    /// Key for a serialized factored shift.
-    pub fn factor(pencil: u64, shift: numkit::c64) -> Self {
-        CacheKey { kind: ArtifactKind::Factor, pencil, digest: shift_digest(shift) }
-    }
-}
-
-/// Digest of one complex shift (exact bit pattern — a shift perturbed
-/// by one ulp is a different factorization).
-fn shift_digest(s: numkit::c64) -> u64 {
-    let mut h = Fnv64::new();
-    h.label("pmtbr-shift-v1");
-    h.word(s.re.to_bits()).word(s.im.to_bits());
-    h.finish()
 }
 
 /// A cached finished reduction: the result plus the trace events the
@@ -172,10 +143,6 @@ pub enum Artifact {
     Model(Arc<CachedReduction>),
     /// A realified sample sweep.
     Sweep(Arc<CachedSweep>),
-    /// Serialized `sparsekit::SymbolicLu` bytes.
-    Symbolic(Arc<Vec<u8>>),
-    /// Serialized `sparsekit::SparseLu<c64>` bytes.
-    Factor(Arc<Vec<u8>>),
 }
 
 impl Artifact {
@@ -203,7 +170,6 @@ impl Artifact {
                     + s.reports.len() * 48
                     + 96
             }
-            Artifact::Symbolic(b) | Artifact::Factor(b) => b.len(),
         }
     }
 }
@@ -518,63 +484,64 @@ pub(crate) fn record_offer(cache: &dyn ArtifactCache, key: CacheKey, value: Arti
 mod tests {
     use super::*;
 
-    fn probe(bytes: usize) -> Artifact {
-        Artifact::Symbolic(Arc::new(vec![0u8; bytes]))
+    /// A sweep artifact of exactly `96 + 8·words` bytes: a `words × 1`
+    /// zero sample matrix, no blocks, no reports.
+    fn probe(words: usize) -> Artifact {
+        Artifact::Sweep(Arc::new(CachedSweep {
+            zmat: DMat::zeros(words, 1),
+            blocks: Vec::new(),
+            zl: None,
+            reports: Vec::new(),
+            requested: 0,
+            surviving: 0,
+            renorm: 1.0,
+        }))
     }
 
     #[test]
     fn null_cache_never_stores() {
         let c = NullCache;
-        c.put(CacheKey::model(1, 2), probe(10));
+        c.put(CacheKey::model(1, 2), probe(2));
         assert!(c.get(&CacheKey::model(1, 2)).is_none());
         assert_eq!(c.stats(), (0, 0));
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let c = LruCache::new(100);
-        c.put(CacheKey::model(1, 0), probe(40));
-        c.put(CacheKey::model(2, 0), probe(40));
+        let c = LruCache::new(300);
+        c.put(CacheKey::model(1, 0), probe(5));
+        c.put(CacheKey::model(2, 0), probe(5));
         // Touch entry 1 so entry 2 becomes the eviction victim.
         assert!(c.get(&CacheKey::model(1, 0)).is_some());
-        c.put(CacheKey::model(3, 0), probe(40));
+        c.put(CacheKey::model(3, 0), probe(5));
         assert!(c.get(&CacheKey::model(1, 0)).is_some());
         assert!(c.get(&CacheKey::model(2, 0)).is_none());
         assert!(c.get(&CacheKey::model(3, 0)).is_some());
-        assert_eq!(c.stats(), (2, 80));
+        assert_eq!(c.stats(), (2, 272));
     }
 
     #[test]
     fn oversized_offers_are_discarded() {
-        let c = LruCache::new(16);
-        c.put(CacheKey::sweep(1, 0), probe(17));
+        let c = LruCache::new(112);
+        c.put(CacheKey::sweep(1, 0), probe(3));
         assert_eq!(c.stats(), (0, 0));
-        c.put(CacheKey::sweep(1, 0), probe(16));
-        assert_eq!(c.stats(), (1, 16));
+        c.put(CacheKey::sweep(1, 0), probe(2));
+        assert_eq!(c.stats(), (1, 112));
     }
 
     #[test]
     fn replacing_a_key_reclaims_its_bytes() {
-        let c = LruCache::new(100);
-        c.put(CacheKey::factor(1, numkit::c64::new(0.0, 1.0)), probe(60));
-        c.put(CacheKey::factor(1, numkit::c64::new(0.0, 1.0)), probe(30));
-        assert_eq!(c.stats(), (1, 30));
+        let c = LruCache::new(300);
+        c.put(CacheKey::sweep(1, 0), probe(8));
+        c.put(CacheKey::sweep(1, 0), probe(2));
+        assert_eq!(c.stats(), (1, 112));
     }
 
     #[test]
     fn kinds_never_collide() {
         let c = LruCache::new(1000);
-        c.put(CacheKey::model(7, 9), probe(8));
+        c.put(CacheKey::model(7, 9), probe(1));
         assert!(c.get(&CacheKey::sweep(7, 9)).is_none());
         assert!(c.get(&CacheKey::model(7, 9)).is_some());
-    }
-
-    #[test]
-    fn shift_digest_is_bit_exact() {
-        let a = shift_digest(numkit::c64::new(0.0, 1.0));
-        let b = shift_digest(numkit::c64::new(0.0, 1.0 + f64::EPSILON));
-        let neg = shift_digest(numkit::c64::new(-0.0, 1.0));
-        assert_ne!(a, b);
-        assert_ne!(a, neg, "-0.0 primes a different factorization than +0.0");
     }
 }

@@ -70,17 +70,6 @@ impl SweepDiagnostics {
         self.reports.iter().filter(|r| r.outcome.label() == label).count()
     }
 
-    /// Worst (smallest) reciprocal condition estimate among accepted
-    /// solves; `NaN` when none was estimated.
-    pub fn worst_rcond(&self) -> f64 {
-        self.reports
-            .iter()
-            .filter(|r| !r.outcome.is_dropped())
-            .map(|r| r.rcond)
-            .filter(|r| r.is_finite())
-            .fold(f64::NAN, |acc, r| if acc.is_nan() || r < acc { r } else { acc })
-    }
-
     /// Largest certified residual among accepted solves; `NaN` when no
     /// sample survived.
     pub fn worst_residual(&self) -> f64 {

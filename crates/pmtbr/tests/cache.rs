@@ -9,7 +9,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use obs::ClockKind;
-use pmtbr::cache::{Artifact, ArtifactCache, CacheKey};
+use pmtbr::cache::ArtifactCache;
 use pmtbr::pipeline::{run, run_cached};
 use pmtbr::{
     Budget, Compressor, FaultKind, FaultPlan, LruCache, NullCache, PmtbrOptions, Reduction,
@@ -205,23 +205,4 @@ fn faulted_results_are_keyed_apart_from_clean_ones() {
     let via_cache = run_cached(&sys, &plan, &budget, &cache).expect("clean cached run");
     assert_bit_identical(&clean, &via_cache);
     assert!(via_cache.report.is_clean(), "report: {:?}", via_cache.report);
-}
-
-#[test]
-fn sparsekit_artifacts_round_trip_through_the_cache() {
-    let _g = lock();
-    let sys = mesh();
-    let pencil = lti::LtiSystem::pencil_hash(&sys).expect("descriptor has a pencil hash");
-    let shift = numkit::c64::new(0.0, 1.5);
-    let lu = sys.factor_shifted(shift).expect("factor");
-    let bytes = lu.to_bytes();
-    let cache = LruCache::new(1 << 20);
-    cache.put(CacheKey::factor(pencil, shift), Artifact::Factor(bytes.clone().into()));
-    match cache.get(&CacheKey::factor(pencil, shift)) {
-        Some(Artifact::Factor(stored)) => assert_eq!(*stored, bytes),
-        other => panic!("expected a factor artifact, got {other:?}"),
-    }
-    // A one-ulp shift perturbation is a different key.
-    let nudged = numkit::c64::new(0.0, 1.5 + f64::EPSILON);
-    assert!(cache.get(&CacheKey::factor(pencil, nudged)).is_none());
 }

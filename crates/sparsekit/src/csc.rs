@@ -139,15 +139,6 @@ impl<T: Scalar> Csc<T> {
         &self.values
     }
 
-    /// `true` if `other` has exactly the same sparsity structure
-    /// (dimensions, column pointers, and row indices).
-    pub fn same_structure<U>(&self, other: &Csc<U>) -> bool {
-        self.nrows == other.nrows
-            && self.ncols == other.ncols
-            && self.colptr == other.colptr
-            && self.rowidx == other.rowidx
-    }
-
     /// Maps every stored value (structure-preserving).
     pub fn map<U: Scalar>(&self, mut f: impl FnMut(T) -> U) -> Csc<U> {
         Csc {

@@ -41,5 +41,5 @@ mod triplet;
 
 pub use csc::Csc;
 pub use csr::Csr;
-pub use lu::{inf_norm, one_norm, residual_norm, residual_norm_transpose, SolveCert, SparseLu, SymbolicLu};
+pub use lu::{inf_norm, one_norm, residual_norm, residual_norm_transpose, SparseLu, SymbolicLu};
 pub use triplet::Triplet;

@@ -2,9 +2,9 @@
 # Full local gate: release build, the whole workspace's tests,
 # warning-free clippy and rustdoc passes over the whole workspace, the
 # numlint rules, the observability golden tests, the
-# chaos/variants/greedy benches, and the doc-consistency pass. CI and
-# pre-merge runs should both call this script so the two can never
-# drift apart.
+# chaos/variants/greedy benches, a perfbench build and smoke run, and
+# the doc-consistency pass. CI and pre-merge runs should both call this
+# script so the two can never drift apart.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,6 +94,27 @@ test -s BENCH_greedy.json
 echo "==> service warm-vs-cold gate (BENCH_serve.json)"
 cargo run --release -q -p bench --bin serve_bench
 test -s BENCH_serve.json
+
+# Benchmark smoke gate: perfbench is its own cargo package (perfbench/),
+# so no step above compiles it, yet it implements `LtiSystem` and
+# `ArtifactCache` and calls about 40 public crate items. Build it with
+# its locked manifest and run each workload briefly, traced; each run's
+# last stdout line must report `"correct": true`.
+echo "==> perfbench build + smoke (both workloads, 2 s each, traced)"
+for workload in reduce_sweep serve_mixed; do
+    if ! last=$(cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1); then
+        echo "check.sh: FAIL — perfbench $workload exited non-zero" >&2
+        exit 1
+    fi
+    case "$last" in
+        *'"correct": true'*) echo "perfbench $workload: correct" ;;
+        *)
+            echo "check.sh: FAIL — perfbench $workload did not report \"correct\": true: $last" >&2
+            exit 1
+            ;;
+    esac
+done
 
 # Doc-consistency gate: every relative link in README.md / DESIGN.md /
 # EXPERIMENTS.md / docs/*.md must resolve, and every method in
