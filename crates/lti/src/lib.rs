@@ -82,7 +82,6 @@ pub use tbr::{
     observability_gramian, tbr, tbr_error_bounds, tbr_from_gramians, tbr_residualized, TbrModel,
 };
 pub use tolerant::{
-    operator_residual, NoFaults, RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault,
-    TolerantSweep,
+    NoFaults, RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, TolerantSweep,
 };
 pub use transient::{max_transient_error, simulate_descriptor, simulate_ss, Transient};

@@ -7,10 +7,9 @@
 //! `Eẋ = Ax + Bu` systems — including singular-`E` descriptor systems.
 
 use numkit::{c64, DMat, NumError, ZMat};
+use sparsekit::{Csr, Triplet};
 
-use crate::tolerant::{
-    generic_tolerant_sweep, RecoveryPolicy, SolveFault, SweepRhs, SweepSide, TolerantSweep,
-};
+use crate::tolerant::{RecoveryPolicy, SolveFault, TolerantSweep};
 use crate::{Descriptor, StateSpace};
 
 /// A linear time-invariant system that reduction algorithms can sample.
@@ -47,19 +46,21 @@ pub trait LtiSystem {
     fn solve_shifted_transpose(&self, s: c64, rhs: &ZMat) -> Result<ZMat, NumError>;
 
     /// Applies the pencil: returns `(s·E − A)·X` (with `E = I` for plain
-    /// state space). This is the forward operator that residual
-    /// certification and matrix-free iterative refinement need — it must
-    /// be cheap (no factorization).
+    /// state space). Greedy sampling's solve-free surrogate recovers
+    /// `E·V` and `A·V` from two applications — it must be cheap (no
+    /// factorization).
     ///
     /// # Errors
     ///
     /// [`NumError::ShapeMismatch`] if `x` has the wrong row count.
     fn apply_shifted(&self, s: c64, x: &ZMat) -> Result<ZMat, NumError>;
 
-    /// Applies the transposed pencil: returns `(s·E − A)ᵀ·X`. The
-    /// observability-side counterpart of [`LtiSystem::apply_shifted`],
-    /// needed so transposed tolerant sweeps can certify their residuals
-    /// matrix-free. Must be cheap (no factorization).
+    /// Applies the transposed pencil: returns `(s·E − A)ᵀ·X`, the
+    /// observability-side counterpart of [`LtiSystem::apply_shifted`].
+    /// It certifies no sweep: the engine checks transposed solves
+    /// against its own assembled pencil. It stays in the trait because
+    /// forwarding wrappers (the benchmark's tracing wrapper) forward
+    /// every method. Must be cheap (no factorization).
     ///
     /// # Errors
     ///
@@ -67,24 +68,19 @@ pub trait LtiSystem {
     fn apply_shifted_transpose(&self, s: c64, x: &ZMat) -> Result<ZMat, NumError>;
 
     /// Fault-tolerant counterpart of [`LtiSystem::solve_shifted_many`]:
-    /// runs the per-shift escalation ladder (solve → certify → refine →
-    /// perturb → drop) and always returns, reporting each shift's fate
-    /// instead of failing the whole sweep on the first bad sample point.
-    ///
-    /// The default is the sequential dense ladder (the crate-private
-    /// `generic_tolerant_sweep`); sparse implementations override it
-    /// with the factorization-reusing engine ladder. Either way the
-    /// determinism contract of [`LtiSystem::solve_shifted_many`] holds:
-    /// identical results (including outcomes) for every thread count.
+    /// runs the per-shift escalation ladder of
+    /// [`crate::ShiftSolveEngine::solve_many_tolerant`] (reuse → refactor
+    /// → refresh → refine → perturb → drop) and always returns,
+    /// reporting each shift's fate instead of failing the whole sweep on
+    /// the first bad sample point. Results, outcomes included, are
+    /// identical for every thread count.
     fn solve_shifted_many_tolerant(
         &self,
         shifts: &[c64],
         rhs: &ZMat,
         policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
-    ) -> TolerantSweep {
-        generic_tolerant_sweep(self, shifts, SweepRhs::Shared(rhs), SweepSide::Forward, policy, faults)
-    }
+    ) -> TolerantSweep;
 
     /// Fault-tolerant counterpart of [`LtiSystem::solve_shifted_pairs`]:
     /// the escalation ladder with a per-shift right-hand side
@@ -101,23 +97,7 @@ pub trait LtiSystem {
         rhss: &[ZMat],
         policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
-    ) -> Result<TolerantSweep, NumError> {
-        if shifts.len() != rhss.len() {
-            return Err(NumError::ShapeMismatch {
-                operation: "solve_shifted_pairs_tolerant",
-                left: (shifts.len(), 1),
-                right: (rhss.len(), 1),
-            });
-        }
-        Ok(generic_tolerant_sweep(
-            self,
-            shifts,
-            SweepRhs::PerShift(rhss),
-            SweepSide::Forward,
-            policy,
-            faults,
-        ))
-    }
+    ) -> Result<TolerantSweep, NumError>;
 
     /// Fault-tolerant transposed sweep: the escalation ladder over
     /// `(sₖ·E − A)ᵀ·Zₖ = R` — the observability-side samples that
@@ -130,28 +110,14 @@ pub trait LtiSystem {
         rhs: &ZMat,
         policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
-    ) -> TolerantSweep {
-        generic_tolerant_sweep(
-            self,
-            shifts,
-            SweepRhs::Shared(rhs),
-            SweepSide::Transpose,
-            policy,
-            faults,
-        )
-    }
+    ) -> TolerantSweep;
 
     /// Fault-tolerant *two-sided* sweep: controllability samples
     /// `(sₖ·E − A)⁻¹·R` and observability samples `(sₖ·E − A)⁻ᵀ·Rₜ` at
-    /// the same shifts, as one forward sweep plus one transposed sweep.
-    ///
-    /// The default runs the two sweeps independently (each factoring its
-    /// own pencil); sparse implementations override this with the
-    /// shared-factorization engine
-    /// ([`crate::ShiftSolveEngine::solve_two_sided_tolerant`]), which
-    /// factors `s·E − A` once per shift and produces both sides from it.
-    /// Either way both returned sweeps are index-aligned with `shifts`
-    /// and deterministic for every thread count.
+    /// the same shifts, from ONE factorization of `s·E − A` per shift
+    /// ([`crate::ShiftSolveEngine::solve_two_sided_tolerant`]). Both
+    /// returned sweeps are index-aligned with `shifts` and deterministic
+    /// for every thread count.
     fn solve_shifted_two_sided_tolerant(
         &self,
         shifts: &[c64],
@@ -159,27 +125,17 @@ pub trait LtiSystem {
         rhs_t: &ZMat,
         policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
-    ) -> (TolerantSweep, TolerantSweep) {
-        let fwd = self.solve_shifted_many_tolerant(shifts, rhs, policy, faults);
-        let trans = self.solve_shifted_transpose_many_tolerant(shifts, rhs_t, policy, faults);
-        (fwd, trans)
-    }
+    ) -> (TolerantSweep, TolerantSweep);
 
     /// Solves `(sₖ·E − A)·Zₖ = R` at every shift against one shared
-    /// right-hand side, returning the solutions in shift order.
-    ///
-    /// The default is a sequential loop over
-    /// [`LtiSystem::solve_shifted`]; implementations override this with
-    /// the multipoint engine (factorization reuse + thread fan-out). Every
-    /// implementation MUST return results identical to the sequential
-    /// default's index order, and identical for every thread count.
+    /// right-hand side, returning the solutions in shift order. Every
+    /// implementation MUST return identical results for every thread
+    /// count.
     ///
     /// # Errors
     ///
     /// The first per-shift failure, in index order.
-    fn solve_shifted_many(&self, shifts: &[c64], rhs: &ZMat) -> Result<Vec<ZMat>, NumError> {
-        shifts.iter().map(|&s| self.solve_shifted(s, rhs)).collect()
-    }
+    fn solve_shifted_many(&self, shifts: &[c64], rhs: &ZMat) -> Result<Vec<ZMat>, NumError>;
 
     /// Solves `(sₖ·E − A)·Zₖ = Rₖ` with a per-shift right-hand side
     /// (`rhss[k]` pairs with `shifts[k]`). Same ordering and determinism
@@ -189,16 +145,7 @@ pub trait LtiSystem {
     ///
     /// [`NumError::ShapeMismatch`] on a length mismatch; else the first
     /// per-shift failure in index order.
-    fn solve_shifted_pairs(&self, shifts: &[c64], rhss: &[ZMat]) -> Result<Vec<ZMat>, NumError> {
-        if shifts.len() != rhss.len() {
-            return Err(NumError::ShapeMismatch {
-                operation: "solve_shifted_pairs",
-                left: (shifts.len(), 1),
-                right: (rhss.len(), 1),
-            });
-        }
-        shifts.iter().zip(rhss).map(|(&s, r)| self.solve_shifted(s, r)).collect()
-    }
+    fn solve_shifted_pairs(&self, shifts: &[c64], rhss: &[ZMat]) -> Result<Vec<ZMat>, NumError>;
 
     /// Projects onto bases `(w, v)`, producing a reduced dense model.
     ///
@@ -290,6 +237,64 @@ impl LtiSystem for StateSpace {
         })
         .into_iter()
         .collect()
+    }
+    // The tolerant sweeps run the `E = I` descriptor form through the
+    // engine's escalation ladder, so dense and sparse forms of one
+    // system report the same outcomes.
+    fn solve_shifted_many_tolerant(
+        &self,
+        shifts: &[c64],
+        rhs: &ZMat,
+        policy: &RecoveryPolicy,
+        faults: &dyn SolveFault,
+    ) -> TolerantSweep {
+        self.as_descriptor().solve_shifted_many_tolerant(shifts, rhs, policy, faults)
+    }
+    fn solve_shifted_pairs_tolerant(
+        &self,
+        shifts: &[c64],
+        rhss: &[ZMat],
+        policy: &RecoveryPolicy,
+        faults: &dyn SolveFault,
+    ) -> Result<TolerantSweep, NumError> {
+        self.as_descriptor().solve_shifted_pairs_tolerant(shifts, rhss, policy, faults)
+    }
+    fn solve_shifted_transpose_many_tolerant(
+        &self,
+        shifts: &[c64],
+        rhs: &ZMat,
+        policy: &RecoveryPolicy,
+        faults: &dyn SolveFault,
+    ) -> TolerantSweep {
+        self.as_descriptor().solve_shifted_transpose_many_tolerant(shifts, rhs, policy, faults)
+    }
+    fn solve_shifted_two_sided_tolerant(
+        &self,
+        shifts: &[c64],
+        rhs: &ZMat,
+        rhs_t: &ZMat,
+        policy: &RecoveryPolicy,
+        faults: &dyn SolveFault,
+    ) -> (TolerantSweep, TolerantSweep) {
+        self.as_descriptor().solve_shifted_two_sided_tolerant(shifts, rhs, rhs_t, policy, faults)
+    }
+}
+
+impl StateSpace {
+    /// The `E = I` descriptor form: an identity `E`, `A`'s nonzeros as a
+    /// sparse matrix, and copies of `B`, `C` and `D`.
+    fn as_descriptor(&self) -> Descriptor {
+        let n = self.nstates();
+        let mut a = Triplet::new(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                if self.a[(i, j)] != 0.0 {
+                    a.push(i, j, self.a[(i, j)]);
+                }
+            }
+        }
+        let (b, c, d) = (self.b.clone(), self.c.clone(), self.d.clone());
+        Descriptor { e: Csr::identity(n), a: a.to_csr(), b, c, d }
     }
 }
 

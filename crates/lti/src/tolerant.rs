@@ -21,16 +21,12 @@
 //! - [`SolveFault`] — the injection hook the fault harness implements
 //!   ([`NoFaults`] is the production no-op).
 //!
-//! The ladder itself lives in two places: the sparse, factorization-
-//! reusing version in [`crate::ShiftSolveEngine::solve_many_tolerant`],
-//! and a generic dense fallback here ([`generic_tolerant_sweep`]) that
-//! backs the [`crate::LtiSystem::solve_shifted_many_tolerant`] default.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! The ladder itself lives in one place,
+//! [`crate::ShiftSolveEngine::solve_many_tolerant`]. Both
+//! [`crate::LtiSystem`] implementors sweep through it: a dense
+//! [`crate::StateSpace`] runs its `E = I` descriptor form.
 
 use numkit::{c64, CancelToken, NumError, ZMat};
-
-use crate::LtiSystem;
 
 /// Tuning knobs for the per-shift escalation ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,11 +158,11 @@ pub struct ShiftReport {
     /// observed residual, possibly `NaN`, for dropped shifts).
     pub residual: f64,
     /// 1-norm reciprocal condition estimate of the accepted
-    /// factorization; `NaN` when not estimated (dense path, or
-    /// [`RecoveryPolicy::estimate_condition`] off).
+    /// factorization; `NaN` when not estimated
+    /// ([`RecoveryPolicy::estimate_condition`] off).
     pub rcond: f64,
-    /// Pivot growth of the accepted factorization; `NaN` on the dense
-    /// path and for dropped shifts.
+    /// Pivot growth of the accepted factorization; `NaN` for dropped
+    /// shifts.
     pub pivot_growth: f64,
     /// Iterative-refinement steps spent on the accepted solution.
     pub refine_steps: usize,
@@ -272,63 +268,6 @@ pub struct NoFaults;
 
 impl SolveFault for NoFaults {}
 
-/// Normalized residual `‖R − M·Z‖_max / (‖R‖_max + ‖M·Z‖_max)` used by
-/// the generic (matrix-free) certification path, where the pencil is
-/// only available as the operator [`LtiSystem::apply_shifted`].
-///
-/// `NaN` operands propagate to a `NaN` result; the all-zero problem
-/// yields `0.0`.
-pub fn operator_residual(rhs: &ZMat, applied: &ZMat) -> f64 {
-    let mut rmax = 0.0f64;
-    let mut denom = 0.0f64;
-    for i in 0..rhs.nrows() {
-        for j in 0..rhs.ncols() {
-            let (b, m) = (rhs[(i, j)], applied[(i, j)]);
-            let r = (b - m).abs();
-            if r.is_nan() {
-                return f64::NAN;
-            }
-            rmax = rmax.max(r);
-            denom = denom.max(b.abs()).max(m.abs());
-        }
-    }
-    if denom == 0.0 {
-        if rmax == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        rmax / denom
-    }
-}
-
-/// Which pencil a tolerant sweep solves: the forward `s·E − A`
-/// (controllability-side samples) or its transpose (observability-side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SweepSide {
-    /// `(s·E − A)·Z = R`.
-    Forward,
-    /// `(s·E − A)ᵀ·Z = R`.
-    Transpose,
-}
-
-impl SweepSide {
-    fn solve<S: LtiSystem + ?Sized>(self, sys: &S, s: c64, rhs: &ZMat) -> Result<ZMat, NumError> {
-        match self {
-            SweepSide::Forward => sys.solve_shifted(s, rhs),
-            SweepSide::Transpose => sys.solve_shifted_transpose(s, rhs),
-        }
-    }
-
-    fn apply<S: LtiSystem + ?Sized>(self, sys: &S, s: c64, x: &ZMat) -> Result<ZMat, NumError> {
-        match self {
-            SweepSide::Forward => sys.apply_shifted(s, x),
-            SweepSide::Transpose => sys.apply_shifted_transpose(s, x),
-        }
-    }
-}
-
 /// Right-hand sides of a tolerant sweep: one shared matrix for every
 /// shift, or one matrix per shift (input-correlated sampling).
 #[derive(Debug, Clone, Copy)]
@@ -346,152 +285,10 @@ impl SweepRhs<'_> {
     }
 }
 
-/// The dense/generic escalation ladder behind the
-/// [`LtiSystem::solve_shifted_many_tolerant`] family of defaults: per
-/// shift, solve → corrupt (harness) → certify via the matching
-/// `apply_shifted` operator → refine → perturb → drop. There is no
-/// factorization reuse at this level, so the rungs are
-/// `Refreshed → Refined → Perturbed → Dropped`; one factorization
-/// attempt is made per perturbation level and the attempt counter
-/// passed to the fault hook equals that level.
-///
-/// Panics raised by the system's solve (or injected by the harness) are
-/// contained per shift with [`catch_unwind`] and surfaced as a dropped
-/// sample carrying [`NumError::WorkerPanicked`].
-pub(crate) fn generic_tolerant_sweep<S: LtiSystem + ?Sized>(
-    sys: &S,
-    shifts: &[c64],
-    rhs: SweepRhs<'_>,
-    side: SweepSide,
-    policy: &RecoveryPolicy,
-    faults: &dyn SolveFault,
-) -> TolerantSweep {
-    let mut solutions = Vec::with_capacity(shifts.len());
-    let mut reports = Vec::with_capacity(shifts.len());
-    for (index, &s_req) in shifts.iter().enumerate() {
-        if policy.is_cancelled() {
-            solutions.push(None);
-            reports.push(ShiftReport::dropped(index, s_req, Some(NumError::Cancelled)));
-            continue;
-        }
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            generic_ladder(sys, index, s_req, rhs.get(index), side, policy, faults)
-        }));
-        let (sol, rep) = attempt.unwrap_or_else(|_| {
-            (None, ShiftReport::dropped(index, s_req, Some(NumError::WorkerPanicked { index })))
-        });
-        solutions.push(sol);
-        reports.push(rep);
-    }
-    TolerantSweep { solutions, reports }
-}
-
-fn generic_ladder<S: LtiSystem + ?Sized>(
-    sys: &S,
-    index: usize,
-    s_req: c64,
-    rhs: &ZMat,
-    side: SweepSide,
-    policy: &RecoveryPolicy,
-    faults: &dyn SolveFault,
-) -> (Option<ZMat>, ShiftReport) {
-    // Opened before the panic hook so an injected unwind still records
-    // the ladder's exit event.
-    let mut sp = obs::item_span("shift", index as u64, "ladder");
-    if faults.inject_panic(index) {
-        // numlint:allow(PANIC01, ERR01, PANIC02) deliberate fault injection; contained by the pool as NumError::WorkerPanicked
-        panic!("injected worker panic at shift index {index}");
-    }
-    let mut last_err: Option<NumError> = None;
-    let mut last_residual = f64::NAN;
-    for attempt in 0..=policy.max_perturb {
-        let s = policy.perturbed(s_req, attempt);
-        if let Some(e) = faults.inject_error(index, attempt) {
-            last_err = Some(e);
-            continue;
-        }
-        let mut x = match side.solve(sys, s, rhs) {
-            Ok(x) => x,
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
-        faults.corrupt(index, attempt, &mut x);
-        let mut residual = match side.apply(sys, s, &x) {
-            Ok(applied) => operator_residual(rhs, &applied),
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
-        let mut refine_steps = 0;
-        while residual.is_finite() && residual > policy.residual_tol
-            && refine_steps < policy.refine_steps
-        {
-            // One refinement step: x += M⁻¹ (rhs − M·x) with M the
-            // side's pencil operator.
-            let next = side
-                .apply(sys, s, &x)
-                .and_then(|applied| side.solve(sys, s, &(rhs - &applied)))
-                .map(|dx| &x + &dx)
-                .and_then(|xr| side.apply(sys, s, &xr).map(|ap| (xr, ap)));
-            match next {
-                Ok((xr, applied)) => {
-                    let r = operator_residual(rhs, &applied);
-                    refine_steps += 1;
-                    if !(r < residual) {
-                        residual = r.min(residual);
-                        break;
-                    }
-                    x = xr;
-                    residual = r;
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    break;
-                }
-            }
-        }
-        last_residual = residual;
-        if residual.is_finite() && residual <= policy.residual_tol {
-            let outcome = if attempt > 0 {
-                ShiftOutcome::Perturbed { attempts: attempt }
-            } else if refine_steps > 0 {
-                ShiftOutcome::Refined
-            } else {
-                ShiftOutcome::Refreshed
-            };
-            sp.field_str("outcome", outcome.label());
-            sp.field_f64("residual", residual);
-            sp.field_u64("refine_steps", refine_steps as u64);
-            sp.field_u64("level", attempt as u64);
-            let report = ShiftReport {
-                index,
-                s_requested: s_req,
-                s_used: s,
-                outcome,
-                residual,
-                rcond: f64::NAN,
-                pivot_growth: f64::NAN,
-                refine_steps,
-                error: None,
-            };
-            return (Some(x), report);
-        }
-    }
-    obs::counters::add(obs::Counter::ShiftDropped, 1);
-    sp.field_str("outcome", "dropped");
-    sp.field_f64("residual", last_residual);
-    let mut report = ShiftReport::dropped(index, s_req, last_err);
-    report.residual = last_residual;
-    (None, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StateSpace;
+    use crate::{LtiSystem, StateSpace};
     use numkit::DMat;
 
     fn toy() -> StateSpace {
@@ -514,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_sweep_is_complete_with_refreshed_outcomes() {
+    fn clean_sweep_refreshes_the_primer_then_refactors() {
         let sys = toy();
         let shifts: Vec<c64> = (0..5).map(|k| c64::new(0.0, k as f64)).collect();
         let sweep = sys.solve_shifted_many_tolerant(
@@ -526,7 +323,9 @@ mod tests {
         assert!(sweep.is_complete());
         assert_eq!(sweep.surviving(), 5);
         for rep in &sweep.reports {
-            assert_eq!(rep.outcome, ShiftOutcome::Refreshed, "index {}", rep.index);
+            let expected =
+                if rep.index == 0 { ShiftOutcome::Refreshed } else { ShiftOutcome::Refactored };
+            assert_eq!(rep.outcome, expected, "index {}", rep.index);
             assert!(rep.residual <= 1e-10);
             assert_eq!(rep.s_used, rep.s_requested);
         }
@@ -558,8 +357,9 @@ mod tests {
             "outcome {:?}",
             rep.outcome
         );
-        // The healthy shift is untouched.
-        assert_eq!(sweep.reports[1].outcome, ShiftOutcome::Refreshed);
+        // The healthy shift refactors on the analysis the perturbed
+        // primer recorded.
+        assert_eq!(sweep.reports[1].outcome, ShiftOutcome::Refactored);
     }
 
     struct PanicAt(usize);
@@ -613,14 +413,5 @@ mod tests {
         assert_eq!(sweep.reports[0].outcome, ShiftOutcome::Refined);
         assert!(sweep.reports[0].refine_steps >= 1);
         assert!(sweep.reports[0].residual <= 1e-10);
-    }
-
-    #[test]
-    fn operator_residual_edge_cases() {
-        let z = ZMat::zeros(2, 2);
-        assert_eq!(operator_residual(&z, &z), 0.0);
-        let mut bad = ZMat::zeros(2, 2);
-        bad[(0, 0)] = c64::new(f64::NAN, 0.0);
-        assert!(operator_residual(&z, &bad).is_nan());
     }
 }

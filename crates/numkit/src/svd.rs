@@ -492,8 +492,8 @@ fn lock<T>(cell: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// are evaluated by worker 0 alone between barriers, in the same order
 /// as the sequential driver.
 ///
-/// Worker panics are contained the same way `lti::tolerant` contains
-/// shift-solve panics: every unit of work between barriers runs under
+/// Worker panics are contained the same way `lti::ShiftSolveEngine`
+/// contains shift-solve panics: every unit of work between barriers runs under
 /// [`catch_unwind`], so a panicking worker keeps honoring the barrier
 /// protocol (no deadlocked siblings), raises a shared flag, and the
 /// whole team stops together at the next sweep boundary. The caller

@@ -7,10 +7,14 @@
 //! the Hankel singular values, and the trailing-value sum drives order
 //! and error control.
 
-use lti::{LtiSystem, StateSpace};
+use lti::{LtiSystem, NoFaults, RecoveryPolicy, StateSpace};
 use numkit::{svd_with_sweeps, DMat, NumError, Svd};
 
-use crate::pipeline::{run_cached, spectral_model, OrderControl, ReductionPlan};
+use crate::budget::BudgetTracker;
+use crate::pipeline::{
+    run_cached, spectral_ladder, spectral_model, sweep, InputDirections, OrderControl,
+    ReductionPlan, SweptSamples,
+};
 use crate::{Budget, NullCache, SamplePoint, Sampling};
 
 /// SVD of the sample matrix with column equilibration — rung 2 of the
@@ -161,17 +165,17 @@ impl SampleBasis {
 
 /// Computes the PMTBR sample basis for a system under a sampling scheme.
 ///
-/// This is [`crate::sample_basis_tolerant`] without fault injection:
-/// sparse descriptor systems reuse one symbolic LU analysis across all
-/// sample points and fan the numeric work across threads
-/// (`PMTBR_THREADS` overrides the count), and the SVD comes from the
-/// pipeline's spectral compressor ladder. Results are identical for
-/// every thread count.
+/// This is the pipeline's sweep and spectral compressor ladder without
+/// the projection: sparse descriptor systems reuse one symbolic LU
+/// analysis across all sample points and fan the numeric work across
+/// threads (`PMTBR_THREADS` overrides the count). Results are identical
+/// for every thread count.
 ///
-/// Strict means strict: where [`crate::sample_basis_tolerant`] degrades
-/// the quadrature, this function turns any dropped sample point into an
-/// error (the ladder may still repair transient trouble — e.g. by
-/// refinement — without affecting the result).
+/// Strict means strict: any dropped sample point is an error (the
+/// ladder may still repair transient trouble — e.g. by refinement —
+/// without affecting the result). Callers that want a degraded basis
+/// run [`crate::pipeline::run`] and read [`crate::pipeline::Reduction`]'s
+/// `diagnostics`.
 ///
 /// # Errors
 ///
@@ -182,16 +186,31 @@ pub fn sample_basis<S: LtiSystem + ?Sized>(
     sys: &S,
     sampling: &Sampling,
 ) -> Result<SampleBasis, NumError> {
-    let (basis, diag) = crate::sample_basis_tolerant(sys, sampling, None)?;
-    if diag.dropped() > 0 {
+    ReductionPlan::pmtbr(&PmtbrOptions::new(sampling.clone())).validate()?;
+    let SweptSamples { kept, zmat, reports, requested, surviving, renorm, mut span, .. } = sweep(
+        sys,
+        sampling,
+        &InputDirections::IdentityBlock,
+        false,
+        &RecoveryPolicy::default(),
+        &NoFaults,
+        None,
+    )?;
+    if surviving < requested {
         // Strict contract: a dropped node is an error, not degradation.
-        let cause = diag
-            .reports
+        let cause = reports
             .iter()
             .find_map(|r| if r.outcome.is_dropped() { r.error.clone() } else { None });
         return Err(cause.unwrap_or(NumError::InvalidArgument("sample point dropped")));
     }
-    Ok(basis)
+    let unlimited = Budget::default();
+    let (svd, rung) =
+        spectral_ladder(&zmat, &NoFaults, &BudgetTracker::start(&unlimited), &mut 0)?;
+    span.field_u64("surviving", surviving as u64);
+    span.field_u64("total_cols", zmat.ncols() as u64);
+    span.field_f64("renorm", renorm);
+    span.field("svd_retried", obs::Value::Bool(rung > 0));
+    Ok(SampleBasis { svd, points: kept })
 }
 
 /// A reduced model produced by any PMTBR variant.

@@ -59,7 +59,7 @@ use lti::{realify_columns, LtiSystem, RecoveryPolicy, ShiftReport, SolveFault};
 use numkit::{c64, Lu, NumError, ZMat};
 
 use crate::order_control::IncrementalBasis;
-use crate::pipeline::{realify_blocks, SweptSamples};
+use crate::pipeline::{stack_samples, Solved, SweptSamples};
 use crate::SamplePoint;
 
 /// Column cap on the surrogate basis `V`: per-candidate scoring solves a
@@ -189,22 +189,10 @@ impl Surrogate {
     }
 }
 
-/// One promoted candidate: the tolerant solve's outputs, kept until the
-/// final Voronoi weighting.
-struct Accepted {
-    /// Candidate index in the pool (defines the Voronoi geometry).
-    cand: usize,
-    /// The shift actually solved (perturbed where the ladder nudged).
-    s_used: c64,
-    /// Forward (controllability) solution.
-    z: ZMat,
-    /// Transposed (observability) solution, two-sided compressors only.
-    zl: Option<ZMat>,
-}
-
 /// Runs greedy selection and packages the result as the sweep stage's
 /// output. Called by `pipeline::sweep` when the plan's sampling is
-/// [`crate::Sampling::Greedy`]; see the module docs for the algorithm.
+/// [`crate::Sampling::Greedy`], with parameters already checked by
+/// `ReductionPlan::validate`; see the module docs for the algorithm.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
     sys: &S,
@@ -217,16 +205,6 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
     faults: &dyn SolveFault,
     node_cap: Option<usize>,
 ) -> Result<SweptSamples, NumError> {
-    if !(omega_max > 0.0) || !(tol >= 0.0) || !tol.is_finite() {
-        return Err(NumError::InvalidArgument(
-            "greedy sampling needs ω_max > 0 and a finite tol >= 0",
-        ));
-    }
-    if max_shifts == 0 || pool < max_shifts {
-        return Err(NumError::InvalidArgument(
-            "greedy sampling needs 1 <= max_shifts <= pool",
-        ));
-    }
     let cap = node_cap.unwrap_or(usize::MAX);
     if cap == 0 {
         return Err(NumError::BudgetExhausted { resource: "lu-factorizations" });
@@ -255,7 +233,9 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
     };
 
     let mut basis = IncrementalBasis::new(sys.nstates());
-    let mut accepted: Vec<Accepted> = Vec::new();
+    let mut accepted: Vec<Solved> = Vec::new();
+    // Pool index of each accepted node: its Voronoi cell is its weight.
+    let mut picks: Vec<usize> = Vec::new();
     let mut reports: Vec<ShiftReport> = Vec::new();
     let mut attempts = 0usize;
     let mut scored_total = 0u64;
@@ -379,7 +359,10 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
             let z = fwd_z.ok_or(NumError::InvalidArgument("greedy: missing accepted solve"))?;
             basis.push_block(&realify_columns(&z, REALIFY_TOL))?;
             obs::counters::add(obs::Counter::GreedyAccepted, 1);
-            accepted.push(Accepted { cand: pick, s_used: rep.s_used, z, zl: trans_z });
+            picks.push(pick);
+            // Weighted once selection ends and the Voronoi cells are known.
+            let point = SamplePoint { s: rep.s_used, weight: 0.0 };
+            accepted.push(Solved { point, z, zl: trans_z });
         }
         reports.push(rep);
     }
@@ -394,42 +377,16 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
     // band segment closer to it than to any other accepted frequency,
     // so the weights tile [0, ω_max] exactly (renormalization stays 1 —
     // dropped candidates re-entered selection instead of losing mass).
-    let weights = voronoi_weights(
-        &accepted.iter().map(|a| omega(a.cand)).collect::<Vec<f64>>(),
-        omega_max,
-    );
-
-    let mut kept: Vec<SamplePoint> = Vec::with_capacity(accepted.len());
-    let mut weighted: Vec<ZMat> = Vec::with_capacity(accepted.len());
-    let mut weighted_l: Vec<ZMat> = Vec::new();
-    for (a, &w) in accepted.iter().zip(&weights) {
-        kept.push(SamplePoint { s: a.s_used, weight: w });
-        obs::counters::add(
-            obs::Counter::SampleBytes,
-            (a.z.nrows() * a.z.ncols() * 16) as u64,
-        );
-        weighted.push(a.z.scale(w.sqrt()));
-        if let Some(zl) = &a.zl {
-            obs::counters::add(
-                obs::Counter::SampleBytes,
-                (zl.nrows() * zl.ncols() * 16) as u64,
-            );
-            weighted_l.push(zl.scale(w.sqrt()));
-        }
+    let omegas: Vec<f64> = picks.iter().map(|&c| omega(c)).collect();
+    for (node, w) in accepted.iter_mut().zip(voronoi_weights(&omegas, omega_max)) {
+        node.point.weight = w;
     }
-    let n = sys.nstates();
-    let (zmat, blocks) = realify_blocks(n, &weighted)?;
-    let zl = if two_sided {
-        let (zl, _) = realify_blocks(n, &weighted_l)?;
-        Some(zl)
-    } else {
-        None
-    };
+    let surviving = accepted.len();
+    let (kept, zmat, blocks, zl) = stack_samples(sys.nstates(), accepted, two_sided)?;
 
     sp.field_u64("requested", reports.len() as u64);
     sp.field_u64("scored", scored_total);
     sp.field_str("greedy_stop", stop_reason);
-    let surviving = accepted.len();
     let requested = reports.len();
     Ok(SweptSamples {
         kept,

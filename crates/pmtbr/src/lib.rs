@@ -97,4 +97,4 @@ pub use pipeline::{
 };
 pub use pod::{pod_reduce, PodOptions};
 pub use sampling::{SamplePoint, Sampling};
-pub use sweep::{sample_basis_tolerant, SweepDiagnostics};
+pub use sweep::SweepDiagnostics;

@@ -59,9 +59,9 @@
 //!   its outcome; real projection errors still fail the run.
 //!
 //! Worker panics anywhere inside a rung are contained by the same
-//! `catch_unwind` discipline `lti::tolerant` uses for shift solves and
-//! surface as [`NumError::WorkerPanicked`] escalations, never as an
-//! aborted process.
+//! `catch_unwind` discipline `lti::ShiftSolveEngine` uses for shift
+//! solves and surface as [`NumError::WorkerPanicked`] escalations,
+//! never as an aborted process.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -283,8 +283,10 @@ impl ReductionPlan {
         self
     }
 
-    /// Cheap structural validation, run before any solve.
-    fn validate(&self) -> Result<(), NumError> {
+    /// Cheap structural validation, run before any solve — the one
+    /// guard on plan parameters, called by [`run`] and
+    /// [`crate::sample_basis`].
+    pub(crate) fn validate(&self) -> Result<(), NumError> {
         if let OrderControl::Exact(q) = self.order {
             if q == 0 {
                 return Err(NumError::InvalidArgument("reduction order must be at least 1"));
@@ -864,14 +866,10 @@ pub(crate) fn sweep<S: LtiSystem + ?Sized>(
     node_cap: Option<usize>,
 ) -> Result<SweptSamples, NumError> {
     // Greedy sampling has no a-priori node list: the greedy driver
-    // interleaves surrogate scoring with tolerant solves and builds the
-    // swept samples itself (see `crate::greedy`).
+    // interleaves surrogate scoring with tolerant solves (see
+    // `crate::greedy`). `ReductionPlan::validate` has already checked
+    // its parameters and its identity-block directions.
     if let Sampling::Greedy { omega_max, pool, tol, max_shifts } = sampling {
-        if !matches!(directions, InputDirections::IdentityBlock) {
-            return Err(NumError::InvalidArgument(
-                "greedy sampling supports identity-block input directions only",
-            ));
-        }
         return crate::greedy::greedy_sweep(
             sys, *omega_max, *pool, *tol, *max_shifts, two_sided, policy, faults, node_cap,
         );
@@ -968,39 +966,18 @@ pub(crate) fn sweep<S: LtiSystem + ?Sized>(
         .sum();
     let renorm = if surviving_weight > 0.0 { total_weight / surviving_weight } else { 1.0 };
 
-    // Weighted surviving columns, at the shifts actually solved.
-    let mut kept: Vec<SamplePoint> = Vec::with_capacity(surviving);
-    let mut weighted: Vec<ZMat> = Vec::with_capacity(surviving);
-    let mut weighted_l: Vec<ZMat> = Vec::with_capacity(if two_sided { surviving } else { 0 });
-    for k in 0..requested {
-        if !alive[k] {
-            continue;
-        }
-        if let Some(z) = &fwd.solutions[k] {
-            let w = active[k].weight * renorm;
-            kept.push(SamplePoint { s: reports[k].s_used, weight: w });
-            // 16 bytes per retained c64 sample entry.
-            obs::counters::add(obs::Counter::SampleBytes, (z.nrows() * z.ncols() * 16) as u64);
-            weighted.push(z.scale(w.sqrt()));
-            if let Some(t) = &trans {
-                if let Some(zl) = &t.solutions[k] {
-                    obs::counters::add(
-                        obs::Counter::SampleBytes,
-                        (zl.nrows() * zl.ncols() * 16) as u64,
-                    );
-                    weighted_l.push(zl.scale(w.sqrt()));
-                }
-            }
+    // Surviving solves, at the shifts actually solved and their
+    // renormalized weights.
+    let mut trans_z = trans.map(|t| t.solutions.into_iter());
+    let mut solved = Vec::with_capacity(surviving);
+    for (k, z) in fwd.solutions.into_iter().enumerate() {
+        let zl = trans_z.as_mut().and_then(|t| t.next().flatten());
+        if let (true, Some(z)) = (alive[k], z) {
+            let point = SamplePoint { s: reports[k].s_used, weight: active[k].weight * renorm };
+            solved.push(Solved { point, z, zl });
         }
     }
-    let n = sys.nstates();
-    let (zmat, blocks) = realify_blocks(n, &weighted)?;
-    let zl = if two_sided {
-        let (zl, _) = realify_blocks(n, &weighted_l)?;
-        Some(zl)
-    } else {
-        None
-    };
+    let (kept, zmat, blocks, zl) = stack_samples(sys.nstates(), solved, two_sided)?;
     Ok(SweptSamples {
         kept,
         zmat,
@@ -1015,9 +992,47 @@ pub(crate) fn sweep<S: LtiSystem + ?Sized>(
     })
 }
 
+/// One surviving node of a sweep: the point actually solved, with its
+/// final quadrature weight, and its controllability solve `z` (plus the
+/// observability solve `zl` of a two-sided sweep).
+pub(crate) struct Solved {
+    pub(crate) point: SamplePoint,
+    pub(crate) z: ZMat,
+    pub(crate) zl: Option<ZMat>,
+}
+
+/// The one stacking tail of every sweep, fixed-grid and greedy alike:
+/// scales each node's solves by `√w`, counts the retained sample bytes,
+/// and realifies both sides into the stacked sample matrices. Returns
+/// the kept points, the controllability stack with each node's column
+/// range, and the observability stack of a two-sided sweep.
+#[allow(clippy::type_complexity)]
+pub(crate) fn stack_samples(
+    n: usize,
+    solved: Vec<Solved>,
+    two_sided: bool,
+) -> Result<(Vec<SamplePoint>, DMat, Vec<(usize, usize)>, Option<DMat>), NumError> {
+    let mut kept = Vec::with_capacity(solved.len());
+    let mut weighted = Vec::with_capacity(solved.len());
+    let mut weighted_l = Vec::new();
+    for Solved { point, z, zl } in solved {
+        // 16 bytes per retained c64 sample entry, on each side.
+        obs::counters::add(obs::Counter::SampleBytes, (z.nrows() * z.ncols() * 16) as u64);
+        weighted.push(z.scale(point.weight.sqrt()));
+        if let Some(zl) = zl {
+            obs::counters::add(obs::Counter::SampleBytes, (zl.nrows() * zl.ncols() * 16) as u64);
+            weighted_l.push(zl.scale(point.weight.sqrt()));
+        }
+        kept.push(point);
+    }
+    let (zmat, blocks) = realify_blocks(n, &weighted)?;
+    let zl = if two_sided { Some(realify_blocks(n, &weighted_l)?.0) } else { None };
+    Ok((kept, zmat, blocks, zl))
+}
+
 /// Stacks the realified weighted blocks into one matrix, recording each
 /// block's column range.
-pub(crate) fn realify_blocks(
+fn realify_blocks(
     n: usize,
     weighted: &[ZMat],
 ) -> Result<(DMat, Vec<(usize, usize)>), NumError> {
@@ -1221,6 +1236,12 @@ fn incremental_fallback(
     report
         .notes
         .push(format!("compressor downgraded to incremental QR after: {cause}"));
+    incremental(zmat, blocks)
+}
+
+/// The incremental QR basis over the stack, one node block at a time,
+/// with its `R`-factor singular-value estimates.
+fn incremental(zmat: &DMat, blocks: &[(usize, usize)]) -> Result<Compressed, NumError> {
     let mut basis = IncrementalBasis::new(zmat.nrows());
     for &(c0, c1) in blocks {
         basis.push_block(&zmat.block(0, zmat.nrows(), c0, c1))?;
@@ -1305,12 +1326,7 @@ fn compress(
                             attempt - 1
                         ));
                     }
-                    let mut basis = IncrementalBasis::new(zmat.nrows());
-                    for &(c0, c1) in blocks {
-                        basis.push_block(&zmat.block(0, zmat.nrows(), c0, c1))?;
-                    }
-                    let s = basis.singular_value_estimates()?;
-                    Ok(Compressed::Incremental { basis, s })
+                    incremental(zmat, blocks)
                 }
             }
         }

@@ -1,14 +1,13 @@
-//! Fault-tolerant PMTBR sweeps: partial sampling with quadrature-weight
-//! renormalization and full per-shift diagnostics.
+//! The account of a fault-tolerant PMTBR sweep: [`SweepDiagnostics`].
 //!
 //! PMTBR's sample matrix is a numerical quadrature of the Gramian
 //! integral (paper eq. (8)–(11)), so a failed sample point is a lost
 //! quadrature node — the right response is to *degrade* the rule, not
-//! abort the reduction. [`sample_basis_tolerant`] runs the multipoint
-//! sweep through the escalation ladder
-//! ([`LtiSystem::solve_shifted_many_tolerant`]), builds the basis from
-//! the surviving columns, and renormalizes the surviving quadrature
-//! weights so they still carry the full rule's mass:
+//! abort the reduction. The pipeline's sweep stage runs every node
+//! through the escalation ladder
+//! ([`lti::LtiSystem::solve_shifted_many_tolerant`]), keeps the surviving
+//! columns, and renormalizes the surviving quadrature weights so they
+//! still carry the full rule's mass:
 //!
 //! ```text
 //! w̃ₖ = wₖ · Σall w / Σsurviving w
@@ -19,18 +18,12 @@
 //! Gramian estimate (and hence the singular-value/error scale) that the
 //! dropped nodes would have contributed.
 //!
-//! Every sweep returns a [`SweepDiagnostics`] accounting for the fate
-//! of *each* requested sample point, which the CLI surfaces as a
-//! degradation report and exit-code policy.
+//! Every [`crate::pipeline::run`] returns a [`SweepDiagnostics`] in
+//! [`crate::Reduction::diagnostics`], accounting for the fate of *each*
+//! requested sample point; the CLI surfaces it as a degradation report
+//! and exit-code policy.
 
-use lti::{LtiSystem, RecoveryPolicy, ShiftOutcome, ShiftReport};
-use numkit::NumError;
-
-use crate::algorithm::SampleBasis;
-use crate::budget::BudgetTracker;
-use crate::fault::stage_faults;
-use crate::pipeline::{spectral_ladder, InputDirections, SweptSamples};
-use crate::{Budget, FaultPlan, Sampling};
+use lti::{ShiftOutcome, ShiftReport};
 
 /// The complete account of a fault-tolerant sampling sweep.
 #[derive(Debug, Clone)]
@@ -116,84 +109,39 @@ impl SweepDiagnostics {
     }
 }
 
-/// Computes the PMTBR sample basis through the fault-tolerance ladder,
-/// degrading gracefully: dropped sample points lose their columns, the
-/// surviving quadrature weights are renormalized, and the full
-/// per-point account is returned alongside the basis.
-///
-/// The sweep runs under the default `RecoveryPolicy`, and the SVD comes
-/// from the pipeline's spectral compressor ladder, so `faults` may
-/// target the sweep and the compress stage alike (`None` injects
-/// nothing).
-///
-/// The returned [`SampleBasis`] keeps only surviving points, each with
-/// the shift *actually solved* (perturbed where the ladder had to
-/// nudge) and its renormalized weight.
-///
-/// # Errors
-///
-/// - Propagates sampling validation errors.
-/// - [`NumError::InvalidArgument`] if every sample point was dropped or
-///   all surviving weighted samples vanished — with zero quadrature
-///   nodes there is no model to build, degraded or otherwise.
-/// - Propagates the SVD error once the spectral ladder is exhausted.
-pub fn sample_basis_tolerant<S: LtiSystem + ?Sized>(
-    sys: &S,
-    sampling: &Sampling,
-    faults: Option<&FaultPlan>,
-) -> Result<(SampleBasis, SweepDiagnostics), NumError> {
-    let faults = stage_faults(faults);
-    let SweptSamples { kept, zmat, reports, requested, surviving, renorm, mut span, .. } =
-        crate::pipeline::sweep(
-            sys,
-            sampling,
-            &InputDirections::IdentityBlock,
-            false,
-            &RecoveryPolicy::default(),
-            faults,
-            None,
-        )?;
-    // No budget: every rung keeps its own sweep cap.
-    let unlimited = Budget::default();
-    let mut attempt = 0;
-    let (svd, rung) =
-        spectral_ladder(&zmat, faults, &BudgetTracker::start(&unlimited), &mut attempt)?;
-    let svd_retried = rung > 0;
-    span.field_u64("surviving", surviving as u64);
-    span.field_u64("total_cols", zmat.ncols() as u64);
-    span.field_f64("renorm", renorm);
-    span.field("svd_retried", obs::Value::Bool(svd_retried));
-    drop(span);
-    let diagnostics = SweepDiagnostics {
-        reports,
-        requested,
-        surviving,
-        weight_renormalization: renorm,
-        svd_retried,
-    };
-    Ok((SampleBasis { svd, points: kept }, diagnostics))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fault::FaultKind;
-    use crate::pipeline::{run, ReductionPlan};
-    use crate::{pmtbr, sample_basis, NullCache, PmtbrOptions};
+    use crate::pipeline::{run, Reduction, ReductionPlan};
+    use crate::{pmtbr, sample_basis, Budget, FaultPlan, NullCache, PmtbrOptions, Sampling};
     use circuits::rc_mesh;
-    use numkit::c64;
+    use lti::Descriptor;
+    use numkit::{c64, NumError};
+
+    /// Algorithm 1 through the pipeline core under `faults`, unbudgeted
+    /// and uncached.
+    fn tolerant_run(
+        sys: &Descriptor,
+        sampling: Sampling,
+        faults: Option<&FaultPlan>,
+    ) -> Result<Reduction, NumError> {
+        let plan = ReductionPlan::pmtbr(&PmtbrOptions::new(sampling));
+        run(sys, &plan, faults, &Budget::default(), &NullCache)
+    }
 
     #[test]
     fn clean_tolerant_sweep_matches_strict_pipeline() {
         let sys = rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).unwrap();
         let sampling = Sampling::Linear { omega_max: 20.0, n: 15 };
         let strict = sample_basis(&sys, &sampling).unwrap();
-        let (tolerant, diag) = sample_basis_tolerant(&sys, &sampling, None).unwrap();
+        let tolerant = tolerant_run(&sys, sampling, None).unwrap();
+        let diag = &tolerant.diagnostics;
         assert!(!diag.is_degraded());
         assert_eq!(diag.surviving, diag.requested);
         assert_eq!(diag.weight_renormalization, 1.0);
-        assert_eq!(strict.svd.s.len(), tolerant.svd.s.len());
-        for (a, b) in strict.svd.s.iter().zip(&tolerant.svd.s) {
+        let sv = &tolerant.model.singular_values;
+        assert_eq!(strict.svd.s.len(), sv.len());
+        for (a, b) in strict.svd.s.iter().zip(sv) {
             assert!((a - b).abs() <= 1e-12 * strict.svd.s[0], "{a} vs {b}");
         }
     }
@@ -235,12 +183,9 @@ mod tests {
     fn diagnostics_summary_mentions_degradation() {
         let sys = rc_mesh(3, 3, &[0, 8], 1.0, 1.0, 2.0).unwrap();
         let plan = FaultPlan::new(2, 0.4, vec![FaultKind::Panic], 2);
-        let (_, diag) = sample_basis_tolerant(
-            &sys,
-            &Sampling::Linear { omega_max: 10.0, n: 12 },
-            Some(&plan),
-        )
-        .unwrap();
+        let diag = tolerant_run(&sys, Sampling::Linear { omega_max: 10.0, n: 12 }, Some(&plan))
+            .unwrap()
+            .diagnostics;
         let text = diag.summary();
         assert!(text.contains("sample points survived"), "{text}");
         if diag.dropped() > 0 {
@@ -253,12 +198,8 @@ mod tests {
     fn all_points_dropped_is_a_clean_error() {
         let sys = rc_mesh(3, 3, &[0], 1.0, 1.0, 2.0).unwrap();
         let plan = FaultPlan::new(1, 1.0, vec![FaultKind::Panic], 2);
-        let err = sample_basis_tolerant(
-            &sys,
-            &Sampling::Linear { omega_max: 10.0, n: 6 },
-            Some(&plan),
-        )
-        .unwrap_err();
+        let err = tolerant_run(&sys, Sampling::Linear { omega_max: 10.0, n: 6 }, Some(&plan))
+            .unwrap_err();
         assert!(matches!(err, NumError::InvalidArgument(_)));
     }
 
@@ -266,12 +207,9 @@ mod tests {
     fn drift_faults_are_repaired_not_dropped() {
         let sys = rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).unwrap();
         let plan = FaultPlan::new(21, 0.5, vec![FaultKind::Drift], 2);
-        let (_, diag) = sample_basis_tolerant(
-            &sys,
-            &Sampling::Linear { omega_max: 20.0, n: 12 },
-            Some(&plan),
-        )
-        .unwrap();
+        let diag = tolerant_run(&sys, Sampling::Linear { omega_max: 20.0, n: 12 }, Some(&plan))
+            .unwrap()
+            .diagnostics;
         assert_eq!(diag.dropped(), 0, "drift must never cost a sample");
         assert!(diag.count("refined") > 0, "refinement must have engaged: {}", diag.summary());
         assert!(diag.worst_residual() <= 1e-10);

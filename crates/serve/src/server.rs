@@ -1,7 +1,10 @@
-//! The batching scheduler: accept, group, run, respond.
+//! The batching scheduler: accept, read, group, run, respond.
 //!
-//! The server drains every pending connection into a *batch*, groups
-//! the batch by the structural hash of each job's netlist, and runs the
+//! The accept loop hands each new connection to its own reader thread,
+//! which reads and decodes the request off the loop, so a client that
+//! connects and sends nothing delays nobody but itself. The decoded
+//! jobs that are ready together form a *batch*; the server groups the
+//! batch by the structural hash of each job's netlist and runs the
 //! groups in `(pencil, arrival)` order. Same-pencil jobs therefore
 //! execute back-to-back, which is what turns the pipeline's
 //! content-addressed artifact cache into a service win: the first job
@@ -19,7 +22,9 @@
 
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use crate::wire::{read_frame, write_frame, JobRequest, JobResponse, WireError};
@@ -67,13 +72,17 @@ fn group_key(netlist: &str) -> u64 {
     circuits::parse_netlist(netlist).map(|nl| nl.structural_hash()).unwrap_or(0)
 }
 
+/// Most connections whose requests are read at once; further
+/// connections wait in the listener's backlog until a reader finishes.
+const MAX_READERS: usize = 64;
+
 /// Reads and decodes one request from a fresh connection. A client
 /// that sends garbage or stalls past the read timeout is dropped —
 /// its end sees EOF, which the submit client surfaces as a protocol
 /// failure (exit 5) rather than a job failure.
-fn read_job(stream: TcpStream, arrival: usize, opts: &ServeOptions) -> Option<Job> {
+fn read_job(stream: TcpStream, arrival: usize, read_timeout: Duration) -> Option<Job> {
     stream.set_nonblocking(false).ok()?;
-    stream.set_read_timeout(Some(opts.read_timeout)).ok()?;
+    stream.set_read_timeout(Some(read_timeout)).ok()?;
     stream.set_nodelay(true).ok()?;
     let mut stream = stream;
     let payload = read_frame(&mut stream).ok()?;
@@ -86,9 +95,13 @@ fn read_job(stream: TcpStream, arrival: usize, opts: &ServeOptions) -> Option<Jo
 /// `max_jobs` jobs have completed.
 ///
 /// The listener may be blocking or not on entry; it is switched to
-/// non-blocking so the loop can drain all pending connections into one
-/// batch. A response write failing (client went away) is not fatal to
-/// the server — the job still counts as completed.
+/// non-blocking so the loop can hand every pending connection to a
+/// detached reader thread (at most `MAX_READERS` at once) and then
+/// wait up to 2 ms for decoded requests. Readers are never joined: on
+/// return, a reader still waiting on a silent client finishes on its
+/// own when the read timeout expires. A response write failing (client
+/// went away) is not fatal to the server — the job still counts as
+/// completed.
 ///
 /// # Errors
 ///
@@ -103,27 +116,43 @@ pub fn serve(
     listener.set_nonblocking(true)?;
     let mut stats = ServeStats::default();
     let mut arrival = 0usize;
+    // Every reader sends exactly one message: its job, or `None` for a
+    // dropped connection.
+    let (tx, rx) = mpsc::channel::<Option<Job>>();
+    let mut readers = 0usize;
     loop {
         if shutdown.load(Ordering::Relaxed) {
             return Ok(stats);
         }
-        // Drain the accept queue into one batch.
-        let mut batch: Vec<Job> = Vec::new();
-        loop {
+        // Hand every pending connection to a reader.
+        while readers < MAX_READERS {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     arrival += 1;
-                    if let Some(job) = read_job(stream, arrival, opts) {
-                        batch.push(job);
-                    }
+                    let (tx, read_timeout) = (tx.clone(), opts.read_timeout);
+                    let reader = std::thread::Builder::new().spawn(move || {
+                        // A reader that panics still reports, freeing its slot.
+                        let read = || read_job(stream, arrival, read_timeout);
+                        let _ = tx.send(catch_unwind(AssertUnwindSafe(read)).ok().flatten());
+                    });
+                    // A reader that could not start drops its connection.
+                    readers += usize::from(reader.is_ok());
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
             }
         }
+        // The requests decoded by now form one batch.
+        let Ok(first) = rx.recv_timeout(Duration::from_millis(2)) else {
+            continue;
+        };
+        let mut batch: Vec<Job> = Vec::new();
+        for job in std::iter::once(first).chain(rx.try_iter()) {
+            readers -= 1;
+            batch.extend(job);
+        }
         if batch.is_empty() {
-            std::thread::sleep(Duration::from_millis(2));
             continue;
         }
         // Same-pencil jobs run back-to-back; arrival order breaks ties
@@ -197,6 +226,28 @@ mod tests {
             assert!(stats.batches >= 1);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn silent_client_does_not_stall_other_jobs() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Connected before the server starts, so it is accepted first;
+        // it never sends a byte.
+        let _silent = TcpStream::connect(&addr).unwrap();
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                let handler = |req: &JobRequest| JobResponse::Err(format!("echo:{}", req.method));
+                let opts =
+                    ServeOptions { max_jobs: Some(1), read_timeout: Duration::from_secs(3) };
+                serve(&listener, &handler, &opts, &AtomicBool::new(false)).unwrap()
+            });
+            // The real job must finish well inside the silent client's
+            // read timeout.
+            let resp = submit(&addr, &request(RC, "real"), Duration::from_secs(1));
+            assert_eq!(resp.unwrap(), JobResponse::Err("echo:real".into()));
+            assert_eq!(server.join().unwrap().jobs, 1);
+        });
     }
 
     #[test]

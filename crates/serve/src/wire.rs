@@ -175,6 +175,16 @@ impl<'a> WireReader<'a> {
         Ok(WireReader { buf, pos: 8 })
     }
 
+    /// Checks that `count` items of at least `item_bytes` bytes each fit
+    /// in the bytes left, so a hostile count is rejected before
+    /// allocating (`None` is a count that already overflowed).
+    fn fits(&self, count: Option<usize>, item_bytes: usize) -> Result<usize, WireError> {
+        let left = self.buf.len() - self.pos;
+        count
+            .filter(|&n| n.checked_mul(item_bytes).is_some_and(|b| b <= left))
+            .ok_or_else(|| protocol("count exceeds the bytes left in the frame"))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         let Some(end) = end else {
@@ -254,12 +264,9 @@ impl<'a> WireReader<'a> {
     ///
     /// [`WireError::Protocol`] on truncation or bad UTF-8.
     pub fn strs(&mut self) -> Result<Vec<String>, WireError> {
+        // Each entry costs at least its 8-byte length on the wire.
         let n = self.u64()? as usize;
-        // Each entry costs at least 8 bytes on the wire, so this bound
-        // rejects absurd counts before allocating.
-        if n > self.buf.len() / 8 + 1 {
-            return Err(protocol("string count exceeds frame size"));
-        }
+        let n = self.fits(Some(n), 8)?;
         (0..n).map(|_| self.str()).collect()
     }
 
@@ -300,13 +307,8 @@ impl WireMat {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let rows = r.u64()? as usize;
         let cols = r.u64()? as usize;
-        // One word per entry: a count beyond the bytes left in the
-        // payload is rejected before allocating.
-        let words_left = (r.buf.len() - r.pos) / 8;
-        let n = rows
-            .checked_mul(cols)
-            .filter(|&n| n <= words_left)
-            .ok_or_else(|| protocol("matrix dimensions exceed the bytes left in the frame"))?;
+        // One 8-byte word per entry.
+        let n = r.fits(rows.checked_mul(cols), 8)?;
         let mut bits = Vec::with_capacity(n);
         for _ in 0..n {
             bits.push(r.u64()?);
@@ -382,10 +384,9 @@ impl JobRequest {
         let method = r.str()?;
         let netlist = r.str()?;
         let omega_max = r.f64()?;
+        // Two 8-byte edges per band.
         let nbands = r.u64()? as usize;
-        if nbands > payload.len() / 16 + 1 {
-            return Err(protocol("band count exceeds frame size"));
-        }
+        let nbands = r.fits(Some(nbands), 16)?;
         let mut bands = Vec::with_capacity(nbands);
         for _ in 0..nbands {
             let lo = r.f64()?;
@@ -692,6 +693,30 @@ mod tests {
         w.u64(1000);
         w.u64(0);
         match JobResponse::decode(&w.finish()) {
+            Err(WireError::Protocol(msg)) => assert!(msg.contains("bytes left"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn list_counts_are_bounded_by_the_bytes_left() {
+        // Counts that fit the whole frame but not the bytes after them.
+        let mut w = WireWriter::new(&RESPONSE_MAGIC);
+        w.flag(true);
+        w.u64(2);
+        w.u64(0);
+        match JobResponse::decode(&w.finish()) {
+            Err(WireError::Protocol(msg)) => assert!(msg.contains("bytes left"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        let mut w = WireWriter::new(&REQUEST_MAGIC);
+        w.str("pmtbr");
+        w.str("");
+        w.f64(1.0);
+        w.u64(2);
+        w.u64(0);
+        w.u64(0);
+        match JobRequest::decode(&w.finish()) {
             Err(WireError::Protocol(msg)) => assert!(msg.contains("bytes left"), "{msg}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }

@@ -11,7 +11,7 @@ use numkit::c64;
 use pmtbr::pipeline::run;
 use pmtbr::{
     pmtbr, Budget, FaultKind, FaultPlan, NullCache, PmtbrOptions, Reduction, ReductionPlan,
-    Sampling,
+    SamplePoint, Sampling,
 };
 
 /// Runs Algorithm 1 under `faults`, unbudgeted and uncached.
@@ -75,14 +75,23 @@ fn quarter_faulted_sweep_degrades_gracefully() {
 
     // The degraded model must match a strict reference reduction built
     // from exactly the surviving quadrature nodes (same shifts as
-    // actually solved, same renormalized weights). The tolerant basis
-    // records both, so rerun the (deterministic) sweep for the points.
-    let (basis, diag2) = pmtbr::sample_basis_tolerant(&sys, opts.sampling(), Some(&plan))
-        .expect("deterministic rerun");
+    // actually solved, same renormalized weights). The diagnostics
+    // record both: each report's `s_used` and the uniform weight factor.
+    let diag2 = faulted_pmtbr(&sys, &opts, &plan).diagnostics;
     assert_eq!(diag2.reports, diag.reports, "sweeps must be reproducible");
-    assert_eq!(basis.points.len(), diag.surviving);
-    let reference_opts =
-        PmtbrOptions::new(Sampling::Custom(basis.points.clone())).with_max_order(10);
+    let points: Vec<SamplePoint> = opts
+        .sampling()
+        .points()
+        .expect("grid")
+        .iter()
+        .zip(&diag.reports)
+        .filter(|(_, rep)| !rep.outcome.is_dropped())
+        .map(|(p, rep)| {
+            SamplePoint { s: rep.s_used, weight: p.weight * diag.weight_renormalization }
+        })
+        .collect();
+    assert_eq!(points.len(), diag.surviving);
+    let reference_opts = PmtbrOptions::new(Sampling::Custom(points)).with_max_order(10);
     let reference = pmtbr(&sys, &reference_opts).expect("strict reference on survivors");
 
     let grid: Vec<f64> = vec![0.0, 0.3, 1.0, 3.0, 10.0, 25.0];

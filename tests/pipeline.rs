@@ -1,10 +1,14 @@
 //! End-to-end integration tests: netlist → MNA → reduction → validation,
 //! exercising every crate boundary in one flow.
 
-use circuits::{rc_mesh, spread_ports, Netlist};
-use lti::{frequency_response, linspace, tbr};
+use circuits::{rc_mesh, rc_mesh_jittered, spread_ports, Netlist};
+use lti::{frequency_response, linspace, tbr, ShiftOutcome};
 use numkit::c64;
-use pmtbr::{pmtbr, sample_basis, PmtbrOptions, Sampling};
+use pmtbr::pipeline::run;
+use pmtbr::{
+    pmtbr, sample_basis, Budget, FaultKind, FaultPlan, NullCache, PmtbrOptions, Reduction,
+    ReductionPlan, Sampling,
+};
 
 /// Build a custom netlist, reduce it with PMTBR, and verify the reduced
 /// model against the full transfer function over a sweep.
@@ -85,6 +89,41 @@ fn descriptor_and_state_space_reductions_agree() {
         let h_red = m_desc.reduced.transfer_function(s).expect("reduced");
         let rel = (&h_full - &h_red).norm_max() / h_full.norm_max();
         assert!(rel < 1e-2, "w={w}: relative error {rel}");
+    }
+}
+
+/// A dense state-space model sweeps through the same escalation ladder
+/// as the sparse descriptor it came from. With a non-identity `E`, the
+/// samples `(sE − A)⁻¹B = (sI − E⁻¹A)⁻¹E⁻¹B` are the same vectors, so
+/// both forms must report the same per-shift outcomes, clean and under
+/// injected faults, and the same sample spectrum up to roundoff.
+#[test]
+fn dense_and_sparse_forms_take_the_same_ladder() {
+    let sys = rc_mesh_jittered(4, 4, &[0, 15], 1.0, 0.5, 2.0, 0.3, 3).expect("mesh");
+    let ss = sys.to_state_space().expect("invertible E");
+    let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 12 }).with_max_order(6);
+    let plan = ReductionPlan::pmtbr(&opts);
+    let kinds = vec![FaultKind::Drift, FaultKind::Panic, FaultKind::Singular];
+    let faults = FaultPlan::new(5, 0.5, kinds, 2);
+    let outcomes = |r: &Reduction| -> Vec<ShiftOutcome> {
+        r.diagnostics.reports.iter().map(|rep| rep.outcome).collect()
+    };
+    for faults in [None, Some(&faults)] {
+        let sparse = run(&sys, &plan, faults, &Budget::default(), &NullCache).expect("descriptor");
+        let dense = run(&ss, &plan, faults, &Budget::default(), &NullCache).expect("state space");
+        let got = outcomes(&sparse);
+        assert_eq!(got, outcomes(&dense), "faulted: {}", faults.is_some());
+        if faults.is_some() {
+            // The plan must exercise every rung it targets.
+            let perturbed = got.iter().any(|o| matches!(o, ShiftOutcome::Perturbed { .. }));
+            assert!(perturbed, "{got:?}");
+            assert!(got.contains(&ShiftOutcome::Dropped) && got.contains(&ShiftOutcome::Refined));
+        }
+        let (s_sparse, s_dense) = (&sparse.model.singular_values, &dense.model.singular_values);
+        assert_eq!(s_sparse.len(), s_dense.len());
+        for (a, b) in s_sparse.iter().zip(s_dense) {
+            assert!((a - b).abs() <= 1e-10 * s_sparse[0], "{a} vs {b}");
+        }
     }
 }
 
