@@ -159,14 +159,13 @@ impl Netlist {
     }
 
     /// Deterministic structural hash of the netlist — the circuit-level
-    /// companion of [`lti::Descriptor::pencil_hash`], used by the serve
-    /// layer to group same-substrate requests *before* paying for MNA
-    /// assembly. R/C/M elements combine commutatively (stamping sums
-    /// them, so insertion order cannot change the built system);
-    /// inductors fold in their branch index, because branch numbering
-    /// decides the state layout. Equal hashes are a grouping hint, not
-    /// a correctness claim — the artifact cache itself keys on the
-    /// assembled pencil's content address.
+    /// companion of [`lti::Descriptor::pencil_hash`], available
+    /// *before* paying for MNA assembly. R/C/M elements combine
+    /// commutatively (stamping sums them, so insertion order cannot
+    /// change the built system); inductors fold in their branch index,
+    /// because branch numbering decides the state layout. Equal hashes
+    /// are a grouping hint, not a correctness claim — the artifact
+    /// cache itself keys on the assembled pencil's content address.
     pub fn structural_hash(&self) -> u64 {
         use lti::hash::Fnv64;
         let element = |tag: u64, a: u64, b: u64, v: f64| -> u64 {

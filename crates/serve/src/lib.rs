@@ -14,15 +14,19 @@
 //! - [`wire`]: length-prefixed frames and the job codec. All numbers
 //!   travel as raw bits, so a submitted job returns the *same bytes* a
 //!   local `reduce` would produce.
-//! - [`server`]: the batching scheduler. Pending jobs are grouped by
-//!   netlist structural hash and run back-to-back so same-pencil
-//!   requests after the first hit the warm artifact cache.
+//! - [`server`]: the batching scheduler. An acceptor thread blocks in
+//!   `accept`, reader threads decode requests, and pending jobs are
+//!   grouped by a hash of their netlist text and run back-to-back, so
+//!   repeats of a netlist after the first hit the warm artifact cache.
+//!   Every connection's socket calls run under one I/O timeout.
 //! - [`client`]: one-call job submission under a single deadline.
 //! - [`deadline`]: the crate's one sanctioned monotonic-clock read.
 //!
 //! The server never imports the method registry — the CLI injects a
-//! handler — so this crate depends only on `circuits` (for the
-//! grouping hash) and the standard library.
+//! handler — and never parses a netlist: the handler's parse is the
+//! only one a job pays for. The code uses only the standard library;
+//! the manifest still lists `circuits`, unused, until the benchmark's
+//! lock file drops it too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

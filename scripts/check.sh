@@ -58,10 +58,14 @@ cargo test -q -p pmtbr-cli --test chaos
 # Service gate: serve/submit round-trips over real sockets — byte-level
 # parity with local `reduce` (stdout and exit codes), the chaos matrix
 # through the server's environment, protocol failures as exit 5, and
-# served traces riding back. Runs as part of `cargo test -q --workspace`
-# too; named here so a wire-contract regression is called out explicitly.
-echo "==> service gate (serve/submit parity + chaos through the wire)"
+# served traces riding back — then the serve crate's own tests: the
+# scheduler's stall tests (silent client, unread response), its
+# shutdown tests (idle, every reader slot held) and the wire-codec
+# fuzz. Runs as part of `cargo test -q --workspace` too; named here so
+# a wire-contract or scheduler regression is called out explicitly.
+echo "==> service gate (serve/submit parity + chaos through the wire, scheduler + wire fuzz)"
 cargo test -q -p pmtbr-cli --test serve
+cargo test -q -p serve
 
 # Variant-coverage + perf trend gate: every `reduce` method registry
 # entry must reduce the headline 1024-state mesh, and no sampling-based
