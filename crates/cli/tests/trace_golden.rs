@@ -9,10 +9,14 @@
 //! clock every stamp is a per-item event ordinal, so two runs that do
 //! the same numerical work produce the same bytes.
 //!
-//! Last re-bless: greedy adaptive sampling. The counters line gained
-//! the `GREEDY_SCORED` / `GREEDY_ACCEPTED` totals (zero in this
-//! fixed-grid trace — the greedy driver's own determinism is pinned by
-//! `crates/pmtbr/tests/greedy.rs` at 1/2/8 threads).
+//! Last re-bless: the artifact cache keeps finished models only. The
+//! sweep-level `cache_lookup` and `cache_store` spans are gone (later
+//! sequential items renumbered), the two remaining cache spans lost
+//! their `artifact` field, the model's `cache_store` `bytes` fell by
+//! the two captured events of the deleted sweep store (9136 → 8816),
+//! and the counters line reads `CACHE_MISS` 1 and `CACHE_BYTES` 8816;
+//! the pencil hash, the model digest and every work event are
+//! unchanged.
 //!
 //! Re-bless intentionally after a behavior-changing commit with:
 //!

@@ -32,7 +32,8 @@ use std::sync::OnceLock;
 
 use crate::descriptor::ShiftedPencilAssembler;
 use crate::tolerant::{
-    RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, SweepRhs, TolerantSweep,
+    perturbed, RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, SweepRhs, TolerantSweep,
+    GROWTH_LIMIT, MAX_PERTURB, REFINE_STEPS, RESIDUAL_TOL,
 };
 use crate::Descriptor;
 
@@ -196,15 +197,17 @@ impl ShiftSolveEngine {
     /// 2. **refactor** — numeric-only refactorization on the recorded
     ///    symbolic analysis (frozen pivot order);
     /// 3. **refresh** — fresh factorization with full partial pivoting;
-    /// 4. **refine** — iterative refinement on whichever factorization
-    ///    solved, until the certified residual meets the policy;
+    /// 4. **refine** — up to two iterative-refinement steps on whichever
+    ///    factorization solved, until the relative residual is at most
+    ///    `1e-10`;
     /// 5. **perturb** — deterministic shift nudges `s·(1 + j·ε)`,
-    ///    `j = 1..=max_perturb`, each with a fresh factorization;
+    ///    `ε = 1e-8`, `j = 1..=3`, each with a fresh factorization;
     /// 6. **drop** — mark the sample failed.
     ///
     /// Every accepted solution carries a certified relative residual
-    /// (see [`sparsekit::residual_norm`]); factorizations whose pivot
-    /// growth exceeds the policy limit are rejected without solving.
+    /// (see [`sparsekit::residual_norm`]) and a 1-norm reciprocal
+    /// condition estimate; factorizations whose pivot growth exceeds
+    /// `1e8` are rejected without solving.
     ///
     /// # Determinism
     ///
@@ -405,8 +408,8 @@ impl ShiftSolveEngine {
         let mut attempt = 0usize;
         let mut last_err: Option<NumError> = None;
         let mut last_residual = f64::NAN;
-        for level in 0..=policy.max_perturb {
-            let s = policy.perturbed(s_req, level);
+        for level in 0..=MAX_PERTURB {
+            let s = perturbed(s_req, level);
             let a = self.asm.assemble(s);
             let mut cands = Vec::with_capacity(3);
             if level == 0 {
@@ -469,7 +472,7 @@ impl ShiftSolveEngine {
                 };
                 // A factorization with explosive pivot growth is not
                 // worth certifying — escalate immediately.
-                if !(f.pivot_growth() <= policy.growth_limit) {
+                if !(f.pivot_growth() <= GROWTH_LIMIT) {
                     continue;
                 }
                 let mut x = match f.solve_mat(rhs) {
@@ -480,29 +483,13 @@ impl ShiftSolveEngine {
                     }
                 };
                 faults.corrupt(index, this_attempt, &mut x);
-                let mut residual = residual_norm(&a, &x, rhs);
-                let mut refine_steps = 0;
-                while residual.is_finite()
-                    && residual > policy.residual_tol
-                    && refine_steps < policy.refine_steps
-                {
-                    match f.refine_mat(&a, rhs, &mut x) {
-                        Ok(next) => {
-                            refine_steps += 1;
-                            if !(next < residual) {
-                                residual = next.min(residual);
-                                break;
-                            }
-                            residual = next;
-                        }
-                        Err(e) => {
-                            last_err = Some(e);
-                            break;
-                        }
-                    }
-                }
+                let (residual, refine_steps) = certify(
+                    residual_norm(&a, &x, rhs),
+                    || f.refine_mat(&a, rhs, &mut x),
+                    &mut last_err,
+                );
                 last_residual = residual;
-                if residual.is_finite() && residual <= policy.residual_tol {
+                if residual.is_finite() && residual <= RESIDUAL_TOL {
                     // Two-sided rungs: the observability side must
                     // certify through the SAME factorization (transpose
                     // solve + refinement) or the rung escalates as a
@@ -516,28 +503,12 @@ impl ShiftSolveEngine {
                                 continue;
                             }
                         };
-                        let mut res_t = residual_norm_transpose(&a, &xt, bt);
-                        let mut steps_t = 0;
-                        while res_t.is_finite()
-                            && res_t > policy.residual_tol
-                            && steps_t < policy.refine_steps
-                        {
-                            match f.refine_mat_transpose(&a, bt, &mut xt) {
-                                Ok(next) => {
-                                    steps_t += 1;
-                                    if !(next < res_t) {
-                                        res_t = next.min(res_t);
-                                        break;
-                                    }
-                                    res_t = next;
-                                }
-                                Err(e) => {
-                                    last_err = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        if !(res_t.is_finite() && res_t <= policy.residual_tol) {
+                        let (res_t, _) = certify(
+                            residual_norm_transpose(&a, &xt, bt),
+                            || f.refine_mat_transpose(&a, bt, &mut xt),
+                            &mut last_err,
+                        );
+                        if !(res_t.is_finite() && res_t <= RESIDUAL_TOL) {
                             last_residual = res_t;
                             continue;
                         }
@@ -555,11 +526,7 @@ impl ShiftSolveEngine {
                             Cand::Fresh => ShiftOutcome::Refreshed,
                         }
                     };
-                    let rcond = if policy.estimate_condition {
-                        f.rcond1_estimate(&a)
-                    } else {
-                        f64::NAN
-                    };
+                    let rcond = f.rcond1_estimate(&a);
                     let pivot_growth = f.pivot_growth();
                     if prime {
                         // Priming always accepts through a fresh
@@ -602,6 +569,36 @@ impl ShiftSolveEngine {
         report.residual = last_residual;
         (None, None, report)
     }
+}
+
+/// The ladder's certify loop, shared by the forward and transposed
+/// solves: from the solution's first residual, refines (`refine` does
+/// one step and returns the new residual) until the residual meets
+/// [`RESIDUAL_TOL`], stops shrinking, or [`REFINE_STEPS`] are spent. A
+/// refinement error lands in `last_err` and ends the loop. Returns the
+/// final residual and the steps taken.
+fn certify(
+    mut residual: f64,
+    mut refine: impl FnMut() -> Result<f64, NumError>,
+    last_err: &mut Option<NumError>,
+) -> (f64, usize) {
+    let mut steps = 0;
+    while residual.is_finite() && residual > RESIDUAL_TOL && steps < REFINE_STEPS {
+        match refine() {
+            Ok(next) => {
+                steps += 1;
+                if !(next < residual) {
+                    return (next.min(residual), steps);
+                }
+                residual = next;
+            }
+            Err(e) => {
+                *last_err = Some(e);
+                break;
+            }
+        }
+    }
+    (residual, steps)
 }
 
 #[cfg(test)]

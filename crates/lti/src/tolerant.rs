@@ -13,7 +13,8 @@
 //! This module defines the shared vocabulary of that fault-tolerance
 //! layer:
 //!
-//! - [`RecoveryPolicy`] — the knobs of the per-shift escalation ladder;
+//! - the ladder's thresholds, which are constants of this module, and
+//!   [`RecoveryPolicy`], which carries only a sweep's cancellation;
 //! - [`ShiftOutcome`] / [`ShiftReport`] — what happened at each shift,
 //!   with the certified residual, condition estimate, and pivot growth;
 //! - [`TolerantSweep`] — partial results (`None` per dropped shift) plus
@@ -28,27 +29,24 @@
 
 use numkit::{c64, CancelToken, NumError, ZMat};
 
-/// Tuning knobs for the per-shift escalation ladder.
-#[derive(Debug, Clone, PartialEq)]
+/// Relative residual a solve must reach to be accepted (certification).
+pub(crate) const RESIDUAL_TOL: f64 = 1e-10;
+/// Iterative-refinement steps per factorization before the next rung.
+pub(crate) const REFINE_STEPS: usize = 2;
+/// Deterministic shift perturbations before the sample is dropped.
+pub(crate) const MAX_PERTURB: usize = 3;
+/// Relative perturbation scale `ε` (see [`perturbed`]).
+const PERTURB_EPS: f64 = 1e-8;
+/// Pivot growth `max|U|/max|A|` above which a factorization is rejected
+/// without solving.
+pub(crate) const GROWTH_LIMIT: f64 = 1e8;
+
+/// Per-sweep settings of the escalation ladder. The ladder's thresholds
+/// (residual tolerance, refinement steps, perturbation schedule,
+/// pivot-growth limit) are fixed constants; a sweep sets only its
+/// cancellation.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Relative residual a solve must reach to be accepted (the
-    /// certification threshold).
-    pub residual_tol: f64,
-    /// Maximum iterative-refinement steps per factorization before
-    /// escalating to the next rung.
-    pub refine_steps: usize,
-    /// Maximum deterministic shift perturbations before the sample is
-    /// dropped.
-    pub max_perturb: usize,
-    /// Relative perturbation scale: attempt `j` solves at
-    /// `s·(1 + j·perturb_eps)` (additive `j·perturb_eps` when `s = 0`).
-    pub perturb_eps: f64,
-    /// Pivot-growth ceiling `max|U|/max|A|` above which a factorization
-    /// is rejected without solving.
-    pub growth_limit: f64,
-    /// Whether to attach a 1-norm reciprocal-condition estimate to each
-    /// accepted sparse solve (a handful of extra triangular solves).
-    pub estimate_condition: bool,
     /// Cooperative cancellation token, polled once per sweep iteration
     /// (i.e. per shift, before its ladder starts). A cancelled sweep
     /// drops every not-yet-attempted shift with
@@ -58,39 +56,25 @@ pub struct RecoveryPolicy {
     pub cancel: Option<CancelToken>,
 }
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            residual_tol: 1e-10,
-            refine_steps: 2,
-            max_perturb: 3,
-            perturb_eps: 1e-8,
-            growth_limit: 1e8,
-            estimate_condition: true,
-            cancel: None,
-        }
-    }
-}
-
 impl RecoveryPolicy {
     /// `true` once the attached [`CancelToken`] (if any) is raised.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
+}
 
-    /// The shift actually attempted at perturbation level `j`:
-    /// `s·(1 + j·ε)` for nonzero `s`, `j·ε` for `s = 0`. Level 0 is the
-    /// requested shift unchanged.
-    pub fn perturbed(&self, s: c64, j: usize) -> c64 {
-        if j == 0 {
-            return s;
-        }
-        let step = j as f64 * self.perturb_eps;
-        if s == c64::ZERO {
-            c64::new(step, 0.0)
-        } else {
-            s.scale(1.0 + step)
-        }
+/// The shift actually attempted at perturbation level `j`:
+/// `s·(1 + j·ε)` for nonzero `s`, `j·ε` for `s = 0`. Level 0 is the
+/// requested shift unchanged.
+pub(crate) fn perturbed(s: c64, j: usize) -> c64 {
+    if j == 0 {
+        return s;
+    }
+    let step = j as f64 * PERTURB_EPS;
+    if s == c64::ZERO {
+        c64::new(step, 0.0)
+    } else {
+        s.scale(1.0 + step)
     }
 }
 
@@ -158,8 +142,7 @@ pub struct ShiftReport {
     /// observed residual, possibly `NaN`, for dropped shifts).
     pub residual: f64,
     /// 1-norm reciprocal condition estimate of the accepted
-    /// factorization; `NaN` when not estimated
-    /// ([`RecoveryPolicy::estimate_condition`] off).
+    /// factorization; `NaN` for dropped shifts.
     pub rcond: f64,
     /// Pivot growth of the accepted factorization; `NaN` for dropped
     /// shifts.
@@ -303,11 +286,10 @@ mod tests {
 
     #[test]
     fn perturbation_schedule_is_relative_and_handles_zero() {
-        let pol = RecoveryPolicy { perturb_eps: 1e-6, ..RecoveryPolicy::default() };
         let s = c64::new(0.0, 2.0);
-        assert_eq!(pol.perturbed(s, 0), s);
-        assert!((pol.perturbed(s, 1) - c64::new(0.0, 2.0 + 2e-6)).abs() < 1e-18);
-        assert_eq!(pol.perturbed(c64::ZERO, 2), c64::new(2e-6, 0.0));
+        assert_eq!(perturbed(s, 0), s);
+        assert!((perturbed(s, 1) - c64::new(0.0, 2.0 + 2e-8)).abs() < 1e-18);
+        assert_eq!(perturbed(c64::ZERO, 2), c64::new(2e-8, 0.0));
     }
 
     #[test]

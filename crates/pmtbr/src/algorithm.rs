@@ -204,8 +204,7 @@ pub fn sample_basis<S: LtiSystem + ?Sized>(
         return Err(cause.unwrap_or(NumError::InvalidArgument("sample point dropped")));
     }
     let unlimited = Budget::default();
-    let (svd, rung) =
-        spectral_ladder(&zmat, &NoFaults, &BudgetTracker::start(&unlimited), &mut 0)?;
+    let (svd, rung) = spectral_ladder(&zmat, None, &BudgetTracker::start(&unlimited), &mut 0)?;
     span.field_u64("surviving", surviving as u64);
     span.field_u64("total_cols", zmat.ncols() as u64);
     span.field_f64("renorm", renorm);

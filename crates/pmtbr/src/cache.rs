@@ -3,14 +3,17 @@
 //! Reduction-as-a-service needs warm requests to skip work a previous
 //! run already paid for, **without** changing a single bit of the
 //! answer. This module provides the substrate: an [`ArtifactCache`]
-//! trait the pipeline consults at stage boundaries, a no-op
-//! [`NullCache`] (the default, so cached and uncached runs execute the
-//! identical code path), and a deterministic in-memory [`LruCache`]
-//! with a byte-budget eviction policy.
+//! trait the pipeline consults before it runs, a no-op [`NullCache`]
+//! (the default, so cached and uncached runs execute the identical
+//! code path), and a deterministic in-memory [`LruCache`] with a
+//! byte-budget eviction policy. The one kind of artifact is a finished
+//! model: the paper's order control already reuses one sweep across
+//! orders in-process ([`crate::sample_basis`] /
+//! [`crate::reduce_with_basis`]).
 //!
 //! # Keys
 //!
-//! Every key is a [`CacheKey`]: an [`ArtifactKind`] plus the system's
+//! Every key is a [`CacheKey`]: the system's
 //! [`lti::LtiSystem::pencil_hash`] and a digest of everything else that
 //! can change the bits of the result — the full [`ReductionPlan`]
 //! (sampling nodes, input directions, compressor, order control), the
@@ -25,15 +28,11 @@
 //!   through [`NullCache`]: both emit the same `cache_lookup` /
 //!   `cache_store` spans, and [`obs::Counter::CacheBytes`] counts bytes
 //!   *offered* for admission whether or not the backend keeps them.
-//! - A **warm** model hit returns the stored [`Reduction`] clone and
-//!   replays the trace events captured when the entry was computed
-//!   (see [`obs::replay`]), so the work events are byte-identical to
-//!   the cold run; only the `cache_lookup` outcome and the hit/miss
+//! - A **warm** hit returns the stored [`Reduction`] clone and replays
+//!   the trace events captured when the entry was computed (see
+//!   [`obs::replay`]), so the work events are byte-identical to the
+//!   cold run; only the `cache_lookup` outcome and the hit/miss
 //!   counters legitimately differ.
-//! - A **sweep** hit reuses the realified sample matrix and re-runs
-//!   compress/project live (this is what lets a warm run with a
-//!   different compressor "skip straight to compress"); the model is
-//!   bit-identical, the trace simply has no sweep span to replay.
 //!
 //! # Poisoned entries
 //!
@@ -53,47 +52,13 @@ use obs::Counter;
 use crate::pipeline::{Compressor, InputDirections, OrderControl, ReductionPlan, Reduction};
 use crate::{Budget, FaultPlan, Sampling};
 
-/// Which pipeline stage an artifact caches. Part of the key, so kinds
-/// can never collide even when their digests do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ArtifactKind {
-    /// A finished reduced model (skips the whole pipeline).
-    Model,
-    /// A realified sample sweep (skips straight to compress/project).
-    Sweep,
-}
-
-impl ArtifactKind {
-    /// Stable label used in `cache_lookup` trace spans.
-    pub fn label(self) -> &'static str {
-        match self {
-            ArtifactKind::Model => "model",
-            ArtifactKind::Sweep => "sweep",
-        }
-    }
-}
-
-/// Content address of one artifact: kind, pencil hash, request digest.
+/// Content address of one finished model: pencil hash, request digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
-    /// Stage the artifact belongs to.
-    pub kind: ArtifactKind,
     /// [`lti::LtiSystem::pencil_hash`] of the system.
     pub pencil: u64,
     /// Digest of everything else that can change the result's bits.
     pub digest: u64,
-}
-
-impl CacheKey {
-    /// Key for a finished reduced model.
-    pub fn model(pencil: u64, digest: u64) -> Self {
-        CacheKey { kind: ArtifactKind::Model, pencil, digest }
-    }
-
-    /// Key for a realified sample sweep.
-    pub fn sweep(pencil: u64, digest: u64) -> Self {
-        CacheKey { kind: ArtifactKind::Sweep, pencil, digest }
-    }
 }
 
 /// A cached finished reduction: the result plus the trace events the
@@ -109,76 +74,39 @@ pub struct CachedReduction {
     /// a warm hit can advance live numbering with
     /// [`obs::skip_seq_roots`] before replaying).
     pub seq_watermark: u64,
-    /// `true` when `events` is a faithful capture (the computing run
-    /// was traced). A traced run must treat an unfaithful entry as a
+    /// `true` when the computing run was traced, so `events` is a
+    /// faithful capture. A traced run must treat an untraced entry as a
     /// miss, or its trace would silently lose the pipeline spans.
     pub traced: bool,
 }
 
-/// A cached sample sweep: everything compress/project need, minus the
-/// (unfinishable) open trace span.
-#[derive(Debug, Clone)]
-pub struct CachedSweep {
-    /// Weighted realified controllability samples.
-    pub zmat: DMat,
-    /// Column range of each surviving node's block in `zmat`.
-    pub blocks: Vec<(usize, usize)>,
-    /// Weighted realified observability samples (two-sided sweeps only).
-    pub zl: Option<DMat>,
-    /// Per-node ladder reports, index-aligned with the requested nodes.
-    pub reports: Vec<lti::ShiftReport>,
-    /// Number of nodes requested.
-    pub requested: usize,
-    /// Number of nodes that survived.
-    pub surviving: usize,
-    /// Uniform quadrature-weight renormalization factor.
-    pub renorm: f64,
-}
-
-/// One cached artifact. Large payloads sit behind [`Arc`] so a hit is a
-/// pointer clone, never a matrix copy.
-#[derive(Debug, Clone)]
-pub enum Artifact {
-    /// A finished reduced model.
-    Model(Arc<CachedReduction>),
-    /// A realified sample sweep.
-    Sweep(Arc<CachedSweep>),
-}
-
-impl Artifact {
+impl CachedReduction {
     /// Deterministic size estimate used for byte-budget accounting and
     /// the [`obs::Counter::CacheBytes`] counter. A pure function of the
-    /// artifact's contents — never of the backend's state — so every
+    /// entry's contents — never of the backend's state — so every
     /// backend offers identical byte counts.
     pub fn approx_bytes(&self) -> usize {
-        match self {
-            Artifact::Model(m) => {
-                let model = &m.reduction.model;
-                let mats = dmat_bytes(&model.reduced.a)
-                    + dmat_bytes(&model.reduced.b)
-                    + dmat_bytes(&model.reduced.c)
-                    + dmat_bytes(&model.reduced.d)
-                    + dmat_bytes(&model.v)
-                    + model.singular_values.len() * 8;
-                let diag = m.reduction.diagnostics.reports.len() * 48;
-                mats + diag + m.events.len() * 160 + 128
-            }
-            Artifact::Sweep(s) => {
-                dmat_bytes(&s.zmat)
-                    + s.zl.as_ref().map_or(0, dmat_bytes)
-                    + s.blocks.len() * 16
-                    + s.reports.len() * 48
-                    + 96
-            }
-        }
+        let model = &self.reduction.model;
+        let mats = dmat_bytes(&model.reduced.a)
+            + dmat_bytes(&model.reduced.b)
+            + dmat_bytes(&model.reduced.c)
+            + dmat_bytes(&model.reduced.d)
+            + dmat_bytes(&model.v)
+            + model.singular_values.len() * 8;
+        let diag = self.reduction.diagnostics.reports.len() * 48;
+        mats + diag + self.events.len() * 160 + 128
     }
 }
+
+/// One cached artifact: a finished model behind an [`Arc`], so a hit
+/// is a pointer clone, never a matrix copy.
+pub type Artifact = Arc<CachedReduction>;
 
 fn dmat_bytes(m: &DMat) -> usize {
     m.nrows() * m.ncols() * 8
 }
 
-/// Storage the pipeline consults at stage boundaries.
+/// Storage the pipeline consults before and after it runs.
 ///
 /// Implementations are *policy-free byte stores*: admission policy
 /// (never cache a Degraded result) and all counter/trace emission live
@@ -250,7 +178,7 @@ struct LruEntry {
 
 impl LruCache {
     /// Creates a cache holding at most `budget_bytes` of artifact data
-    /// (as measured by [`Artifact::approx_bytes`]).
+    /// (as measured by [`CachedReduction::approx_bytes`]).
     pub fn new(budget_bytes: usize) -> Self {
         LruCache { budget: budget_bytes, inner: Mutex::new(LruInner::default()) }
     }
@@ -320,7 +248,7 @@ impl ArtifactCache for LruCache {
 /// results bit-for-bit, so it must be part of every key. `None` hashes
 /// exactly as an unset `PMTBR_FAULT` always has, so fault-free keys
 /// (recorded in traces' `cache_lookup` spans) stay stable.
-pub(crate) fn fault_digest(faults: Option<&FaultPlan>) -> u64 {
+fn fault_digest(faults: Option<&FaultPlan>) -> u64 {
     let mut h = Fnv64::new();
     h.label("pmtbr-fault-env-v1");
     match faults {
@@ -425,55 +353,41 @@ fn compressor_word(compressor: &Compressor) -> u64 {
 /// Digest of a full model request: plan + fault plan + budget caps.
 /// Everything that can change the finished model's bits, except the
 /// pencil itself (which is the other half of the key).
-pub(crate) fn model_digest(plan: &ReductionPlan, faults: u64, budget: &Budget) -> u64 {
+pub(crate) fn model_digest(
+    plan: &ReductionPlan,
+    faults: Option<&FaultPlan>,
+    budget: &Budget,
+) -> u64 {
     let mut h = Fnv64::new();
     h.label("pmtbr-model-key-v1");
     sampling_words(&mut h, &plan.sampling);
     directions_words(&mut h, &plan.directions);
     h.word(compressor_word(&plan.compressor));
     order_words(&mut h, &plan.order);
-    h.word(faults);
+    h.word(fault_digest(faults));
     budget_words(&mut h, budget);
     h.finish()
 }
 
-/// Digest of a sweep request: everything the sweep stage's bits depend
-/// on. The compressor contributes only its *sidedness* (a two-sided
-/// sweep also solves the transposed system), and order control not at
-/// all — that is exactly what lets plans differing only in compressor
-/// or order share one cached sweep.
-pub(crate) fn sweep_digest(plan: &ReductionPlan, faults: u64, budget: &Budget) -> u64 {
-    let mut h = Fnv64::new();
-    h.label("pmtbr-sweep-key-v1");
-    sampling_words(&mut h, &plan.sampling);
-    directions_words(&mut h, &plan.directions);
-    h.word(u64::from(plan.compressor.is_two_sided()));
-    h.word(faults);
-    budget_words(&mut h, budget);
-    h.finish()
-}
-
-/// Emits the `cache_lookup` span (artifact kind, key, outcome) and
+/// Emits the `cache_lookup` span (key, outcome) and
 /// bumps the hit/miss counters. Called on *every* lookup, hit or miss,
 /// by every backend — the span sequence is part of the trace identity
 /// contract.
 pub(crate) fn record_lookup(key: &CacheKey, hit: bool) {
     obs::counters::add(if hit { Counter::CacheHit } else { Counter::CacheMiss }, 1);
     let mut sp = obs::span("cache_lookup");
-    sp.field_str("artifact", key.kind.label());
     sp.field_u64("pencil", key.pencil);
     sp.field_u64("digest", key.digest);
     sp.field_str("outcome", if hit { "hit" } else { "miss" });
 }
 
-/// Offers an artifact for admission: counts the bytes offered (a pure
-/// function of the artifact, identical for every backend), emits the
+/// Offers a model for admission: counts the bytes offered (a pure
+/// function of the entry, identical for every backend), emits the
 /// `cache_store` span, and forwards to the backend.
 pub(crate) fn record_offer(cache: &dyn ArtifactCache, key: CacheKey, value: Artifact) {
     let bytes = value.approx_bytes();
     obs::counters::add(Counter::CacheBytes, bytes as u64);
     let mut sp = obs::span("cache_store");
-    sp.field_str("artifact", key.kind.label());
     sp.field_u64("pencil", key.pencil);
     sp.field_u64("digest", key.digest);
     sp.field_u64("bytes", bytes as u64);
@@ -483,65 +397,72 @@ pub(crate) fn record_offer(cache: &dyn ArtifactCache, key: CacheKey, value: Arti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PipelineReport, PmtbrModel, SweepDiagnostics};
 
-    /// A sweep artifact of exactly `96 + 8·words` bytes: a `words × 1`
-    /// zero sample matrix, no blocks, no reports.
+    fn key(pencil: u64, digest: u64) -> CacheKey {
+        CacheKey { pencil, digest }
+    }
+
+    /// A model entry of exactly `128 + 8·words` bytes: an order-0 model
+    /// with `words` singular values, no reports, no events.
     fn probe(words: usize) -> Artifact {
-        Artifact::Sweep(Arc::new(CachedSweep {
-            zmat: DMat::zeros(words, 1),
-            blocks: Vec::new(),
-            zl: None,
+        let empty = DMat::zeros(0, 0);
+        let reduced = lti::StateSpace::new(empty.clone(), empty.clone(), empty.clone(), None)
+            .expect("empty model");
+        let model = PmtbrModel {
+            reduced,
+            v: empty,
+            singular_values: vec![0.0; words],
+            order: 0,
+            error_estimate: 0.0,
+        };
+        let diagnostics = SweepDiagnostics {
             reports: Vec::new(),
             requested: 0,
             surviving: 0,
-            renorm: 1.0,
-        }))
+            weight_renormalization: 1.0,
+            svd_retried: false,
+        };
+        let reduction = Reduction { model, diagnostics, report: PipelineReport::default() };
+        Arc::new(CachedReduction { reduction, events: Vec::new(), seq_watermark: 0, traced: false })
     }
 
     #[test]
     fn null_cache_never_stores() {
         let c = NullCache;
-        c.put(CacheKey::model(1, 2), probe(2));
-        assert!(c.get(&CacheKey::model(1, 2)).is_none());
+        c.put(key(1, 2), probe(2));
+        assert!(c.get(&key(1, 2)).is_none());
         assert_eq!(c.stats(), (0, 0));
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let c = LruCache::new(300);
-        c.put(CacheKey::model(1, 0), probe(5));
-        c.put(CacheKey::model(2, 0), probe(5));
+        let c = LruCache::new(400);
+        c.put(key(1, 0), probe(5));
+        c.put(key(2, 0), probe(5));
         // Touch entry 1 so entry 2 becomes the eviction victim.
-        assert!(c.get(&CacheKey::model(1, 0)).is_some());
-        c.put(CacheKey::model(3, 0), probe(5));
-        assert!(c.get(&CacheKey::model(1, 0)).is_some());
-        assert!(c.get(&CacheKey::model(2, 0)).is_none());
-        assert!(c.get(&CacheKey::model(3, 0)).is_some());
-        assert_eq!(c.stats(), (2, 272));
+        assert!(c.get(&key(1, 0)).is_some());
+        c.put(key(3, 0), probe(5));
+        assert!(c.get(&key(1, 0)).is_some());
+        assert!(c.get(&key(2, 0)).is_none());
+        assert!(c.get(&key(3, 0)).is_some());
+        assert_eq!(c.stats(), (2, 336));
     }
 
     #[test]
     fn oversized_offers_are_discarded() {
-        let c = LruCache::new(112);
-        c.put(CacheKey::sweep(1, 0), probe(3));
+        let c = LruCache::new(144);
+        c.put(key(1, 0), probe(3));
         assert_eq!(c.stats(), (0, 0));
-        c.put(CacheKey::sweep(1, 0), probe(2));
-        assert_eq!(c.stats(), (1, 112));
+        c.put(key(1, 0), probe(2));
+        assert_eq!(c.stats(), (1, 144));
     }
 
     #[test]
     fn replacing_a_key_reclaims_its_bytes() {
         let c = LruCache::new(300);
-        c.put(CacheKey::sweep(1, 0), probe(8));
-        c.put(CacheKey::sweep(1, 0), probe(2));
-        assert_eq!(c.stats(), (1, 112));
-    }
-
-    #[test]
-    fn kinds_never_collide() {
-        let c = LruCache::new(1000);
-        c.put(CacheKey::model(7, 9), probe(1));
-        assert!(c.get(&CacheKey::sweep(7, 9)).is_none());
-        assert!(c.get(&CacheKey::model(7, 9)).is_some());
+        c.put(key(1, 0), probe(8));
+        c.put(key(1, 0), probe(2));
+        assert_eq!(c.stats(), (1, 144));
     }
 }

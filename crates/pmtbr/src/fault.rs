@@ -28,50 +28,8 @@
 //! chaos harness that typos `rate=0.5` into `rte=0.5` must hear about
 //! it instead of concluding the pipeline survived a storm it never saw.
 
-use lti::{NoFaults, SolveFault};
+use lti::SolveFault;
 use numkit::{c64, NumError, SplitMix64, ZMat};
-
-/// Stage-level fault injection: everything [`SolveFault`] covers for
-/// the sweep, plus deterministic poisoning of compress/project
-/// attempts in [`crate::pipeline::run`].
-///
-/// The `attempt` argument is the pipeline's per-stage attempt counter
-/// (0 = first try), shared across a stage's whole recovery ladder — so
-/// a fault of depth `d` forces exactly `d` escalations before letting
-/// the stage through, whichever rung those escalations land on.
-pub(crate) trait StageFault: SolveFault {
-    /// The error to inject into attempt `attempt` of `stage`; `None`
-    /// lets the attempt run normally.
-    fn stage_error(&self, _stage: FaultStage, _attempt: usize) -> Option<NumError> {
-        None
-    }
-
-    /// `true` when attempt `attempt` of `stage` must panic (the stage
-    /// ladder contains the unwind).
-    fn stage_panics(&self, _stage: FaultStage, _attempt: usize) -> bool {
-        false
-    }
-}
-
-impl StageFault for NoFaults {}
-
-impl StageFault for FaultPlan {
-    fn stage_error(&self, stage: FaultStage, attempt: usize) -> Option<NumError> {
-        FaultPlan::stage_error(self, stage, attempt)
-    }
-
-    fn stage_panics(&self, stage: FaultStage, attempt: usize) -> bool {
-        FaultPlan::stage_panics(self, stage, attempt)
-    }
-}
-
-/// The stage-fault hook for an optional plan (`None` injects nothing).
-pub(crate) fn stage_faults(faults: Option<&FaultPlan>) -> &dyn StageFault {
-    match faults {
-        Some(plan) => plan,
-        None => &NoFaults,
-    }
-}
 
 /// The kinds of injectable faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -85,10 +85,7 @@ pub use cross_gramian::cross_gramian_pmtbr;
 pub use frequency_selective::frequency_selective_pmtbr;
 pub use input_correlated::{input_correlated_pmtbr, InputCorrelatedOptions};
 pub use budget::Budget;
-pub use cache::{
-    Artifact, ArtifactCache, ArtifactKind, CacheKey, CachedReduction, CachedSweep, LruCache,
-    NullCache,
-};
+pub use cache::{Artifact, ArtifactCache, CacheKey, CachedReduction, LruCache, NullCache};
 pub use order_control::IncrementalBasis;
 pub use fault::{FaultKind, FaultPlan, FaultStage};
 pub use pipeline::{

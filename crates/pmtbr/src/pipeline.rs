@@ -67,8 +67,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use lti::{
-    input_correlation_svd, realified_ncols, realify_columns_into, LtiSystem, RecoveryPolicy,
-    ShiftOutcome, ShiftReport, SolveFault, StateSpace, TolerantSweep,
+    input_correlation_svd, realified_ncols, realify_columns_into, LtiSystem, NoFaults,
+    RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, StateSpace, TolerantSweep,
 };
 use numkit::{
     c64, eig, svd, svd_with_opts, svd_with_sweeps, DMat, Lu, NumError, SplitMix64, Svd,
@@ -77,8 +77,8 @@ use numkit::{
 
 use crate::algorithm::equilibrated_svd;
 use crate::budget::BudgetTracker;
-use crate::cache::{self, Artifact, ArtifactCache, CacheKey, CachedReduction, CachedSweep};
-use crate::fault::{stage_faults, FaultPlan, FaultStage, StageFault};
+use crate::cache::{self, ArtifactCache, CacheKey, CachedReduction};
+use crate::fault::{FaultPlan, FaultStage};
 use crate::{
     Budget, IncrementalBasis, InputCorrelatedOptions, PmtbrModel, PmtbrOptions, SamplePoint,
     Sampling, SweepDiagnostics,
@@ -464,10 +464,10 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
 ///
 /// This is the single execution core behind every reduction entry
 /// point. All shifted solves go through the tolerant multipoint sweep
-/// ([`LtiSystem::solve_shifted_many_tolerant`] and friends) under the
-/// default [`RecoveryPolicy`], so sparse systems get the
-/// factorization-reusing parallel engine; failures degrade the
-/// quadrature instead of aborting it; compression and projection
+/// ([`LtiSystem::solve_shifted_many_tolerant`] and friends) under a
+/// [`RecoveryPolicy`] carrying the budget's cancel token, so sparse
+/// systems get the factorization-reusing parallel engine; failures
+/// degrade the quadrature instead of aborting it; compression and projection
 /// failures escalate through deterministic recovery ladders (see the
 /// module docs); and the whole run is traced under the
 /// `pmtbr.sample_sweep` / `pmtbr.compress` / `pmtbr.project` spans with
@@ -485,19 +485,12 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
 /// [`numkit::CancelToken`] is polled at stage boundaries and once per
 /// sweep shift.
 ///
-/// The cache is consulted at stage boundaries, keyed on
+/// The cache holds finished models, keyed on
 /// [`LtiSystem::pencil_hash`] plus a digest of the plan, the fault
-/// plan, and the budget caps:
-///
-/// 1. **Model hit** — the finished [`Reduction`] is returned and the
-///    trace events captured by the computing run are replayed
-///    byte-for-byte ([`obs::replay`]); the whole pipeline is skipped.
-/// 2. **Sweep hit** — the realified sample matrix is reused and the run
-///    skips straight to compress/project, so plans differing only in
-///    compressor or order control share the expensive LU sweep.
-/// 3. **Miss** — the full pipeline runs and its artifacts are offered
-///    for admission.
-///
+/// plan, and the budget caps. A hit returns the stored [`Reduction`]
+/// and replays the trace events captured by the computing run
+/// byte-for-byte ([`obs::replay`]), skipping the whole pipeline; a miss
+/// runs it and offers the model for admission.
 /// [`NullCache`](crate::cache::NullCache) makes every lookup miss, so
 /// cached and uncached runs execute the identical code path and are
 /// byte-identical — model, report, trace, and counters. A Degraded
@@ -548,18 +541,16 @@ pub fn run<S: LtiSystem + ?Sized>(
     // identical core directly (no lookup spans: there is no key to
     // look up, and the omission is deterministic per system type).
     let Some(pencil) = sys.pencil_hash() else {
-        return run_core(sys, plan, faults, budget, None, false).map(|(reduction, _)| reduction);
+        return run_core(sys, plan, faults, budget);
     };
-    let fault_word = cache::fault_digest(faults);
     let traced = obs::is_enabled();
-
-    let model_key = CacheKey::model(pencil, cache::model_digest(plan, fault_word, budget));
-    if let Some(Artifact::Model(entry)) = cache.get(&model_key) {
+    let key = CacheKey { pencil, digest: cache::model_digest(plan, faults, budget) };
+    if let Some(entry) = cache.get(&key) {
         // An entry captured without a trace cannot serve a traced run:
         // replaying nothing would silently drop the pipeline spans, so
         // the lookup deterministically degrades to a miss.
         if entry.traced || !traced {
-            cache::record_lookup(&model_key, true);
+            cache::record_lookup(&key, true);
             if traced {
                 obs::skip_seq_roots(entry.seq_watermark);
                 obs::replay(&entry.events);
@@ -567,100 +558,65 @@ pub fn run<S: LtiSystem + ?Sized>(
             return Ok(entry.reduction.clone());
         }
     }
-    cache::record_lookup(&model_key, false);
+    cache::record_lookup(&key, false);
 
-    let sweep_key = CacheKey::sweep(pencil, cache::sweep_digest(plan, fault_word, budget));
-    let warm_sweep = match cache.get(&sweep_key) {
-        Some(Artifact::Sweep(s)) => {
-            cache::record_lookup(&sweep_key, true);
-            Some(s)
-        }
-        _ => {
-            cache::record_lookup(&sweep_key, false);
-            None
-        }
-    };
-
-    // Capture the work events from here: a warm model hit replays
-    // exactly this slice (its own `cache_lookup` spans are emitted
-    // live, before the mark).
+    // Capture the work events from here: a warm hit replays exactly
+    // this slice (its own `cache_lookup` span is emitted live, before
+    // the mark).
     let mark = obs::flushed_len();
-    let (reduction, sweep_artifact) =
-        run_core(sys, plan, faults, budget, warm_sweep.as_deref(), true)?;
-    if let Some(sw) = sweep_artifact {
-        cache::record_offer(cache, sweep_key, Artifact::Sweep(Arc::new(sw)));
-    }
+    let reduction = run_core(sys, plan, faults, budget)?;
     // Poisoned-entry rejection: a Degraded result encodes this run's
     // fault/budget history and is never admitted.
     if !reduction.report.is_degraded() {
-        // A run assembled from a cached sweep has no sweep span to
-        // capture, so its model entry is stored unfaithful (usable only
-        // by untraced runs).
-        let faithful = traced && warm_sweep.is_none();
-        let events = if faithful { obs::capture_since(mark) } else { Vec::new() };
+        let events = if traced { obs::capture_since(mark) } else { Vec::new() };
         let entry = CachedReduction {
             reduction: reduction.clone(),
             seq_watermark: obs::seq_watermark(&events),
             events,
-            traced: faithful,
+            traced,
         };
-        cache::record_offer(cache, model_key, Artifact::Model(Arc::new(entry)));
+        cache::record_offer(cache, key, Arc::new(entry));
     }
     Ok(reduction)
 }
 
-/// The stage core: sweep (live, or replayed from a cached artifact) →
-/// compress → project. Returns the reduction plus, when requested and
-/// eligible, the sweep artifact for cache admission.
+/// The stage core: sweep → compress → project.
 fn run_core<S: LtiSystem + ?Sized>(
     sys: &S,
     plan: &ReductionPlan,
     faults: Option<&FaultPlan>,
     budget: &Budget,
-    warm_sweep: Option<&CachedSweep>,
-    want_sweep_artifact: bool,
-) -> Result<(Reduction, Option<CachedSweep>), NumError> {
-    let faults = stage_faults(faults);
+) -> Result<Reduction, NumError> {
+    let solve_faults: &dyn SolveFault = match faults {
+        Some(plan) => plan,
+        None => &NoFaults,
+    };
     let tracker = BudgetTracker::start(budget);
     tracker.check_cancelled()?;
     let mut report = PipelineReport::default();
     // The budget's cancellation token rides in the sweep policy, so a
     // single token stops every stage.
-    let policy = RecoveryPolicy { cancel: budget.cancel.clone(), ..RecoveryPolicy::default() };
-    let mut sweep_span: Option<obs::SpanGuard> = None;
-    let mut budget_truncated = 0;
-    let cold: Option<CachedSweep> = if warm_sweep.is_some() {
-        None
-    } else {
-        let SweptSamples {
-            kept: _,
-            zmat,
-            blocks,
-            zl,
-            reports,
-            requested,
-            surviving,
-            renorm,
-            budget_truncated: truncated,
-            span,
-        } = sweep(
-            sys,
-            &plan.sampling,
-            &plan.directions,
-            plan.compressor.is_two_sided(),
-            &policy,
-            faults,
-            tracker.node_cap(),
-        )?;
-        sweep_span = Some(span);
-        budget_truncated = truncated;
-        Some(CachedSweep { zmat, blocks, zl, reports, requested, surviving, renorm })
-    };
-    let data = match (cold.as_ref(), warm_sweep) {
-        (Some(s), _) => s,
-        (None, Some(s)) => s,
-        (None, None) => return Err(NumError::InvalidArgument("pipeline: no sweep source")),
-    };
+    let policy = RecoveryPolicy { cancel: budget.cancel.clone() };
+    let SweptSamples {
+        zmat,
+        blocks,
+        zl,
+        reports,
+        requested,
+        surviving,
+        renorm,
+        budget_truncated,
+        mut span,
+        ..
+    } = sweep(
+        sys,
+        &plan.sampling,
+        &plan.directions,
+        plan.compressor.is_two_sided(),
+        &policy,
+        solve_faults,
+        tracker.node_cap(),
+    )?;
     // Which stage consumed the budget (satellite of the budget report:
     // exhaustion names its stage in the notes and the trace).
     let mut budget_stage: Option<&'static str> = None;
@@ -669,11 +625,10 @@ fn run_core<S: LtiSystem + ?Sized>(
         budget_stage = Some("sweep");
         report.notes.push(format!(
             "lu-factorization budget truncated the sweep: {budget_truncated} of {requested} \
-             nodes were never attempted",
-            requested = data.requested,
+             nodes were never attempted"
         ));
     }
-    report.sweep = sweep_outcome(&data.reports);
+    report.sweep = sweep_outcome(&reports);
     if report.budget_exhausted.is_none() {
         if let Some(resource) = tracker.exhausted() {
             report.budget_exhausted = Some(resource);
@@ -681,8 +636,7 @@ fn run_core<S: LtiSystem + ?Sized>(
         }
     }
     tracker.check_cancelled()?;
-    let compressed =
-        compress(&data.zmat, &data.blocks, data.zl.as_ref(), plan, faults, &tracker, &mut report)?;
+    let compressed = compress(&zmat, &blocks, zl.as_ref(), plan, faults, &tracker, &mut report)?;
     let svd_retried = compressed.retried();
     if budget_stage.is_none()
         && (report.budget_exhausted.is_some() || tracker.exhausted().is_some())
@@ -692,17 +646,14 @@ fn run_core<S: LtiSystem + ?Sized>(
         }
         budget_stage = Some("compress");
     }
-    if let Some(span) = sweep_span.as_mut() {
-        span.field_u64("surviving", data.surviving as u64);
-        span.field_u64("total_cols", data.zmat.ncols() as u64);
-        span.field_f64("renorm", data.renorm);
-        span.field("svd_retried", obs::Value::Bool(svd_retried));
-        span.field_str("outcome", report.sweep.label());
-    }
-    drop(sweep_span);
+    span.field_u64("surviving", surviving as u64);
+    span.field_u64("total_cols", zmat.ncols() as u64);
+    span.field_f64("renorm", renorm);
+    span.field("svd_retried", obs::Value::Bool(svd_retried));
+    span.field_str("outcome", report.sweep.label());
+    drop(span);
     tracker.check_cancelled()?;
-    let model =
-        project(sys, &data.zmat, data.zl.as_ref(), compressed, &plan.order, faults, &mut report)?;
+    let model = project(sys, &zmat, zl.as_ref(), compressed, &plan.order, faults, &mut report)?;
     if budget_stage.is_none() {
         if let Some(resource) = tracker.exhausted() {
             report.budget_exhausted = Some(resource);
@@ -716,25 +667,13 @@ fn run_core<S: LtiSystem + ?Sized>(
         bsp.field_str("stage", stage);
     }
     let diagnostics = SweepDiagnostics {
-        reports: data.reports.clone(),
-        requested: data.requested,
-        surviving: data.surviving,
-        weight_renormalization: data.renorm,
+        reports,
+        requested,
+        surviving,
+        weight_renormalization: renorm,
         svd_retried,
     };
-    let reduction = Reduction { model, diagnostics, report };
-    // A sweep is poisoned for reuse if the budget truncated or
-    // otherwise ran out during it, or any node was dropped.
-    let sweep_artifact = if want_sweep_artifact
-        && budget_truncated == 0
-        && budget_stage != Some("sweep")
-        && reduction.report.sweep != StageOutcome::Degraded
-    {
-        cold
-    } else {
-        None
-    };
-    Ok((reduction, sweep_artifact))
+    Ok(Reduction { model, diagnostics, report })
 }
 
 /// Folds per-shift reports into the sweep stage's outcome: dropped
@@ -1103,7 +1042,7 @@ impl Compressed {
 }
 
 /// Hard cap on fault-poisoned attempts per stage, so a pathological
-/// [`StageFault`] cannot spin a recovery loop forever. Far above any
+/// [`FaultPlan`] cannot spin a recovery loop forever. Far above any
 /// real ladder depth; purely a determinism-preserving backstop.
 const MAX_STAGE_ATTEMPTS: usize = 32;
 
@@ -1141,14 +1080,18 @@ fn rung_event(stage: FaultStage, cand: &'static str, attempt: usize) {
 
 /// Runs one stage attempt's injected faults, if any: `Some(Err(..))`
 /// when the attempt is poisoned (error- or panic-kind), `None` when
-/// the attempt should run for real. Injected panics actually unwind
-/// and are contained here — the same `catch_unwind` discipline the
-/// sweep ladder uses for worker panics.
+/// the attempt should run for real (always, without a fault plan).
+/// `attempt` is the stage's attempt counter (0 = first try), shared
+/// across its whole recovery ladder, so a fault of depth `d` forces
+/// exactly `d` escalations whichever rungs they land on. Injected
+/// panics actually unwind and are contained here — the same
+/// `catch_unwind` discipline the sweep ladder uses for worker panics.
 fn injected_outcome(
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     stage: FaultStage,
     attempt: usize,
 ) -> Option<NumError> {
+    let faults = faults?;
     if let Some(e) = faults.stage_error(stage, attempt) {
         return Some(e);
     }
@@ -1174,7 +1117,7 @@ fn injected_outcome(
 /// Returns the factorization and the rung that certified it.
 pub(crate) fn spectral_ladder(
     a: &DMat,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     tracker: &BudgetTracker,
     attempt: &mut usize,
 ) -> Result<(Svd<f64>, usize), NumError> {
@@ -1257,7 +1200,7 @@ fn incremental(zmat: &DMat, blocks: &[(usize, usize)]) -> Result<Compressed, Num
 fn spectral_or_incremental(
     zmat: &DMat,
     blocks: &[(usize, usize)],
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     tracker: &BudgetTracker,
     report: &mut PipelineReport,
     attempt: &mut usize,
@@ -1287,7 +1230,7 @@ fn compress(
     blocks: &[(usize, usize)],
     zl: Option<&DMat>,
     plan: &ReductionPlan,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     tracker: &BudgetTracker,
     report: &mut PipelineReport,
 ) -> Result<Compressed, NumError> {
@@ -1538,7 +1481,7 @@ fn project<S: LtiSystem + ?Sized>(
     zl: Option<&DMat>,
     compressed: Compressed,
     order: &OrderControl,
-    faults: &dyn StageFault,
+    faults: Option<&FaultPlan>,
     report: &mut PipelineReport,
 ) -> Result<PmtbrModel, NumError> {
     let mut sp = obs::span("pmtbr.project");

@@ -1,7 +1,8 @@
 //! Integration tests for the content-addressed artifact cache: the
 //! bit-identity contract between uncached, cold-cached, and warm-cached
 //! runs (models *and* traces, at several thread counts), byte-budget
-//! eviction, poisoned-entry (Degraded) rejection, and fault-plan keying.
+//! eviction, admission of traced and untraced entries, poisoned-entry
+//! (Degraded) rejection, and fault-plan keying.
 //!
 //! The obs collector, counters, and `PMTBR_THREADS` are process-global,
 //! so every test serializes on one mutex.
@@ -12,8 +13,8 @@ use obs::ClockKind;
 use pmtbr::cache::ArtifactCache;
 use pmtbr::pipeline::{run, run_cached};
 use pmtbr::{
-    Budget, Compressor, FaultKind, FaultPlan, LruCache, NullCache, PmtbrOptions, Reduction,
-    ReductionPlan, Sampling, StageOutcome,
+    Budget, FaultKind, FaultPlan, LruCache, NullCache, PmtbrOptions, Reduction, ReductionPlan,
+    Sampling, StageOutcome,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -120,25 +121,39 @@ fn warm_hits_skip_the_sweep_entirely() {
 }
 
 #[test]
-fn plans_sharing_a_sweep_hit_the_sweep_artifact() {
+fn an_untraced_entry_never_serves_a_traced_run() {
     let _g = lock();
     let sys = mesh();
+    let plan = plan();
     let budget = Budget::default();
+    let (_, uncached_trace) =
+        traced(|| run_cached(&sys, &plan, &budget, &NullCache).expect("uncached traced run"));
+
+    // An untraced run stores an entry with no events to replay.
     let cache = LruCache::new(64 << 20);
-    run_cached(&sys, &plan(), &budget, &cache).expect("cold run");
+    run_cached(&sys, &plan, &budget, &cache).expect("untraced run");
+    assert_eq!(cache.stats().0, 1);
 
-    // Same sampling and directions, different compressor: the model key
-    // misses but the sweep key hits, so no new LU work is spent.
-    let mut alt = plan();
-    alt.compressor = Compressor::Incremental;
+    // A traced run of the same plan must miss that entry and compute,
+    // producing exactly the trace of a traced run through NullCache.
     let lu_before = obs::counters::get(obs::Counter::LuFactor);
-    let via_cache = run_cached(&sys, &alt, &budget, &cache).expect("sweep-hit run");
-    assert_eq!(obs::counters::get(obs::Counter::LuFactor), lu_before, "sweep was reused");
+    let (_, miss_trace) = traced(|| run_cached(&sys, &plan, &budget, &cache).expect("traced miss"));
+    assert!(obs::counters::get(obs::Counter::LuFactor) > lu_before, "the sweep ran again");
+    assert_eq!(miss_trace, uncached_trace);
 
-    // And the model it produces is bit-identical to a from-scratch run
-    // of the same plan.
-    let from_scratch = run_cached(&sys, &alt, &budget, &NullCache).expect("scratch run");
-    assert_bit_identical(&from_scratch, &via_cache);
+    // Its entry is traced: a second traced run hits it and replays the
+    // same work events.
+    let lu_before = obs::counters::get(obs::Counter::LuFactor);
+    let (_, hit_trace) = traced(|| run_cached(&sys, &plan, &budget, &cache).expect("traced hit"));
+    assert_eq!(obs::counters::get(obs::Counter::LuFactor), lu_before, "no new factorizations");
+    assert!(hit_trace.contains("\"outcome\":\"hit\""));
+    assert_eq!(work_lines(&hit_trace), work_lines(&uncached_trace));
+
+    // And an untraced run may be served by the traced entry.
+    let hits_before = obs::counters::get(obs::Counter::CacheHit);
+    run_cached(&sys, &plan, &budget, &cache).expect("untraced hit");
+    assert_eq!(obs::counters::get(obs::Counter::CacheHit), hits_before + 1);
+    assert_eq!(obs::counters::get(obs::Counter::LuFactor), lu_before);
 }
 
 #[test]
@@ -146,7 +161,7 @@ fn tiny_byte_budgets_evict_deterministically() {
     let _g = lock();
     let sys = mesh();
     let budget = Budget::default();
-    // Big enough for one run's artifacts, not two runs' worth.
+    // Big enough for one run's model, not two runs' worth.
     let one_run = {
         let probe = LruCache::new(usize::MAX >> 1);
         run_cached(&sys, &plan(), &budget, &probe).expect("probe run");
@@ -155,13 +170,13 @@ fn tiny_byte_budgets_evict_deterministically() {
     let cache = LruCache::new(one_run + one_run / 4);
     let evicted_before = obs::counters::get(obs::Counter::CacheEvict);
     run_cached(&sys, &plan(), &budget, &cache).expect("first plan");
-    // A different node count is a different sweep key, so a second full
-    // sweep artifact is offered and the budget must evict.
+    // A different node count is a different key, so a second model is
+    // offered and the budget must evict the first.
     let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 9 }).with_max_order(6);
     run_cached(&sys, &ReductionPlan::pmtbr(&opts), &budget, &cache).expect("second plan");
     let (entries, bytes) = cache.stats();
     assert!(bytes <= cache.budget_bytes(), "byte budget holds after eviction");
-    assert!(entries < 4, "older artifacts were evicted, not accumulated");
+    assert_eq!(entries, 1, "the older model was evicted, not accumulated");
     assert!(
         obs::counters::get(obs::Counter::CacheEvict) > evicted_before,
         "evictions are counted"

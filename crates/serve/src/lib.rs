@@ -17,10 +17,12 @@
 //! - [`server`]: the batching scheduler. An acceptor thread blocks in
 //!   `accept`, reader threads decode requests, and pending jobs are
 //!   grouped by a hash of their netlist text and run back-to-back, so
-//!   repeats of a netlist after the first hit the warm artifact cache.
-//!   Every connection's socket calls run under one I/O timeout.
+//!   the first job of a group computes the model and the repeats after
+//!   it hit the model cache. Reading a request and writing a response
+//!   each get one I/O timeout as a whole.
 //! - [`client`]: one-call job submission under a single deadline.
-//! - [`deadline`]: the crate's one sanctioned monotonic-clock read.
+//! - [`deadline`]: the crate's one sanctioned monotonic-clock read, and
+//!   the deadline-bounded socket both ends read and write through.
 //!
 //! The server never imports the method registry — the CLI injects a
 //! handler — and never parses a netlist: the handler's parse is the

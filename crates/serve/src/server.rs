@@ -11,15 +11,15 @@
 //! netlist text and runs the groups in `(key, arrival)` order. Repeated
 //! netlists therefore execute back-to-back, which is what turns the
 //! pipeline's content-addressed artifact cache into a service win: the
-//! first job of a group pays for the sweep, the rest hit the cache.
-//! Keying on the text rather than on the parsed circuit leaves the
-//! handler's parse as the only one a job pays for.
+//! first job of a group computes the model, the rest hit the model
+//! cache. Keying on the text rather than on the parsed circuit leaves
+//! the handler's parse as the only one a job pays for.
 //!
-//! Every accepted connection reads and writes under one I/O timeout,
-//! which bounds each socket call: a client that never sends its
-//! request is dropped after one timeout, and a write to one that never
-//! reads its response fails once the socket buffers have filled and a
-//! call times out, so neither holds up the jobs behind it indefinitely.
+//! Reading a connection's request and writing its response each get
+//! one I/O timeout as a whole, not per socket call: a client that never
+//! sends its request, or that sends it or drains its response a few
+//! bytes at a time, is dropped once the timeout has passed, so it
+//! holds up the jobs behind it for at most one timeout.
 //!
 //! Jobs run *sequentially* — the obs span collector and counters are
 //! process-global, and interleaving two reductions would interleave
@@ -38,6 +38,7 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use crate::deadline::{Bounded, Deadline};
 use crate::wire::{read_frame, write_frame, JobRequest, JobResponse, WireError};
 
 /// Scheduler knobs.
@@ -46,8 +47,8 @@ pub struct ServeOptions {
     /// Stop after completing this many jobs (`None` ⇒ run until
     /// `shutdown`); tests and benches use it for a clean exit.
     pub max_jobs: Option<u64>,
-    /// Read and write timeout of every accepted connection: how long any
-    /// one read of the request or write of the response may block
+    /// I/O timeout of every accepted connection: how long reading its
+    /// whole request, and writing its whole response, may each take
     /// before the connection is dropped.
     pub io_timeout: Duration,
 }
@@ -182,19 +183,14 @@ impl Slots {
 }
 
 /// Reads and decodes one request from a fresh connection. A client
-/// that sends garbage or stalls past the I/O timeout is dropped, with
-/// its slot — its end sees EOF, which the submit client surfaces as a
-/// protocol failure (exit 5) rather than a job failure.
-fn read_job(
-    mut stream: TcpStream,
-    slot: Permit,
-    arrival: usize,
-    io_timeout: Duration,
-) -> Option<Job> {
-    stream.set_read_timeout(Some(io_timeout)).ok()?;
-    stream.set_write_timeout(Some(io_timeout)).ok()?;
+/// that sends garbage or has not sent its whole request within the I/O
+/// timeout is dropped, with its slot — its end sees EOF, which the
+/// submit client surfaces as a protocol failure (exit 5) rather than a
+/// job failure.
+fn read_job(stream: TcpStream, slot: Permit, arrival: usize, io_timeout: Duration) -> Option<Job> {
     stream.set_nodelay(true).ok()?;
-    let payload = read_frame(&mut stream).ok()?;
+    let deadline = Deadline::new(io_timeout);
+    let payload = read_frame(&mut Bounded { stream: &stream, deadline }).ok()?;
     let request = JobRequest::decode(&payload).ok()?;
     let key = group_key(&request.netlist);
     Some(Job { stream, request, key, arrival, _slot: slot })
@@ -266,16 +262,17 @@ fn run_batches(
         batch.sort_by_key(|j| (j.key, j.arrival));
         stats.batches += 1;
         let mut prev_key: Option<u64> = None;
-        for mut job in batch {
+        for job in batch {
             if prev_key == Some(job.key) {
                 stats.grouped += 1;
             }
             prev_key = Some(job.key);
             let response = handler(&job.request);
             // A vanished client must not take the server down, and a
-            // write to one that stops reading fails once a write call
-            // times out.
-            let _ = write_frame(&mut job.stream, &response.encode());
+            // write to one that does not read it all within the I/O
+            // timeout fails then.
+            let deadline = Deadline::new(opts.io_timeout);
+            let _ = write_frame(&mut Bounded { stream: &job.stream, deadline }, &response.encode());
             stats.jobs += 1;
             if opts.max_jobs.is_some_and(|m| stats.jobs >= m) {
                 return Ok(stats);
@@ -310,9 +307,9 @@ fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
 /// case it is blocked in `accept`, and joins it; a handler's panic then
 /// reaches the caller. Readers are never joined: one still waiting on a silent
 /// client finishes on its own when the I/O timeout expires. A response
-/// write failing (client went away, or did not read within the I/O
-/// timeout) is not fatal to the server — the job still counts as
-/// completed.
+/// write failing (client went away, or did not read the whole response
+/// within the I/O timeout) is not fatal to the server — the job still
+/// counts as completed.
 ///
 /// # Errors
 ///
@@ -340,7 +337,7 @@ pub fn serve(
 mod tests {
     use super::*;
     use crate::client::submit;
-    use crate::deadline::Deadline;
+    use std::io::Read;
     use std::sync::atomic::AtomicU64;
 
     fn request(netlist: &str, method: &str) -> JobRequest {
@@ -435,12 +432,53 @@ mod tests {
             write_frame(&mut hog, &request(RC, "big").encode()).unwrap();
             big_handled.recv_timeout(Duration::from_secs(10)).unwrap();
             // The next job gets through once the stalled write times out
-            // (a few timeouts: each write that moves some bytes before
-            // it blocks starts a new one).
+            // (one timeout: the whole response write shares one
+            // deadline).
             let resp = submit(&addr, &request(RC, "small"), Duration::from_secs(5));
             assert_eq!(resp.unwrap(), JobResponse::Err("echo:small".into()));
             assert_eq!(server.join().unwrap().jobs, 2);
             drop(hog);
+        });
+    }
+
+    #[test]
+    fn a_slowly_drained_response_does_not_stall_other_jobs() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (handled, big_handled) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let server = scope.spawn(move || {
+                let handler = |req: &JobRequest| match req.method.as_str() {
+                    "big" => {
+                        let _ = handled.send(());
+                        JobResponse::Err("x".repeat(32 << 20))
+                    }
+                    m => JobResponse::Err(format!("echo:{m}")),
+                };
+                let opts = ServeOptions { max_jobs: Some(2), io_timeout: Duration::from_millis(500) };
+                serve(&listener, &handler, &opts, &AtomicBool::new(false)).unwrap()
+            });
+            // This client reads 64 KiB of its response every 200 ms, so
+            // each write call makes progress well inside the I/O timeout,
+            // until the server drops it or the test is done.
+            let mut slow = TcpStream::connect(&addr).unwrap();
+            write_frame(&mut slow, &request(RC, "big").encode()).unwrap();
+            let (done, test_done) = mpsc::channel::<()>();
+            scope.spawn(move || {
+                let mut buf = vec![0u8; 64 << 10];
+                while test_done.recv_timeout(Duration::from_millis(200))
+                    == Err(RecvTimeoutError::Timeout)
+                {
+                    if matches!(slow.read(&mut buf), Ok(0) | Err(_)) {
+                        break;
+                    }
+                }
+            });
+            big_handled.recv_timeout(Duration::from_secs(10)).unwrap();
+            let resp = submit(&addr, &request(RC, "small"), Duration::from_secs(5));
+            drop(done);
+            assert_eq!(resp.unwrap(), JobResponse::Err("echo:small".into()));
+            assert_eq!(server.join().unwrap().jobs, 2);
         });
     }
 

@@ -41,9 +41,12 @@ fi
 # The obs golden tests run as part of `cargo test -q --workspace` above;
 # rerun them by name so a trace-schema or counter-accounting regression
 # is called out explicitly rather than buried in the full-suite output.
-echo "==> obs golden tests (trace determinism + counter accounting)"
+# The cache tests pin the cache's identity contract (cold, uncached and
+# warm runs identical, traces included), eviction and admission.
+echo "==> obs golden tests (trace determinism + counter accounting + cache identity)"
 cargo test -q -p pmtbr-cli --test trace_golden
 cargo test -q --test obs_counters
+cargo test -q -p pmtbr --test cache
 
 # Quick chaos gate: the CLI binary under a 25% deterministic fault rate
 # across every registry method, every injectable stage, and 1/2/8
@@ -59,10 +62,11 @@ cargo test -q -p pmtbr-cli --test chaos
 # parity with local `reduce` (stdout and exit codes), the chaos matrix
 # through the server's environment, protocol failures as exit 5, and
 # served traces riding back — then the serve crate's own tests: the
-# scheduler's stall tests (silent client, unread response), its
-# shutdown tests (idle, every reader slot held) and the wire-codec
-# fuzz. Runs as part of `cargo test -q --workspace` too; named here so
-# a wire-contract or scheduler regression is called out explicitly.
+# scheduler's stall tests (silent client, unread or slowly drained
+# response) and shutdown tests (idle, every reader slot held), the
+# client's deadline test (trickling server) and the wire-codec fuzz.
+# Runs as part of `cargo test -q --workspace` too; named here so a
+# wire-contract or scheduler regression is called out explicitly.
 echo "==> service gate (serve/submit parity + chaos through the wire, scheduler + wire fuzz)"
 cargo test -q -p pmtbr-cli --test serve
 cargo test -q -p serve
