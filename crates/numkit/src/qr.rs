@@ -109,6 +109,22 @@ fn apply_reflector<T: Scalar>(v: &[T], k: usize, tau: T, target: &mut Mat<T>, co
     }
 }
 
+/// Sets `norms[j]` to `Σ_{i ≥ k} |a[i, j]|²` for every column `j ≥ k`.
+///
+/// The sums run row by row over the row-major storage, so the inner
+/// loop streams one contiguous row segment; each column still adds its
+/// terms in ascending row order from `-0.0`, as `Iterator::sum` does,
+/// so the norms are bit-identical to a column-at-a-time sum.
+fn trailing_sq_norms<T: Scalar>(a: &Mat<T>, k: usize, norms: &mut [f64]) {
+    let norms = &mut norms[k..];
+    norms.fill(-0.0);
+    for i in k..a.nrows() {
+        for (cn, v) in norms.iter_mut().zip(&a.row(i)[k..]) {
+            *cn += v.abs_sq();
+        }
+    }
+}
+
 impl<T: Scalar> Qr<T> {
     /// Factors `a` (must have `nrows >= ncols`), consuming it.
     ///
@@ -145,6 +161,11 @@ impl<T: Scalar> Qr<T> {
     }
 
     /// The thin orthonormal factor `Q` (`nrows × ncols`).
+    ///
+    /// Reflectors apply last to first, and reflector `k` touches only
+    /// columns `k..` (LAPACK's `xORG2R`): it acts on rows `k..`, where
+    /// the columns before `k` are still the zeros of their unit vectors,
+    /// so it would leave them bit for bit unchanged.
     pub fn thin_q(&self) -> Mat<T> {
         let (m, n) = self.qr.shape();
         let mut q = Mat::zeros(m, n);
@@ -153,7 +174,7 @@ impl<T: Scalar> Qr<T> {
         }
         for k in (0..n).rev() {
             let v = reflector_vector(&self.qr, k);
-            apply_reflector(&v, k, self.tau[k], &mut q, 0);
+            apply_reflector(&v, k, self.tau[k], &mut q, k);
         }
         q
     }
@@ -231,8 +252,8 @@ impl<T: Scalar> PivotedQr<T> {
         let mut perm: Vec<usize> = (0..n).collect();
         let mut tau = Vec::with_capacity(n);
         // Residual squared norms of each column.
-        let mut colnorm: Vec<f64> =
-            (0..n).map(|j| (0..m).map(|i| a[(i, j)].abs_sq()).sum()).collect();
+        let mut colnorm = vec![0.0; n];
+        trailing_sq_norms(&a, 0, &mut colnorm);
         for k in 0..n {
             // Pivot: bring the column with the largest residual norm to k.
             let (p, _) = colnorm[k..]
@@ -256,9 +277,7 @@ impl<T: Scalar> PivotedQr<T> {
             // Recompute residual norms exactly; our sizes are modest and
             // exact recomputation avoids the classical cancellation pitfall
             // of norm downdating.
-            for (j, cn) in colnorm.iter_mut().enumerate().skip(k + 1) {
-                *cn = ((k + 1)..m).map(|i| a[(i, j)].abs_sq()).sum();
-            }
+            trailing_sq_norms(&a, k + 1, &mut colnorm);
         }
         Ok(PivotedQr { inner: Qr { qr: a, tau }, perm })
     }
@@ -397,5 +416,100 @@ mod tests {
     fn zero_matrix_has_rank_zero() {
         let pqr = PivotedQr::new(DMat::zeros(4, 3)).unwrap();
         assert_eq!(pqr.rank(1e-12), 0);
+    }
+
+    /// Column-pivoted QR with each trailing norm summed down its column,
+    /// as before the row-by-row sums: `(packed factor, τ, perm)`.
+    fn pivoted_reference<T: Scalar>(mut a: Mat<T>) -> (Mat<T>, Vec<T>, Vec<usize>) {
+        let (m, n) = a.shape();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut tau = Vec::with_capacity(n);
+        let mut colnorm: Vec<f64> =
+            (0..n).map(|j| (0..m).map(|i| a[(i, j)].abs_sq()).sum()).collect();
+        for k in 0..n {
+            let (p, _) = colnorm[k..]
+                .iter()
+                .enumerate()
+                .fold((0, -1.0), |best, (i, &v)| if v > best.1 { (i, v) } else { best });
+            let p = p + k;
+            if p != k {
+                for i in 0..m {
+                    let t = a[(i, k)];
+                    a[(i, k)] = a[(i, p)];
+                    a[(i, p)] = t;
+                }
+                colnorm.swap(k, p);
+                perm.swap(k, p);
+            }
+            let t = make_reflector(&mut a, k);
+            tau.push(t);
+            let v = reflector_vector(&a, k);
+            apply_reflector(&v, k, t, &mut a, k + 1);
+            for (j, cn) in colnorm.iter_mut().enumerate().skip(k + 1) {
+                *cn = ((k + 1)..m).map(|i| a[(i, j)].abs_sq()).sum();
+            }
+        }
+        (a, tau, perm)
+    }
+
+    /// `Q` with every reflector applied to all columns.
+    fn thin_q_reference<T: Scalar>(qr: &Qr<T>) -> Mat<T> {
+        let (m, n) = qr.qr.shape();
+        let mut q = Mat::zeros(m, n);
+        for i in 0..n {
+            q[(i, i)] = T::one();
+        }
+        for k in (0..n).rev() {
+            let v = reflector_vector(&qr.qr, k);
+            apply_reflector(&v, k, qr.tau[k], &mut q, 0);
+        }
+        q
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
+        v.iter().map(|v| (v.re().to_bits(), v.im().to_bits())).collect()
+    }
+
+    fn assert_matches_references<T: Scalar>(a: Mat<T>, what: &str) {
+        let pqr = PivotedQr::new(a.clone()).unwrap();
+        let (packed, tau, perm) = pivoted_reference(a.clone());
+        assert_eq!(pqr.perm, perm, "{what}: perm");
+        assert_eq!(bits(pqr.inner.qr.as_slice()), bits(packed.as_slice()), "{what}: R and reflectors");
+        assert_eq!(bits(&pqr.inner.tau), bits(&tau), "{what}: tau");
+        let q = pqr.thin_q();
+        assert_eq!(bits(q.as_slice()), bits(thin_q_reference(&pqr.inner).as_slice()), "{what}: pivoted Q");
+        let qr = Qr::new(a).unwrap();
+        assert_eq!(bits(qr.thin_q().as_slice()), bits(thin_q_reference(&qr).as_slice()), "{what}: Q");
+    }
+
+    #[test]
+    fn row_wise_norms_and_short_q_match_the_column_references() {
+        let mut rng = crate::SplitMix64::new(5);
+        for (k, &(m, n)) in [(1, 1), (5, 3), (7, 7), (40, 9), (130, 64), (200, 40)].iter().enumerate() {
+            // Graded columns, one exact duplicate and one zero column so
+            // the pivot order and the zero reflectors are exercised.
+            let mut a = DMat::from_fn(m, n, |_, j| rng.next_range(-1.0, 1.0) * 10f64.powi(-(j as i32 % 9)));
+            if n > 2 {
+                for i in 0..m {
+                    a[(i, n - 1)] = a[(i, 0)];
+                    a[(i, 1)] = 0.0;
+                }
+            }
+            assert_matches_references(a.clone(), &format!("real case {k}"));
+            let z = ZMat::from_fn(m, n, |i, j| c64::new(a[(i, j)], rng.next_range(-1.0, 1.0)));
+            assert_matches_references(z, &format!("complex case {k}"));
+        }
+        assert_matches_references(DMat::zeros(6, 4), "zeros");
+        // Two columns holding the same entries in opposite row order:
+        // with s = 2⁻²⁷, 1 + s² rounds to 1 but 4·s² + 1 does not, so
+        // only the ascending-row sum ranks the second column first.
+        let s = 2f64.powi(-27);
+        let a = DMat::from_fn(5, 3, |i, j| match j {
+            0 => [1.0, s, s, s, s][i],
+            1 => [s, s, s, s, 1.0][i],
+            _ => 0.1,
+        });
+        assert_eq!(PivotedQr::new(a.clone()).unwrap().perm()[0], 1);
+        assert_matches_references(a, "order-sensitive norms");
     }
 }

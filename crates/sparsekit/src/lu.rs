@@ -82,29 +82,32 @@ pub fn residual_norm<T: Scalar>(a: &Csc<T>, x: &numkit::Mat<T>, b: &numkit::Mat<
     assert_eq!(x.nrows(), a.ncols(), "residual_norm: x rows");
     assert_eq!(b.nrows(), a.nrows(), "residual_norm: b rows");
     assert_eq!(x.ncols(), b.ncols(), "residual_norm: column count");
-    let anorm = one_norm(a);
+    relative_residual(one_norm(a), x, b, |xj| a.mul_vec(xj))
+}
+
+/// `‖B − op(X)‖_max / (anorm·‖X‖_max + ‖B‖_max)`, column by column, or
+/// `NaN` as soon as a residual or solution modulus is NaN: the body of
+/// [`residual_norm`] and [`residual_norm_transpose`].
+fn relative_residual<T: Scalar>(
+    anorm: f64,
+    x: &numkit::Mat<T>,
+    b: &numkit::Mat<T>,
+    op: impl Fn(&[T]) -> Vec<T>,
+) -> f64 {
     let mut rmax = 0.0f64;
     let mut xmax = 0.0f64;
     let mut bmax = 0.0f64;
     for j in 0..x.ncols() {
         let xj = x.col(j);
-        let ax = a.mul_vec(&xj);
-        for i in 0..b.nrows() {
-            let r = (b[(i, j)] - ax[i]).abs();
-            // NaN propagates: max(NaN) via explicit check below.
-            if r.is_nan() {
-                return f64::NAN;
-            }
-            rmax = rmax.max(r);
-            bmax = bmax.max(b[(i, j)].abs());
+        let opx = op(&xj);
+        let r = max_modulus((0..b.nrows()).map(|i| (i, b[(i, j)] - opx[i])));
+        let xm = max_modulus(xj.iter().copied().enumerate());
+        if r.nan || xm.nan {
+            return f64::NAN;
         }
-        for v in &xj {
-            let m = v.abs();
-            if m.is_nan() {
-                return f64::NAN;
-            }
-            xmax = xmax.max(m);
-        }
+        rmax = rmax.max(r.max);
+        bmax = bmax.max(max_modulus((0..b.nrows()).map(|i| (i, b[(i, j)]))).max);
+        xmax = xmax.max(xm.max);
     }
     let denom = anorm * xmax + bmax;
     if denom == 0.0 {
@@ -165,39 +168,7 @@ pub fn residual_norm_transpose<T: Scalar>(
     assert_eq!(x.nrows(), a.nrows(), "residual_norm_transpose: x rows");
     assert_eq!(b.nrows(), a.ncols(), "residual_norm_transpose: b rows");
     assert_eq!(x.ncols(), b.ncols(), "residual_norm_transpose: column count");
-    let anorm = inf_norm(a);
-    let mut rmax = 0.0f64;
-    let mut xmax = 0.0f64;
-    let mut bmax = 0.0f64;
-    for j in 0..x.ncols() {
-        let xj = x.col(j);
-        let atx = transpose_mul_vec(a, &xj);
-        for i in 0..b.nrows() {
-            let r = (b[(i, j)] - atx[i]).abs();
-            if r.is_nan() {
-                return f64::NAN;
-            }
-            rmax = rmax.max(r);
-            bmax = bmax.max(b[(i, j)].abs());
-        }
-        for v in &xj {
-            let m = v.abs();
-            if m.is_nan() {
-                return f64::NAN;
-            }
-            xmax = xmax.max(m);
-        }
-    }
-    let denom = anorm * xmax + bmax;
-    if denom == 0.0 {
-        if rmax == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        rmax / denom
-    }
+    relative_residual(inf_norm(a), x, b, |xj| transpose_mul_vec(a, xj))
 }
 
 impl<T: Scalar> SparseLu<T> {
@@ -245,37 +216,38 @@ impl<T: Scalar> SparseLu<T> {
         let mut x = vec![T::zero(); n];
         let mut mark = vec![false; n];
         let mut topo: Vec<usize> = Vec::with_capacity(n);
-        let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
+        let mut dfs_stack: Vec<(usize, usize, usize)> = Vec::new();
         let mut ucol_scratch: Vec<(usize, T)> = Vec::new();
 
         for (j, &col) in q.iter().enumerate() {
             let (a_rows, a_vals) = a.col(col);
 
             // --- Symbolic: reach of pattern(A[:,q[j]]) through the L graph.
+            // A stack entry `(node, next, end)` walks the node's L column
+            // `l_rows[next..end]` (empty for a row not yet pivotal).
+            let children = |node: usize| match pinv[node] {
+                UNSET => (0, 0),
+                k => (l_colptr[k], l_colptr[k + 1]),
+            };
             topo.clear();
             for &start in a_rows {
                 if mark[start] {
                     continue;
                 }
-                dfs_stack.push((start, 0));
+                let (lo, hi) = children(start);
+                dfs_stack.push((start, lo, hi));
                 mark[start] = true;
-                while let Some(&(node, child)) = dfs_stack.last() {
-                    let k = pinv[node];
-                    let children: &[usize] = if k == UNSET {
-                        &[]
-                    } else {
-                        &l_rows[l_colptr[k]..l_colptr[k + 1]]
-                    };
-                    if child < children.len() {
-                        let c = children[child];
-                        let top = dfs_stack.len() - 1;
-                        dfs_stack[top].1 += 1;
+                while let Some(top) = dfs_stack.last_mut() {
+                    if top.1 < top.2 {
+                        let c = l_rows[top.1];
+                        top.1 += 1;
                         if !mark[c] {
                             mark[c] = true;
-                            dfs_stack.push((c, 0));
+                            let (lo, hi) = children(c);
+                            dfs_stack.push((c, lo, hi));
                         }
                     } else {
-                        topo.push(node);
+                        topo.push(top.0);
                         dfs_stack.pop();
                     }
                 }
@@ -302,26 +274,17 @@ impl<T: Scalar> SparseLu<T> {
                 }
             }
 
-            // --- Pivot among non-pivotal rows of the pattern.
-            let mut piv_row = UNSET;
-            let mut piv_mag = 0.0;
-            for &s in &topo {
-                if pinv[s] == UNSET {
-                    let m = x[s].abs();
-                    if m > piv_mag {
-                        piv_mag = m;
-                        piv_row = s;
-                    }
-                }
-            }
-            if piv_row == UNSET || piv_mag == 0.0 {
+            // --- Pivot among non-pivotal rows of the pattern: the first
+            // of largest modulus in `topo` order.
+            let candidates = topo.iter().filter(|&&s| pinv[s] == UNSET).map(|&s| (s, x[s]));
+            let Some(piv_row) = max_modulus(candidates).key else {
                 // Clean scratch before erroring.
                 for &s in &topo {
                     x[s] = T::zero();
                     mark[s] = false;
                 }
                 return Err(NumError::Singular { pivot: col });
-            }
+            };
             let ujj = x[piv_row];
 
             // --- Store U column j (pivotal rows, ascending, diagonal
@@ -656,14 +619,8 @@ impl<T: Scalar> SparseLu<T> {
                 Ok(z) => z,
                 Err(_) => return 0.0,
             };
-            let (mut zmax, mut j) = (0.0f64, 0usize);
-            for (i, v) in z.iter().enumerate() {
-                let m = v.abs();
-                if m > zmax {
-                    zmax = m;
-                    j = i;
-                }
-            }
+            let top = max_modulus(z.iter().copied().enumerate());
+            let (zmax, j) = (top.max, top.key.unwrap_or(0));
             if !zmax.is_finite() || j == last_j {
                 break;
             }
@@ -854,7 +811,7 @@ impl SymbolicLu {
             }
 
             let ujj = x[j];
-            if ujj == T::zero() || !ujj.abs().is_finite() {
+            if ujj == T::zero() || !modulus_is_finite(ujj) {
                 return Err(NumError::Singular { pivot: col });
             }
             u_vals.push(ujj);
@@ -889,12 +846,772 @@ impl SymbolicLu {
 
 /// Pivot growth `max|U| / max|A|` (1.0 for an empty matrix).
 fn pivot_growth_of<T: Scalar>(a_vals: &[T], u_vals: &[T]) -> f64 {
-    let a_max = a_vals.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-    let u_max = u_vals.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
+    let a_max = max_modulus(a_vals.iter().copied().enumerate()).max;
+    let u_max = max_modulus(u_vals.iter().copied().enumerate()).max;
     if a_max == 0.0 {
         1.0
     } else {
         u_max / a_max
+    }
+}
+
+/// The outcome of [`max_modulus`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MaxModulus<K> {
+    /// Key of the first entry of largest modulus; `None` when no
+    /// modulus exceeds zero.
+    key: Option<K>,
+    /// The largest modulus (`0.0` when none exceeds zero). NaN moduli
+    /// are skipped.
+    max: f64,
+    /// Whether some modulus was NaN.
+    nan: bool,
+}
+
+/// Relative margin below the largest squared modulus inside which
+/// entries are re-ranked by their exact modulus: 32 ε, far above the
+/// few-ulp disagreement between `|z|²` rounded and `hypot` rounded.
+const RERANK_MARGIN: f64 = 32.0 * f64::EPSILON;
+
+/// Range of the largest squared modulus in which squares keep full
+/// relative precision (no overflow above, no subnormal loss below).
+const SQ_RANGE: std::ops::RangeInclusive<f64> = 1e-280..=1e280;
+
+/// The largest modulus `|v|` among `items` (`hypot` for complex values)
+/// and the key of its first occurrence, exactly as a left-to-right
+/// `if |v| > best` scan from `best = 0` finds them.
+///
+/// A complex modulus is a `hypot` call, so the scan first ranks entries
+/// by their squared modulus, which needs no square root, and takes the
+/// exact modulus only of the entries within [`RERANK_MARGIN`] of the
+/// largest square: every other entry's modulus is strictly smaller than
+/// that entry's, so it can neither win nor tie. When a squared modulus
+/// is not finite (NaN, infinity or overflow), or the largest lies
+/// outside [`SQ_RANGE`], the scan takes every modulus, so NaN and
+/// infinite entries are treated exactly as before.
+fn max_modulus<K: Copy, T: Scalar>(items: impl Iterator<Item = (K, T)> + Clone) -> MaxModulus<K> {
+    if !T::IS_COMPLEX {
+        return modulus_scan(items);
+    }
+    let mut sq_max = 0.0f64;
+    for (_, v) in items.clone() {
+        let sq = v.abs_sq();
+        // `!(sq <= MAX)` is also true for NaN.
+        if !(sq <= f64::MAX) {
+            return modulus_scan(items);
+        }
+        sq_max = sq_max.max(sq);
+    }
+    if !SQ_RANGE.contains(&sq_max) {
+        return modulus_scan(items);
+    }
+    let floor = sq_max * (1.0 - RERANK_MARGIN);
+    modulus_scan(items.filter(|(_, v)| v.abs_sq() >= floor))
+}
+
+/// The plain `if |v| > best` scan behind [`max_modulus`].
+fn modulus_scan<K: Copy, T: Scalar>(items: impl Iterator<Item = (K, T)>) -> MaxModulus<K> {
+    let mut best = MaxModulus { key: None, max: 0.0, nan: false };
+    for (k, v) in items {
+        let m = v.abs();
+        best.nan |= m.is_nan();
+        if m > best.max {
+            best.key = Some(k);
+            best.max = m;
+        }
+    }
+    best
+}
+
+/// `true` when `|v|` is finite, taking `hypot` only for an entry whose
+/// squared modulus is not finite (a finite square has a finite root).
+fn modulus_is_finite<T: Scalar>(v: T) -> bool {
+    v.abs_sq().is_finite() || v.abs().is_finite()
+}
+
+/// Test-only references for the fresh factorization's kernels, kept as
+/// they were before the indexed AMD heap, the range-carrying DFS stack
+/// and the squared-modulus maxima: a lazy-deletion `BinaryHeap` AMD, a
+/// DFS that re-derives each node's L column on every edge, and
+/// `hypot`-per-entry maxima. The tests assert that the production
+/// kernels reproduce them bit for bit — the column order, every L/U
+/// value, the pivot order and the pivot growth — on seeded matrices
+/// that include exact modulus ties, moduli one ulp apart, magnitudes
+/// near the limits of squaring, and NaN and infinite entries.
+#[cfg(test)]
+mod reference {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use numkit::{c64, Mat, NumError, Scalar, SplitMix64};
+
+    use super::{
+        inf_norm, max_modulus, modulus_is_finite, one_norm, residual_norm, residual_norm_transpose,
+        transpose_mul_vec, SparseLu, UNSET,
+    };
+    use crate::{Csc, Triplet};
+
+    /// Approximate minimum degree with a lazy-deletion heap: stale entries
+    /// (degree changed, or variable eliminated) are skipped on pop.
+    fn amd_order_lazy(n: usize, colptr: &[usize], rowidx: &[usize]) -> Vec<usize> {
+        let mut adj_start = vec![0usize; n + 1];
+        let offdiag = || {
+            (0..n).flat_map(move |j| rowidx[colptr[j]..colptr[j + 1]].iter().map(move |&i| (i, j)))
+        };
+        for (i, j) in offdiag().filter(|&(i, j)| i != j) {
+            adj_start[i + 1] += 1;
+            adj_start[j + 1] += 1;
+        }
+        for i in 0..n {
+            adj_start[i + 1] += adj_start[i];
+        }
+        let mut adj = vec![0usize; adj_start[n]];
+        let mut adj_len = vec![0usize; n];
+        for (i, j) in offdiag().filter(|&(i, j)| i != j) {
+            adj[adj_start[i] + adj_len[i]] = j;
+            adj_len[i] += 1;
+            adj[adj_start[j] + adj_len[j]] = i;
+            adj_len[j] += 1;
+        }
+        let mut mark = vec![usize::MAX; n];
+        for i in 0..n {
+            let s = adj_start[i];
+            let mut len = 0;
+            for k in s..s + adj_len[i] {
+                let v = adj[k];
+                if mark[v] != i {
+                    mark[v] = i;
+                    adj[s + len] = v;
+                    len += 1;
+                }
+            }
+            adj_len[i] = len;
+        }
+        let mut degree = adj_len.clone();
+        let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
+            (0..n).map(|i| Reverse((degree[i], i))).collect();
+        let mut elem: Vec<usize> = Vec::with_capacity(adj.len() + n);
+        let (mut elem_start, mut elem_len) = (vec![0usize; n], vec![0usize; n]);
+        let mut vel: Vec<usize> = Vec::with_capacity(adj.len() + n);
+        let (mut vel_start, mut vel_len) = (vec![0usize; n], vec![0usize; n]);
+        let (mut w, mut w_tag) = (vec![0usize; n], vec![usize::MAX; n]);
+        let mut order = Vec::with_capacity(n);
+
+        while let Some(Reverse((d, p))) = heap.pop() {
+            if d != degree[p] {
+                continue;
+            }
+            let step = order.len();
+            let tag = n + step;
+            order.push(p);
+            degree[p] = usize::MAX;
+            mark[p] = tag;
+            let lp_start = elem.len();
+            for k in adj_start[p]..adj_start[p] + adj_len[p] {
+                let v = adj[k];
+                if mark[v] != tag {
+                    mark[v] = tag;
+                    elem.push(v);
+                }
+            }
+            for k in vel_start[p]..vel_start[p] + vel_len[p] {
+                let e = vel[k];
+                for m in elem_start[e]..elem_start[e] + elem_len[e] {
+                    let v = elem[m];
+                    if mark[v] != tag {
+                        mark[v] = tag;
+                        elem.push(v);
+                    }
+                }
+                (w_tag[e], w[e]) = (tag, 0);
+            }
+            let lp_len = elem.len() - lp_start;
+            (elem_start[p], elem_len[p]) = (lp_start, lp_len);
+            for k in lp_start..lp_start + lp_len {
+                let i = elem[k];
+                for m in vel_start[i]..vel_start[i] + vel_len[i] {
+                    let e = vel[m];
+                    if w_tag[e] != tag {
+                        (w_tag[e], w[e]) = (tag, elem_len[e]);
+                    }
+                    w[e] = w[e].saturating_sub(1);
+                }
+            }
+            let live = n - step - 1;
+            for k in lp_start..lp_start + lp_len {
+                let i = elem[k];
+                let start = vel.len();
+                let mut external = 0;
+                for m in vel_start[i]..vel_start[i] + vel_len[i] {
+                    let e = vel[m];
+                    if w[e] > 0 {
+                        external += w[e];
+                        vel.push(e);
+                    }
+                }
+                vel.push(p);
+                (vel_start[i], vel_len[i]) = (start, vel.len() - start);
+                let s = adj_start[i];
+                let mut len = 0;
+                for m in s..s + adj_len[i] {
+                    let v = adj[m];
+                    if mark[v] != tag {
+                        adj[s + len] = v;
+                        len += 1;
+                    }
+                }
+                adj_len[i] = len;
+                let d = (len + lp_len - 1 + external).min(degree[i] + lp_len - 1).min(live - 1);
+                if d != degree[i] {
+                    degree[i] = d;
+                    heap.push(Reverse((d, i)));
+                }
+            }
+        }
+        order
+    }
+
+    /// `max|v|` by one `hypot` per entry.
+    fn hypot_fold<T: Scalar>(vals: &[T]) -> f64 {
+        vals.iter().map(|v| v.abs()).fold(0.0f64, f64::max)
+    }
+
+    /// The first strict maximum of `|v|` from `best = 0`, one `hypot` per
+    /// entry: `(index, modulus, saw NaN)`.
+    fn hypot_scan<T: Scalar>(vals: &[T]) -> (Option<usize>, f64, bool) {
+        let (mut key, mut max, mut nan) = (None, 0.0f64, false);
+        for (i, v) in vals.iter().enumerate() {
+            let m = v.abs();
+            nan |= m.is_nan();
+            if m > max {
+                key = Some(i);
+                max = m;
+            }
+        }
+        (key, max, nan)
+    }
+
+    /// The fresh factorization with the reference AMD, DFS, pivot search and
+    /// pivot growth.
+    fn factor_reference<T: Scalar>(a: &Csc<T>) -> Result<SparseLu<T>, NumError> {
+        let n = a.nrows();
+        if n != a.ncols() {
+            return Err(NumError::NotSquare { rows: n, cols: a.ncols() });
+        }
+        let q = amd_order_lazy(n, a.colptr(), a.rowidx());
+        let mut pinv = vec![UNSET; n];
+        let mut p = Vec::with_capacity(n);
+        let mut l_colptr = vec![0usize];
+        let mut l_rows: Vec<usize> = Vec::new();
+        let mut l_vals: Vec<T> = Vec::new();
+        let mut u_colptr = vec![0usize];
+        let mut u_rows: Vec<usize> = Vec::new();
+        let mut u_vals: Vec<T> = Vec::new();
+        let mut x = vec![T::zero(); n];
+        let mut mark = vec![false; n];
+        let mut topo: Vec<usize> = Vec::with_capacity(n);
+        let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
+        let mut ucol_scratch: Vec<(usize, T)> = Vec::new();
+
+        for (j, &col) in q.iter().enumerate() {
+            let (a_rows, a_vals) = a.col(col);
+            topo.clear();
+            for &start in a_rows {
+                if mark[start] {
+                    continue;
+                }
+                dfs_stack.push((start, 0));
+                mark[start] = true;
+                while let Some(&(node, child)) = dfs_stack.last() {
+                    let k = pinv[node];
+                    let children: &[usize] =
+                        if k == UNSET { &[] } else { &l_rows[l_colptr[k]..l_colptr[k + 1]] };
+                    if child < children.len() {
+                        let c = children[child];
+                        let top = dfs_stack.len() - 1;
+                        dfs_stack[top].1 += 1;
+                        if !mark[c] {
+                            mark[c] = true;
+                            dfs_stack.push((c, 0));
+                        }
+                    } else {
+                        topo.push(node);
+                        dfs_stack.pop();
+                    }
+                }
+            }
+            for (&r, &v) in a_rows.iter().zip(a_vals) {
+                x[r] = v;
+            }
+            for &s in topo.iter().rev() {
+                let k = pinv[s];
+                if k == UNSET {
+                    continue;
+                }
+                let xs = x[s];
+                if xs == T::zero() {
+                    continue;
+                }
+                for idx in l_colptr[k]..l_colptr[k + 1] {
+                    let r = l_rows[idx];
+                    x[r] -= l_vals[idx] * xs;
+                }
+            }
+            let mut piv_row = UNSET;
+            let mut piv_mag = 0.0;
+            for &s in &topo {
+                if pinv[s] == UNSET {
+                    let m = x[s].abs();
+                    if m > piv_mag {
+                        piv_mag = m;
+                        piv_row = s;
+                    }
+                }
+            }
+            if piv_row == UNSET || piv_mag == 0.0 {
+                return Err(NumError::Singular { pivot: col });
+            }
+            let ujj = x[piv_row];
+            ucol_scratch.clear();
+            for &s in &topo {
+                let k = pinv[s];
+                if k != UNSET {
+                    ucol_scratch.push((k, x[s]));
+                }
+            }
+            ucol_scratch.sort_unstable_by_key(|&(k, _)| k);
+            for &(k, v) in &ucol_scratch {
+                u_rows.push(k);
+                u_vals.push(v);
+            }
+            u_rows.push(j);
+            u_vals.push(ujj);
+            u_colptr.push(u_rows.len());
+            for &s in &topo {
+                if pinv[s] == UNSET && s != piv_row {
+                    l_rows.push(s);
+                    l_vals.push(x[s] / ujj);
+                }
+            }
+            l_colptr.push(l_rows.len());
+            pinv[piv_row] = j;
+            p.push(piv_row);
+            for &s in &topo {
+                x[s] = T::zero();
+                mark[s] = false;
+            }
+        }
+        for r in l_rows.iter_mut() {
+            *r = pinv[*r];
+        }
+        let a_max = hypot_fold(a.values());
+        let growth = if a_max == 0.0 { 1.0 } else { hypot_fold(&u_vals) / a_max };
+        Ok(SparseLu { n, l_colptr, l_rows, l_vals, u_colptr, u_rows, u_vals, p, q, growth })
+    }
+
+    /// `‖B − op(X)‖_max / (anorm·‖X‖_max + ‖B‖_max)` with one `hypot` per
+    /// entry and an early `NaN` return.
+    fn residual_reference<T: Scalar>(anorm: f64, x: &Mat<T>, b: &Mat<T>, op: impl Fn(&[T]) -> Vec<T>) -> f64 {
+        let (mut rmax, mut xmax, mut bmax) = (0.0f64, 0.0f64, 0.0f64);
+        for j in 0..x.ncols() {
+            let xj = x.col(j);
+            let ax = op(&xj);
+            for i in 0..b.nrows() {
+                let r = (b[(i, j)] - ax[i]).abs();
+                if r.is_nan() {
+                    return f64::NAN;
+                }
+                rmax = rmax.max(r);
+                bmax = bmax.max(b[(i, j)].abs());
+            }
+            for v in &xj {
+                let m = v.abs();
+                if m.is_nan() {
+                    return f64::NAN;
+                }
+                xmax = xmax.max(m);
+            }
+        }
+        let denom = anorm * xmax + bmax;
+        if denom == 0.0 {
+            if rmax == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        } else {
+            rmax / denom
+        }
+    }
+
+    fn bits<T: Scalar>(v: T) -> (u64, u64) {
+        (v.re().to_bits(), v.im().to_bits())
+    }
+
+    fn assert_same_factor<T: Scalar>(
+        got: &Result<SparseLu<T>, NumError>,
+        want: &Result<SparseLu<T>, NumError>,
+        what: &str,
+    ) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.q, w.q, "{what}: column order");
+                assert_eq!(g.p, w.p, "{what}: pivot order");
+                assert_eq!((&g.l_colptr, &g.l_rows), (&w.l_colptr, &w.l_rows), "{what}: L pattern");
+                assert_eq!((&g.u_colptr, &g.u_rows), (&w.u_colptr, &w.u_rows), "{what}: U pattern");
+                let vals = |lu: &SparseLu<T>| {
+                    lu.l_vals.iter().chain(&lu.u_vals).map(|&v| bits(v)).collect::<Vec<_>>()
+                };
+                assert!(vals(g) == vals(w), "{what}: L/U values differ");
+                assert_eq!(g.growth.to_bits(), w.growth.to_bits(), "{what}: growth");
+            }
+            (Err(g), Err(w)) => assert_eq!(format!("{g:?}"), format!("{w:?}"), "{what}: error"),
+            _ => panic!("{what}: {:?} vs reference {:?}", got.is_ok(), want.is_ok()),
+        }
+    }
+
+    /// A value family for the seeded matrices.
+    #[derive(Clone, Copy, Debug)]
+    enum Values {
+        /// Uniform real and imaginary parts in `[-2, 2)`.
+        Generic,
+        /// Exact modulus ties: `3+4i`, `5`, `4+3i` and their sign/axis
+        /// variants, so several candidates share one `hypot` value.
+        Ties,
+        /// Moduli one ulp apart around 5, and around 1e154 and 1e-154.
+        Ulp,
+        /// Every entry scaled by `10^k` for one `k` per matrix near the
+        /// squaring limits: ±150…±158 and ±296…±305.
+        Extreme,
+        /// Every entry scaled by its own `10^k`, `k` in `[-310, 310]`.
+        Mixed,
+        /// Generic values with a few NaN and ±inf components.
+        Special,
+    }
+
+    const FAMILIES: [Values; 6] =
+        [Values::Generic, Values::Ties, Values::Ulp, Values::Extreme, Values::Mixed, Values::Special];
+
+    /// One complex value of `family`; `scale` is the per-matrix magnitude.
+    fn draw(rng: &mut SplitMix64, family: Values, scale: f64) -> c64 {
+        let generic = |rng: &mut SplitMix64| c64::new(rng.next_range(-2.0, 2.0), rng.next_range(-2.0, 2.0));
+        match family {
+            Values::Generic => generic(rng),
+            Values::Ties => {
+                const TIES: [(f64, f64); 8] = [
+                    (3.0, 4.0),
+                    (5.0, 0.0),
+                    (4.0, 3.0),
+                    (0.0, 5.0),
+                    (-3.0, 4.0),
+                    (-5.0, 0.0),
+                    (4.0, -3.0),
+                    (0.0, -5.0),
+                ];
+                let (re, im) = TIES[rng.next_usize(TIES.len())];
+                // Powers of two keep the ties exact at every step.
+                let k = [0.25, 0.5, 1.0, 2.0][rng.next_usize(4)];
+                c64::new(re * k, im * k)
+            }
+            Values::Ulp => {
+                let base: f64 = [5.0, 5e153, 5e-154][rng.next_usize(3)];
+                let up = f64::from_bits(base.to_bits() + rng.next_usize(3) as u64);
+                match rng.next_usize(3) {
+                    0 => c64::new(up, 0.0),
+                    1 => c64::new(0.0, -up),
+                    _ => c64::new(up * 0.6, up * 0.8),
+                }
+            }
+            Values::Extreme => generic(rng).scale(scale),
+            Values::Mixed => {
+                let k = rng.next_usize(621) as i32 - 310;
+                generic(rng).scale(10f64.powi(k))
+            }
+            Values::Special => {
+                let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                let mut z = generic(rng);
+                if rng.next_usize(12) == 0 {
+                    let s = special[rng.next_usize(3)];
+                    if rng.next_usize(2) == 0 {
+                        z.re = s;
+                    } else {
+                        z.im = s;
+                    }
+                }
+                z
+            }
+        }
+    }
+
+    /// A seeded square pattern: a random share of diagonal entries (so some
+    /// matrices are structurally singular) plus random off-diagonals.
+    fn seeded_matrix(seed: u64) -> (Csc<c64>, Values) {
+        let mut rng = SplitMix64::new(seed);
+        let n = 1 + rng.next_usize(40);
+        let family = FAMILIES[(seed % 6) as usize];
+        let scale = {
+            let k = [150, 153, 154, 155, 158, 296, 300, 305][rng.next_usize(8)];
+            if rng.next_usize(2) == 0 {
+                10f64.powi(k)
+            } else {
+                10f64.powi(-k)
+            }
+        };
+        let diag_every = 1 + rng.next_usize(8);
+        let fill = rng.next_usize(4 * n + 1);
+        let mut t = Triplet::new(n, n);
+        for i in 0..n {
+            if i % diag_every != 0 || rng.next_usize(5) > 0 {
+                let d = draw(&mut rng, family, scale);
+                t.push(i, i, d + d.scale(4.0));
+            }
+        }
+        for _ in 0..fill {
+            let (i, j) = (rng.next_usize(n), rng.next_usize(n));
+            t.push(i, j, draw(&mut rng, family, scale));
+        }
+        (t.to_csc(), family)
+    }
+
+    /// `jω·C + G` for unit capacitors and unit conductances along `edges`,
+    /// node 0 grounded.
+    fn rc_pencil(n: usize, edges: &[(usize, usize)], w: f64) -> Csc<c64> {
+        let g = c64::ONE;
+        let mut t = Triplet::<c64>::new(n, n);
+        t.push(0, 0, g);
+        for i in 0..n {
+            t.push(i, i, c64::new(0.0, w));
+        }
+        for &(i, j) in edges {
+            t.push(i, i, g);
+            t.push(j, j, g);
+            t.push(i, j, -g);
+            t.push(j, i, -g);
+        }
+        t.to_csc()
+    }
+
+    fn grid_edges(side: usize) -> Vec<(usize, usize)> {
+        let mut edges = Vec::new();
+        for k in 0..side * side {
+            if k % side + 1 < side {
+                edges.push((k, k + 1));
+            }
+            if k + side < side * side {
+                edges.push((k, k + side));
+            }
+        }
+        edges
+    }
+
+    /// The scrambled 13-unknown MNA pencil of the unit tests: an RC ladder,
+    /// two voltage sources and an inductor, indices through `5i + 3 mod 13`.
+    fn mna_pencil(s: c64) -> Csc<c64> {
+        let n = 13;
+        let perm = |i: usize| (5 * i + 3) % n;
+        let mut t = Triplet::<c64>::new(n, n);
+        let mut push = |i: usize, j: usize, v: c64| t.push(perm(i), perm(j), v);
+        let (g, c) = (c64::from_real(0.1), 0.1);
+        for k in 0..10 {
+            push(k, k, s.scale(c));
+            if k + 1 < 10 {
+                push(k, k, g);
+                push(k + 1, k + 1, g);
+                push(k, k + 1, -g);
+                push(k + 1, k, -g);
+            }
+        }
+        push(9, 9, g);
+        for (branch, node) in [(10, 0), (11, 6)] {
+            push(node, branch, c64::ONE);
+            push(branch, node, c64::ONE);
+        }
+        push(3, 12, c64::ONE);
+        push(7, 12, -c64::ONE);
+        push(12, 3, c64::ONE);
+        push(12, 7, -c64::ONE);
+        push(12, 12, -s.scale(0.05));
+        t.to_csc()
+    }
+
+    #[test]
+    fn indexed_heap_amd_matches_the_lazy_heap_order() {
+        let mut patterns: Vec<Csc<c64>> = (0..400).map(|seed| seeded_matrix(seed).0).collect();
+        patterns.push(rc_pencil(34 * 34, &grid_edges(34), 0.7));
+        let tree: Vec<(usize, usize)> = (1..1023).map(|k| ((k - 1) / 2, k)).collect();
+        patterns.push(rc_pencil(1023, &tree, 0.7));
+        patterns.push(mna_pencil(c64::new(0.2, 1.3)));
+        for (k, a) in patterns.iter().enumerate() {
+            let n = a.nrows();
+            assert_eq!(
+                crate::ordering::amd_order(n, a.colptr(), a.rowidx()),
+                amd_order_lazy(n, a.colptr(), a.rowidx()),
+                "pattern {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn fresh_factorization_matches_the_reference_bit_for_bit() {
+        let mut checked = [0usize; 6];
+        let mut singular = 0;
+        for seed in 0..1200u64 {
+            let (a, family) = seeded_matrix(seed);
+            let got = SparseLu::new(&a);
+            assert_same_factor(&got, &factor_reference(&a), &format!("seed {seed} ({family:?})"));
+            singular += usize::from(got.is_err());
+            checked[(seed % 6) as usize] += 1;
+            // The real part alone exercises the `f64` instantiation.
+            let re = a.map(|v| v.re);
+            assert_same_factor(&SparseLu::new(&re), &factor_reference(&re), &format!("seed {seed} real"));
+        }
+        assert!(checked.iter().all(|&c| c >= 200), "{checked:?}");
+        // The families must reach both outcomes.
+        assert!(singular > 50 && singular < 1000, "{singular} singular of 1200");
+
+        let tree: Vec<(usize, usize)> = (1..1023).map(|k| ((k - 1) / 2, k)).collect();
+        for w in [0.0, 0.7, 1e3] {
+            let grid = rc_pencil(34 * 34, &grid_edges(34), w);
+            assert_same_factor(&SparseLu::new(&grid), &factor_reference(&grid), &format!("grid w {w}"));
+            let tree = rc_pencil(1023, &tree, w);
+            assert_same_factor(&SparseLu::new(&tree), &factor_reference(&tree), &format!("tree w {w}"));
+        }
+        for s in [c64::new(0.2, 1.3), c64::new(0.0, 7.0), c64::new(0.0, 1e-9), c64::new(3e5, 0.0)] {
+            let a = mna_pencil(s);
+            assert_same_factor(&SparseLu::new(&a), &factor_reference(&a), &format!("mna s {s}"));
+        }
+    }
+
+    #[test]
+    fn refactor_growth_and_pivot_check_match_the_hypot_forms() {
+        for seed in 0..600u64 {
+            let (a, _) = seeded_matrix(seed);
+            let Ok(lu) = SparseLu::new(&a) else { continue };
+            let sym = lu.symbolic(&a);
+            // The same pattern with fresh values of the same family, at a
+            // magnitude where squares overflow for the Extreme family.
+            let mut rng = SplitMix64::new(seed ^ 0x5eed);
+            let fam = FAMILIES[(seed % 6) as usize];
+            let vals: Vec<c64> = a.values().iter().map(|_| draw(&mut rng, fam, 1e154)).collect();
+            let a2 = Csc::from_raw_parts(a.nrows(), a.ncols(), a.colptr().to_vec(), a.rowidx().to_vec(), vals);
+            match sym.refactor(&a2) {
+                Ok(re) => {
+                    let a_max = hypot_fold(a2.values());
+                    let want = if a_max == 0.0 { 1.0 } else { hypot_fold(&re.u_vals) / a_max };
+                    assert_eq!(re.growth.to_bits(), want.to_bits(), "seed {seed}");
+                    // Every accepted pivot passed the `hypot` finiteness check.
+                    for k in 0..re.n {
+                        let d = re.u_vals[re.u_colptr[k + 1] - 1];
+                        assert!(d.abs().is_finite(), "seed {seed} pivot {k}");
+                    }
+                }
+                Err(e) => assert!(matches!(e, NumError::Singular { .. }), "seed {seed}: {e:?}"),
+            }
+        }
+    }
+
+    /// Edge-case values for the moduli helpers.
+    fn edge_values() -> Vec<c64> {
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut v = vec![
+            c64::new(3.0, 4.0),
+            c64::new(5.0, 0.0),
+            c64::new(4.0, 3.0),
+            c64::new(-5.0, 0.0),
+            c64::new(0.0, up(5.0)),
+            c64::new(up(3.0), 4.0),
+            c64::ZERO,
+            c64::new(-0.0, 0.0),
+            c64::new(1e154, 1e154),
+            c64::new(1.4e154, 0.0),
+            c64::new(1e-154, -1e-154),
+            c64::new(1e300, 1e300),
+            c64::new(1e-300, 0.0),
+            c64::new(1e-310, 3e-310),
+            // Subnormal squares that rank these two the wrong way round:
+            // the first has the larger modulus but the smaller square.
+            c64::new(6.5837318522906195e-161, 9.44140915995996e-161),
+            c64::new(8.918051085830124e-161, 7.276013005505119e-161),
+            c64::new(f64::MIN_POSITIVE, 0.0),
+            c64::new(1e200, 1e-200),
+            c64::new(f64::MAX, f64::MAX),
+            c64::new(f64::MAX, 0.0),
+            c64::new(f64::NAN, 1.0),
+            c64::new(1.0, f64::NAN),
+            c64::new(f64::INFINITY, f64::NAN),
+            c64::new(f64::NAN, f64::NEG_INFINITY),
+            c64::new(f64::INFINITY, 0.0),
+            c64::new(0.0, f64::NEG_INFINITY),
+        ];
+        for e in [-300, -161, -158, -154, -140, 0, 140, 154, 300] {
+            let s = 10f64.powi(e);
+            v.extend([c64::new(3.0 * s, 4.0 * s), c64::new(5.0 * s, 0.0), c64::new(4.0 * s, 3.0 * s)]);
+            v.push(c64::new(up(5.0 * s), 0.0));
+        }
+        v
+    }
+
+    #[test]
+    fn max_modulus_matches_the_hypot_scan() {
+        let edges = edge_values();
+        let check = |vals: &[c64], what: &str| {
+            let got = max_modulus(vals.iter().copied().enumerate());
+            let (key, max, nan) = hypot_scan(vals);
+            assert_eq!((got.key, got.max.to_bits(), got.nan), (key, max.to_bits(), nan), "{what}: {vals:?}");
+            assert_eq!(got.max.to_bits(), hypot_fold(vals).to_bits(), "{what}");
+            let re: Vec<f64> = vals.iter().map(|v| v.re).collect();
+            let got = max_modulus(re.iter().copied().enumerate());
+            let (key, max, nan) = hypot_scan(&re);
+            assert_eq!((got.key, got.max.to_bits(), got.nan), (key, max.to_bits(), nan), "{what} real");
+        };
+        check(&[], "empty");
+        for (i, &a) in edges.iter().enumerate() {
+            check(&[a], &format!("single {i}"));
+            for &b in &edges {
+                check(&[a, b], "pair");
+                check(&[b, a, b], "triple");
+            }
+        }
+        // Seeded vectors drawn from the edge values, plus small random
+        // perturbations of them.
+        let mut rng = SplitMix64::new(7);
+        for k in 0..20_000 {
+            let len = 1 + rng.next_usize(12);
+            let vals: Vec<c64> = (0..len)
+                .map(|_| {
+                    let z = edges[rng.next_usize(edges.len())];
+                    match rng.next_usize(4) {
+                        0 => z,
+                        1 => z.scale(1.0 + rng.next_range(-1e-15, 1e-15)),
+                        // Coarse enough to reorder subnormal squares.
+                        2 => c64::new(z.re * (1.0 + rng.next_range(-1e-3, 1e-3)), z.im),
+                        _ => c64::new(z.im, z.re),
+                    }
+                })
+                .collect();
+            check(&vals, &format!("seeded {k}"));
+        }
+        // The finiteness check of a refactor pivot.
+        for &z in &edges {
+            assert_eq!(modulus_is_finite(z), z.abs().is_finite(), "{z:?}");
+            assert_eq!(modulus_is_finite(z.re), z.re.abs().is_finite(), "{z:?}");
+        }
+    }
+
+    #[test]
+    fn residual_norms_match_the_hypot_forms() {
+        for seed in 0..600u64 {
+            let (a, family) = seeded_matrix(seed);
+            let n = a.nrows();
+            let mut rng = SplitMix64::new(seed + 77);
+            let scale = [1.0, 1e150, 1e-150, 1e300][rng.next_usize(4)];
+            let x = Mat::from_fn(n, 2, |_, _| draw(&mut rng, family, scale));
+            let b = Mat::from_fn(n, 2, |_, _| draw(&mut rng, family, scale));
+            let want = residual_reference(one_norm(&a), &x, &b, |xj| a.mul_vec(xj));
+            assert_eq!(residual_norm(&a, &x, &b).to_bits(), want.to_bits(), "seed {seed}");
+            let want = residual_reference(inf_norm(&a), &x, &b, |xj| transpose_mul_vec(&a, xj));
+            assert_eq!(residual_norm_transpose(&a, &x, &b).to_bits(), want.to_bits(), "seed {seed} transpose");
+        }
     }
 }
 

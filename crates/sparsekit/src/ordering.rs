@@ -13,10 +13,86 @@
 //!
 //! Storage is flat: the variable adjacency is a CSR array pruned in
 //! place, and element member lists and per-variable element lists live
-//! in append-only arenas addressed by `(start, len)` pairs.
+//! in append-only arenas addressed by `(start, len)` pairs. The live
+//! variables sit in an indexed binary heap keyed by `(degree, index)`,
+//! so a degree change re-sifts the variable in place and every pop is a
+//! live variable.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+/// A binary min-heap of the live variables keyed by `(degree[v], v)`,
+/// with each variable's slot tracked so a degree update re-sifts it in
+/// place instead of leaving a stale entry behind.
+struct DegreeHeap {
+    heap: Vec<usize>,
+    /// `slot[v]` = position of variable `v` in `heap`.
+    slot: Vec<usize>,
+}
+
+impl DegreeHeap {
+    /// Heapifies the variables `0..degree.len()`.
+    fn new(degree: &[usize]) -> Self {
+        let n = degree.len();
+        let mut h = DegreeHeap { heap: (0..n).collect(), slot: (0..n).collect() };
+        for i in (0..n / 2).rev() {
+            h.sift_down(degree, i);
+        }
+        h
+    }
+
+    fn less(degree: &[usize], a: usize, b: usize) -> bool {
+        (degree[a], a) < (degree[b], b)
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.slot[self.heap[i]] = i;
+        self.slot[self.heap[j]] = j;
+    }
+
+    fn sift_up(&mut self, degree: &[usize], mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::less(degree, self.heap[i], self.heap[parent]) {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, degree: &[usize], mut i: usize) {
+        loop {
+            let (l, r) = (2 * i + 1, 2 * i + 2);
+            let mut least = i;
+            if l < self.heap.len() && Self::less(degree, self.heap[l], self.heap[least]) {
+                least = l;
+            }
+            if r < self.heap.len() && Self::less(degree, self.heap[r], self.heap[least]) {
+                least = r;
+            }
+            if least == i {
+                break;
+            }
+            self.swap(i, least);
+            i = least;
+        }
+    }
+
+    /// Removes and returns the variable of least `(degree, index)`.
+    fn pop(&mut self, degree: &[usize]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.len() - 1;
+        self.swap(0, last);
+        self.heap.pop();
+        self.sift_down(degree, 0);
+        Some(top)
+    }
+
+    /// Restores the heap order after `degree[v]` changed.
+    fn update(&mut self, degree: &[usize], v: usize) {
+        self.sift_up(degree, self.slot[v]);
+        self.sift_down(degree, self.slot[v]);
+    }
+}
 
 /// Returns `q` with `q[k]` = the column eliminated at step `k`, for the
 /// `n × n` pattern given in CSC form (`colptr`, `rowidx`). Diagonal
@@ -59,12 +135,10 @@ pub(crate) fn amd_order(n: usize, colptr: &[usize], rowidx: &[usize]) -> Vec<usi
         adj_len[i] = len;
     }
 
-    // `degree[i]` is the live key of variable `i` in the heap; an
-    // eliminated variable's key is `usize::MAX`, so stale heap entries
-    // (degree changed or variable gone) are skipped on pop.
+    // `degree[i]` is the key of live variable `i` in the heap; an
+    // eliminated variable's degree is `usize::MAX`.
     let mut degree = adj_len.clone();
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|i| Reverse((degree[i], i))).collect();
+    let mut heap = DegreeHeap::new(&degree);
     // Element `e` holds `elem[elem_start[e]..+elem_len[e]]`; variable `i`
     // touches elements `vel[vel_start[i]..+vel_len[i]]`.
     let mut elem: Vec<usize> = Vec::with_capacity(adj.len() + n);
@@ -75,10 +149,7 @@ pub(crate) fn amd_order(n: usize, colptr: &[usize], rowidx: &[usize]) -> Vec<usi
     let (mut w, mut w_tag) = (vec![0usize; n], vec![usize::MAX; n]);
     let mut order = Vec::with_capacity(n);
 
-    while let Some(Reverse((d, p))) = heap.pop() {
-        if d != degree[p] {
-            continue;
-        }
+    while let Some(p) = heap.pop(&degree) {
         let step = order.len();
         let tag = n + step;
         order.push(p);
@@ -154,7 +225,7 @@ pub(crate) fn amd_order(n: usize, colptr: &[usize], rowidx: &[usize]) -> Vec<usi
             let d = (len + lp_len - 1 + external).min(degree[i] + lp_len - 1).min(live - 1);
             if d != degree[i] {
                 degree[i] = d;
-                heap.push(Reverse((d, i)));
+                heap.update(&degree, i);
             }
         }
     }

@@ -88,10 +88,13 @@ test -s BENCH_variants.json
 # accuracy on the 1024-state mesh with strictly fewer LU
 # factorizations (counter-delta-exact). Writes BENCH_greedy.json with
 # the full tol=0 accuracy-vs-solves curve; the binary exits non-zero
-# if the gate fails. See docs/SAMPLING.md section 9.
+# if the gate fails. See docs/SAMPLING.md section 9. The file holds no
+# timings, so it must come out byte-identical to the committed one:
+# any numeric drift in greedy selection fails here.
 echo "==> greedy accuracy-vs-solves gate (BENCH_greedy.json)"
 cargo run --release -q -p bench --bin greedy
 test -s BENCH_greedy.json
+git diff --exit-code -- BENCH_greedy.json
 
 # Service perf gate: the 1024-state mesh submitted to a live `serve`
 # scheduler over loopback TCP, cold (empty artifact cache) then warm

@@ -45,28 +45,15 @@
 //! PMTBR_THREADS=1 PMTBR_BLESS=1 cargo test --test golden_pipeline
 //! ```
 
+mod golden;
+
 use circuits::{rc_mesh, spread_ports};
+use golden::{assert_matches_fixture_at_any_thread_count, mat, record};
 use lti::dithered_square_inputs;
-use numkit::DMat;
 use pmtbr::{
     balanced_pmtbr, cross_gramian_pmtbr, input_correlated_pmtbr, pmtbr, InputCorrelatedOptions,
     PmtbrModel, PmtbrOptions, Sampling,
 };
-
-/// One named record: a matrix (or vector / scalar) as exact f64 bits.
-fn record(name: &str, nrows: usize, ncols: usize, data: impl Iterator<Item = f64>) -> String {
-    let mut line = format!("{name} {nrows} {ncols}");
-    for x in data {
-        line.push_str(&format!(" {:016x}", x.to_bits()));
-    }
-    line.push('\n');
-    line
-}
-
-fn mat(name: &str, m: &DMat) -> String {
-    let (r, c) = m.shape();
-    record(name, r, c, (0..r).flat_map(|i| (0..c).map(move |j| (i, j))).map(|ij| m[ij]))
-}
 
 fn model_records(tag: &str, m: &PmtbrModel) -> String {
     let mut out = String::new();
@@ -117,43 +104,9 @@ fn run_all_variants() -> String {
 
 #[test]
 fn pipeline_is_bit_identical_to_pre_refactor_fixture_at_any_thread_count() {
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/golden_pipeline.txt");
-
-    if std::env::var_os("PMTBR_BLESS").is_some() {
-        let text = run_all_variants();
-        std::fs::create_dir_all(fixture.parent().expect("fixture dir")).expect("mkdir");
-        std::fs::write(&fixture, text).expect("bless fixture");
-        return;
-    }
-
-    let blessed = std::fs::read_to_string(&fixture)
-        .expect("blessed fixture missing — run once with PMTBR_BLESS=1 to create it");
-
-    // `numkit::par::num_threads` reads PMTBR_THREADS dynamically, so one
-    // process can exercise serial, small-parallel, and oversubscribed
-    // fan-out. This test owns the env var: it is the only test in this
-    // binary that touches it.
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("PMTBR_THREADS", threads);
-        let got = run_all_variants();
-        assert!(
-            got == blessed,
-            "output diverged from the pre-refactor fixture at {threads} threads;\n\
-             first differing line:\n{}",
-            first_diff(&blessed, &got)
-        );
-    }
-    std::env::remove_var("PMTBR_THREADS");
-}
-
-fn first_diff(a: &str, b: &str) -> String {
-    for (la, lb) in a.lines().zip(b.lines()) {
-        if la != lb {
-            return format!("  blessed: {la}\n  got:     {lb}");
-        }
-    }
-    format!("(line count differs: {} vs {})", a.lines().count(), b.lines().count())
+    // This test owns PMTBR_THREADS: it is the only test in this binary
+    // that touches it.
+    assert_matches_fixture_at_any_thread_count("golden_pipeline.txt", run_all_variants);
 }
 
 #[test]
