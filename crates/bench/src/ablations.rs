@@ -133,12 +133,13 @@ pub fn order_control() -> Result<(), Box<dyn std::error::Error>> {
     // Incremental path: push block per frequency point, estimate each time.
     let t0 = std::time::Instant::now();
     let mut inc = IncrementalBasis::new(sys.nstates());
+    let mut s_inc: Vec<f64> = Vec::new();
     for pt in sampling.points()? {
         let z = sys.solve_shifted(pt.s, &b)?.scale(pt.weight.sqrt());
         inc.push_block(&realify_columns(&z, 1e-13))?;
+        s_inc = inc.singular_value_estimates()?;
     }
     let t_inc = t0.elapsed();
-    let s_inc = inc.singular_value_estimates()?;
     let mut worst: f64 = 0.0;
     for (a, b) in s_svd.iter().zip(&s_inc) {
         worst = worst.max((a - b).abs() / s_svd[0]);

@@ -9,6 +9,9 @@
 //! clock every stamp is a per-item event ordinal, so two runs that do
 //! the same numerical work produce the same bytes.
 //!
+//! A second test pins the `rung` events of the pipeline's injected-fault
+//! retries (cross-Gramian eigensolve, projection) under `PMTBR_FAULT`.
+//!
 //! Last re-bless: the artifact cache keeps finished models only. The
 //! sweep-level `cache_lookup` and `cache_store` spans are gone (later
 //! sequential items renumbered), the two remaining cache spans lost
@@ -113,4 +116,57 @@ fn trace_is_deterministic_and_matches_blessed_fixture() {
         "trace diverged from the blessed fixture; if the behavior change \
          is intentional, re-bless with PMTBR_BLESS=1"
     );
+}
+
+/// `(span, cand, attempt)` of every pipeline-stage `rung` event of a
+/// `reduce --method <method> --trace` run under the `PMTBR_FAULT` spec.
+fn stage_rungs(dir: &std::path::Path, method: &str, fault: &str) -> Vec<(String, String, u64)> {
+    let netlist = dir.join("tank.sp");
+    std::fs::write(&netlist, RLC_TANK).expect("write netlist");
+    let trace = dir.join(format!("{method}.jsonl"));
+    let out = Command::new(env!("CARGO_BIN_EXE_pmtbr-cli"))
+        .env("PMTBR_FAULT", fault)
+        .args(["reduce", netlist.to_str().expect("utf8 path"), "--method", method])
+        .args(["--order", "2", "--band", "2e9", "--samples", "8"])
+        .args(["--trace", trace.to_str().expect("utf8 path")])
+        .output()
+        .expect("run reduce --trace");
+    assert!(out.status.success(), "{method}: {}", String::from_utf8_lossy(&out.stderr));
+    let field = |line: &str, key: &str| -> String {
+        let rest = &line[line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3..];
+        rest.split([',', '}']).next().expect("value").trim_matches('"').to_string()
+    };
+    std::fs::read_to_string(&trace)
+        .expect("trace file written")
+        .lines()
+        .filter(|l| l.contains(r#""name":"rung""#) && l.contains(r#""stage":"#))
+        .map(|l| {
+            let attempt = field(l, "attempt").parse().expect("attempt");
+            (field(l, "span"), field(l, "cand"), attempt)
+        })
+        .collect()
+}
+
+/// The two single-computation retries of the pipeline: each poisoned
+/// attempt is one `rung` event; the eigensolve also traces its clean
+/// attempt, the projection does not.
+#[test]
+fn injected_fault_retries_trace_one_rung_per_attempt() {
+    let dir = std::env::temp_dir().join("pmtbr-trace-retries");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = |stage: &str| format!("seed=3,rate=1,kinds=nan,depth=2,stage={stage}");
+
+    let eig: Vec<u64> = stage_rungs(&dir, "cross", &spec("compress"))
+        .into_iter()
+        .filter(|(_, cand, _)| cand == "eig")
+        .map(|(_, _, attempt)| attempt)
+        .collect();
+    assert_eq!(eig, [0, 1, 2]);
+
+    let project: Vec<(String, u64)> = stage_rungs(&dir, "pmtbr", &spec("project"))
+        .into_iter()
+        .filter(|(span, _, _)| span == "pmtbr.project")
+        .map(|(_, cand, attempt)| (cand, attempt))
+        .collect();
+    assert_eq!(project, [("retry".to_string(), 0), ("retry".to_string(), 1)]);
 }

@@ -79,7 +79,8 @@ pub use system::LtiSystem;
 pub use tbr::{
     controllability_gramian, correlated_controllability_gramian, cross_gramian,
     cross_gramian_reduce, hankel_from_gramians, hankel_singular_values,
-    observability_gramian, tbr, tbr_error_bounds, tbr_from_gramians, tbr_residualized, TbrModel,
+    observability_gramian, realified_eigenbasis, square_root_bases, tbr, tbr_error_bounds,
+    tbr_from_gramians, tbr_residualized, EigBlock, TbrModel,
 };
 pub use tolerant::{
     NoFaults, RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, TolerantSweep,

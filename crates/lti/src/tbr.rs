@@ -6,7 +6,7 @@
 //! eigendecompositions (robust to numerical rank deficiency), and the
 //! projection bases come from the SVD of `Lyᵀ·Lx`.
 
-use numkit::{eig, psd_sqrt_factor, svd, DMat, Lu, NumError};
+use numkit::{eig, psd_sqrt_factor, svd, DMat, Eig, Lu, NumError, Svd};
 
 use crate::{lyap, sylvester, StateSpace};
 
@@ -147,23 +147,113 @@ pub fn tbr_from_gramians(
     // Numerical rank of the Hankel spectrum limits the realizable order.
     let rank = f.rank(1e-13).max(1);
     let q = order.min(rank);
-    // V = Lx·V_svd·Σ^{-1/2}, W = Ly·U_svd·Σ^{-1/2}, as blocked matmuls
-    // (ascending-k accumulation: bit-identical to the per-entry loops)
-    // followed by the balancing column scaling.
-    let mut v = lx.matmul(&f.v.leading_cols(q))?;
-    let mut w = ly.matmul(&f.u.leading_cols(q))?;
-    for j in 0..q {
-        let scale = 1.0 / f.s[j].sqrt();
-        for i in 0..sys.nstates() {
-            v[(i, j)] *= scale;
-            w[(i, j)] *= scale;
-        }
-    }
+    let (v, w) = square_root_bases(&lx, &ly, &f, q)?;
     let reduced = sys.project(&w, &v)?;
     let mut hsv = f.s.clone();
     hsv.resize(sys.nstates(), 0.0);
     let error_bound = 2.0 * hsv.iter().skip(q).sum::<f64>();
     Ok(TbrModel { reduced, hsv, error_bound, v, w })
+}
+
+/// Square-root balancing bases from Gramian factors `X = R·Rᵀ`,
+/// `Y = L·Lᵀ` and the SVD `f = U·Σ·Vᵀ` of `Lᵀ·R`:
+/// `V = R·V_q·Σ_q^{-1/2}` and `W = L·U_q·Σ_q^{-1/2}`, so `WᵀV = I`.
+/// Returns `(V, W)`. The one square-root kernel behind
+/// [`tbr_from_gramians`], [`tbr_residualized`] and the sampled
+/// (balanced PMTBR) factors `Z_R`, `Z_L` of `pmtbr`.
+///
+/// The products are blocked matmuls (ascending-k accumulation),
+/// followed by the column scaling `1/√σⱼ`.
+///
+/// # Errors
+///
+/// [`NumError::ShapeMismatch`] if `R` or `L` does not match `f`.
+///
+/// # Panics
+///
+/// Panics if `q` exceeds the number of singular values in `f`.
+pub fn square_root_bases(
+    r: &DMat,
+    l: &DMat,
+    f: &Svd<f64>,
+    q: usize,
+) -> Result<(DMat, DMat), NumError> {
+    let mut v = r.matmul(&f.v.leading_cols(q))?;
+    let mut w = l.matmul(&f.u.leading_cols(q))?;
+    for j in 0..q {
+        let scale = 1.0 / f.s[j].sqrt();
+        for m in [&mut v, &mut w] {
+            for i in 0..m.nrows() {
+                m[(i, j)] *= scale;
+            }
+        }
+    }
+    Ok((v, w))
+}
+
+/// One block of a realified eigendecomposition ([`realified_eigenbasis`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EigBlock {
+    /// A real eigenvalue `λ`, owning one column `Re v`.
+    Real(f64),
+    /// A conjugate pair `a ± bi`, owning two columns `[Re v, Im v]`.
+    Pair {
+        /// Real part `a`.
+        re: f64,
+        /// Imaginary part `b` of the member whose eigenvector `v` was
+        /// realified.
+        im: f64,
+    },
+}
+
+impl EigBlock {
+    /// Number of realified columns this block owns.
+    pub fn width(&self) -> usize {
+        match self {
+            EigBlock::Real(_) => 1,
+            EigBlock::Pair { .. } => 2,
+        }
+    }
+}
+
+/// Realifies an eigendecomposition of a real matrix, in its
+/// decreasing-modulus order: an eigenvalue with `|Im λ| > 1e-12·|λ|`
+/// (and a column left for its conjugate partner) becomes, with the
+/// partner, the pair block `[Re v, Im v]`; any other eigenvalue owns
+/// the one column `Re v`. Returns the real basis `T`, its blocks, and
+/// one modulus `|λ|` per column (a pair's twice). The one
+/// realification behind [`cross_gramian_reduce`] and the cross-Gramian
+/// compressor of `pmtbr`.
+pub fn realified_eigenbasis(e: &Eig) -> (DMat, Vec<EigBlock>, Vec<f64>) {
+    let n = e.values.len();
+    let mut t = DMat::zeros(n, n);
+    let mut blocks = Vec::with_capacity(n);
+    let mut moduli = Vec::with_capacity(n);
+    // Block `j` starts at column `j`: a pair's two columns stand in for
+    // its two eigenvalues.
+    let mut j = 0;
+    while j < n {
+        let lam = e.values[j];
+        let v = e.vectors.col(j);
+        if lam.im.abs() > 1e-12 * lam.abs().max(1e-300) && j + 1 < n {
+            for i in 0..n {
+                t[(i, j)] = v[i].re;
+                t[(i, j + 1)] = v[i].im;
+            }
+            blocks.push(EigBlock::Pair { re: lam.re, im: lam.im });
+            moduli.push(lam.abs());
+            moduli.push(lam.abs());
+            j += 2; // skip the conjugate partner
+        } else {
+            for i in 0..n {
+                t[(i, j)] = v[i].re;
+            }
+            blocks.push(EigBlock::Real(lam.re));
+            moduli.push(lam.abs());
+            j += 1;
+        }
+    }
+    (t, blocks, moduli)
 }
 
 /// TBR error bounds `2·Σ_{i>q} σᵢ` for every order `q = 0..n`.
@@ -209,19 +299,10 @@ pub fn tbr_residualized(sys: &StateSpace, order: usize) -> Result<TbrModel, NumE
         // Nothing to residualize: fall back to plain truncation.
         return tbr_from_gramians(sys, &x, &y, q);
     }
-    // Full balanced coordinates up to the numerical rank.
+    // Full balanced coordinates up to the numerical rank, for the
+    // residualization split.
     let n = sys.nstates();
-    // Same blocked balanced-coordinate assembly as [`tbr_from_gramians`],
-    // kept to the full numerical rank for the residualization split.
-    let mut v = lx.matmul(&f.v.leading_cols(rank))?;
-    let mut w = ly.matmul(&f.u.leading_cols(rank))?;
-    for j in 0..rank {
-        let scale = 1.0 / f.s[j].sqrt();
-        for i in 0..n {
-            v[(i, j)] *= scale;
-            w[(i, j)] *= scale;
-        }
-    }
+    let (v, w) = square_root_bases(&lx, &ly, &f, rank)?;
     let bal = sys.project(&w, &v)?;
     // Partition the balanced model and solve the weak block statically:
     // 0 = A21·x1 + A22·x2 + B2·u  ⇒  x2 = −A22⁻¹(A21·x1 + B2·u).
@@ -284,35 +365,8 @@ pub fn cross_gramian_reduce(sys: &StateSpace, order: usize) -> Result<TbrModel, 
         return Err(NumError::InvalidArgument("reduction order must be at least 1"));
     }
     let xcg = cross_gramian(sys)?;
-    let e = eig(&xcg)?;
     let n = sys.nstates();
-    // Realify the eigenvector matrix: conjugate pairs become [Re v, Im v].
-    let mut t = DMat::zeros(n, n);
-    let mut moduli = Vec::with_capacity(n);
-    let mut j = 0;
-    let mut col = 0;
-    while j < n {
-        let lam = e.values[j];
-        if lam.im.abs() > 1e-12 * lam.abs().max(1e-300) && j + 1 < n {
-            let v = e.vectors.col(j);
-            for i in 0..n {
-                t[(i, col)] = v[i].re;
-                t[(i, col + 1)] = v[i].im;
-            }
-            moduli.push(lam.abs());
-            moduli.push(lam.abs());
-            col += 2;
-            j += 2; // skip the conjugate partner
-        } else {
-            let v = e.vectors.col(j);
-            for i in 0..n {
-                t[(i, col)] = v[i].re;
-            }
-            moduli.push(lam.abs());
-            col += 1;
-            j += 1;
-        }
-    }
+    let (t, _, moduli) = realified_eigenbasis(&eig(&xcg)?);
     // Don't split a conjugate pair at the truncation boundary.
     let mut q = order.min(n);
     if q < n && (moduli[q - 1] - moduli[q]).abs() < 1e-12 * moduli[q.saturating_sub(1)].max(1e-300)

@@ -53,12 +53,6 @@ impl c64 {
         c64 { re, im: 0.0 }
     }
 
-    /// Creates `r·e^{iθ}` from polar coordinates.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        c64::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -293,7 +287,7 @@ mod tests {
 
     #[test]
     fn polar_roundtrip() {
-        let z = c64::from_polar(2.0, 1.234);
+        let z = c64::new(2.0 * 1.234f64.cos(), 2.0 * 1.234f64.sin());
         assert!((z.abs() - 2.0).abs() < 1e-15);
         assert!((z.arg() - 1.234).abs() < 1e-15);
     }

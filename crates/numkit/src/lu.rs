@@ -217,25 +217,6 @@ impl<T: Scalar> Lu<T> {
     pub fn inverse(&self) -> Result<Mat<T>, NumError> {
         self.solve_mat(&Mat::identity(self.dim()))
     }
-
-    /// Reciprocal condition estimate from the pivot magnitudes.
-    ///
-    /// Cheap heuristic (`min|uᵢᵢ| / max|uᵢᵢ|`), useful for detecting
-    /// near-singularity in adaptive algorithms without an extra norm solve.
-    pub fn rcond_estimate(&self) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi: f64 = 0.0;
-        for i in 0..self.dim() {
-            let u = self.lu[(i, i)].abs();
-            lo = lo.min(u);
-            hi = hi.max(u);
-        }
-        if hi == 0.0 {
-            0.0
-        } else {
-            lo / hi
-        }
-    }
 }
 
 #[cfg(test)]
@@ -309,12 +290,5 @@ mod tests {
         let prod = &a * &inv;
         let err = (&prod - &DMatT::identity(3)).norm_max();
         assert!(err < 1e-12);
-    }
-
-    #[test]
-    fn rcond_small_for_nearly_singular() {
-        let a = DMatT::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + 1e-12]]);
-        let lu = Lu::new(a).unwrap();
-        assert!(lu.rcond_estimate() < 1e-10);
     }
 }

@@ -73,16 +73,6 @@ impl<T: Scalar> Mat<T> {
         Mat { nrows, ncols, data }
     }
 
-    /// Wraps an existing row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != nrows * ncols`.
-    pub fn from_row_major(nrows: usize, ncols: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), nrows * ncols, "from_row_major: buffer length mismatch");
-        Mat { nrows, ncols, data }
-    }
-
     /// Creates a square matrix with `diag` on the diagonal.
     pub fn from_diag(diag: &[T]) -> Self {
         let n = diag.len();
@@ -329,28 +319,6 @@ impl<T: Scalar> Mat<T> {
         }))
     }
 
-    /// Vertical concatenation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::ShapeMismatch`] if column counts differ.
-    pub fn vstack(&self, rhs: &Mat<T>) -> Result<Mat<T>, NumError> {
-        if self.ncols != rhs.ncols {
-            return Err(NumError::ShapeMismatch {
-                operation: "vstack",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        Ok(Mat::from_fn(self.nrows + rhs.nrows, self.ncols, |i, j| {
-            if i < self.nrows {
-                self[(i, j)]
-            } else {
-                rhs[(i - self.nrows, j)]
-            }
-        }))
-    }
-
     /// Copies the diagonal.
     pub fn diag(&self) -> Vec<T> {
         (0..self.nrows.min(self.ncols)).map(|i| self[(i, i)]).collect()
@@ -531,9 +499,6 @@ mod tests {
         let b = DMat::zeros(2, 1);
         let h = a.hstack(&b).unwrap();
         assert_eq!(h.shape(), (2, 3));
-        let v = a.vstack(&DMat::zeros(1, 2)).unwrap();
-        assert_eq!(v.shape(), (3, 2));
-        assert!(a.vstack(&b).is_err());
     }
 
     #[test]

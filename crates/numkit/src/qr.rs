@@ -184,43 +184,6 @@ impl<T: Scalar> Qr<T> {
         let n = self.qr.ncols();
         Mat::from_fn(n, n, |i, j| if j >= i { self.qr[(i, j)] } else { T::zero() })
     }
-
-    /// Least-squares solve: minimizes `‖A·x − b‖₂`.
-    ///
-    /// # Errors
-    ///
-    /// - [`NumError::ShapeMismatch`] if `b.len() != nrows`.
-    /// - [`NumError::Singular`] if `R` has a zero diagonal (rank-deficient).
-    pub fn solve_ls(&self, b: &[T]) -> Result<Vec<T>, NumError> {
-        let (m, n) = self.qr.shape();
-        if b.len() != m {
-            return Err(NumError::ShapeMismatch {
-                operation: "qr solve_ls",
-                left: (m, n),
-                right: (b.len(), 1),
-            });
-        }
-        // y = Qᴴ b via the stored reflectors.
-        let mut y = Mat::from_fn(m, 1, |i, _| b[i]);
-        for k in 0..n {
-            let v = reflector_vector(&self.qr, k);
-            apply_reflector(&v, k, self.tau[k], &mut y, 0);
-        }
-        // Back-substitute R x = y[0..n].
-        let mut x = vec![T::zero(); n];
-        for i in (0..n).rev() {
-            let mut acc = y[(i, 0)];
-            for j in (i + 1)..n {
-                acc -= self.qr[(i, j)] * x[j];
-            }
-            let d = self.qr[(i, i)];
-            if d.abs() == 0.0 {
-                return Err(NumError::Singular { pivot: i });
-            }
-            x[i] = acc / d;
-        }
-        Ok(x)
-    }
 }
 
 /// A column-pivoted (rank-revealing) QR factorization `A·P = Q·R`.
@@ -354,16 +317,6 @@ mod tests {
                 assert_eq!(r[(i, j)], 0.0);
             }
         }
-    }
-
-    #[test]
-    fn least_squares_matches_normal_equations() {
-        // Fit y = c0 + c1 x to 4 points; compare with the known solution.
-        let a = DMat::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]);
-        let b = [1.0, 2.0, 2.0, 3.0];
-        let x = Qr::new(a).unwrap().solve_ls(&b).unwrap();
-        assert!((x[0] - 1.1).abs() < 1e-12);
-        assert!((x[1] - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -107,12 +107,6 @@ impl<T: Scalar> Svd<T> {
         }
     }
 
-    /// Sum of the trailing singular values `s[k..]` (the PMTBR/TBR
-    /// order-control "tail").
-    pub fn tail_sum(&self, k: usize) -> f64 {
-        self.s.iter().skip(k).sum()
-    }
-
     /// Reconstructs `U·diag(s)·Vᴴ` (testing/diagnostics).
     pub fn reconstruct(&self) -> Mat<T> {
         let k = self.s.len();
@@ -842,7 +836,6 @@ mod tests {
     fn tail_sum_and_truncation() {
         let a = DMat::from_diag(&[4.0, 2.0, 1.0]);
         let f = svd(&a).unwrap();
-        assert!((f.tail_sum(1) - 3.0).abs() < 1e-12);
         let t = f.truncated(2);
         assert_eq!(t.s.len(), 2);
         assert_eq!(t.u.ncols(), 2);

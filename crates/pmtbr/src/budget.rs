@@ -40,8 +40,8 @@ use numkit::{CancelToken, NumError};
 pub struct Budget {
     /// Cap on successful numeric LU factorizations (`LU_FACTOR`).
     /// Enforced *a priori*: the sweep only attempts as many sample
-    /// nodes as the remaining cap, so the limit is deterministic even
-    /// though recovery rungs may refactor.
+    /// nodes as the cap, so the limit is deterministic even though
+    /// recovery rungs may refactor.
     pub max_lu_factors: Option<u64>,
     /// Cap on one-sided Jacobi SVD sweeps (`SVD_SWEEPS`). The
     /// compressor ladder clamps each rung's sweep cap to the remaining
@@ -112,16 +112,6 @@ impl<'a> BudgetTracker<'a> {
         obs::counters::snapshot().delta(&self.start).get(c)
     }
 
-    /// How many sample nodes the sweep may attempt: the remaining LU
-    /// budget, read before any solve (so the cap is a pure function of
-    /// the budget, not of scheduling).
-    pub(crate) fn node_cap(&self) -> Option<usize> {
-        self.budget.max_lu_factors.map(|cap| {
-            let used = self.spent(obs::Counter::LuFactor);
-            cap.saturating_sub(used) as usize
-        })
-    }
-
     /// SVD sweeps still allowed, `None` when unlimited.
     pub(crate) fn remaining_svd_sweeps(&self) -> Option<u64> {
         self.budget
@@ -164,7 +154,6 @@ mod tests {
         assert!(b.is_unlimited());
         let t = BudgetTracker::start(&b);
         assert_eq!(t.exhausted(), None);
-        assert_eq!(t.node_cap(), None);
         assert_eq!(t.remaining_svd_sweeps(), None);
         assert!(t.check_cancelled().is_ok());
     }
@@ -181,9 +170,6 @@ mod tests {
         obs::counters::add(obs::Counter::SvdSweeps, 6);
         assert_eq!(t.remaining_svd_sweeps(), Some(0));
         assert_eq!(t.exhausted(), Some("svd-sweeps"));
-        let lu = Budget::default().with_max_lu_factors(7);
-        let tl = BudgetTracker::start(&lu);
-        assert!(tl.node_cap().is_some_and(|c| c <= 7));
     }
 
     #[test]

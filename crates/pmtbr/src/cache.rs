@@ -341,10 +341,11 @@ fn order_words(h: &mut Fnv64, order: &OrderControl) {
     }
 }
 
+/// The words are fixed: changing one moves every model digest of its
+/// compressor. Word 2 is retired.
 fn compressor_word(compressor: &Compressor) -> u64 {
     match compressor {
         Compressor::JacobiSvd => 1,
-        Compressor::Incremental => 2,
         Compressor::Balance => 3,
         Compressor::CrossGramian => 4,
     }

@@ -38,14 +38,12 @@ pub struct IncrementalBasis {
     /// Rows of the R factor: `r[j]` holds column `j`'s coefficients in
     /// the `q` basis (length = q.len() at insertion time, padded later).
     r_cols: Vec<Vec<f64>>,
-    /// History of the top singular-value estimates after each block.
-    history: Vec<Vec<f64>>,
 }
 
 impl IncrementalBasis {
     /// Creates an empty basis for vectors of dimension `n`.
     pub fn new(n: usize) -> Self {
-        IncrementalBasis { n, q: Vec::new(), r_cols: Vec::new(), history: Vec::new() }
+        IncrementalBasis { n, q: Vec::new(), r_cols: Vec::new() }
     }
 
     /// State dimension.
@@ -102,8 +100,6 @@ impl IncrementalBasis {
             }
             self.r_cols.push(coeffs);
         }
-        let est = self.singular_value_estimates()?;
-        self.history.push(est.into_iter().take(8).collect());
         Ok(())
     }
 
@@ -122,39 +118,6 @@ impl IncrementalBasis {
         let m = self.r_cols.len();
         let r = DMat::from_fn(k, m, |i, j| self.r_cols[j].get(i).copied().unwrap_or(0.0));
         singular_values(&r)
-    }
-
-    /// `true` once the trailing singular-value sum beyond `order` has
-    /// dropped below `tol` *and* the leading values changed by less than
-    /// `rel_change` between the last two blocks — the paper's "stop
-    /// adding vectors" test.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD failures.
-    pub fn converged(&self, order: usize, tol: f64, rel_change: f64) -> Result<bool, NumError> {
-        // Require samples in excess of the order (paper Section V-B).
-        if self.ncols() <= order {
-            return Ok(false);
-        }
-        let s = self.singular_value_estimates()?;
-        let tail: f64 = s.iter().skip(order).sum();
-        if tail >= tol {
-            return Ok(false);
-        }
-        let h = &self.history;
-        if h.len() < 2 {
-            return Ok(false);
-        }
-        let prev = &h[h.len() - 2];
-        let last = &h[h.len() - 1];
-        let top = last.first().copied().unwrap_or(0.0).max(1e-300);
-        let drift = prev
-            .iter()
-            .zip(last)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        Ok(drift <= rel_change * top)
     }
 
     /// The orthonormal basis truncated to the `order` dominant
@@ -226,26 +189,6 @@ mod tests {
         let s = basis.singular_value_estimates().unwrap();
         let expect = (2.0f64 + 8.0).sqrt(); // sqrt(|v|² + |2v|²), |v|² = 2
         assert!((s[0] - expect).abs() < 1e-10);
-    }
-
-    #[test]
-    fn convergence_detector() {
-        // A rank-2 process: after enough samples, order-2 converges.
-        let mut basis = IncrementalBasis::new(5);
-        let gen = |k: usize| {
-            DMat::from_cols(&[vec![
-                1.0,
-                (k as f64 * 0.3).sin() * 0.5,
-                0.0,
-                0.0,
-                0.0,
-            ]])
-        };
-        for k in 0..6 {
-            basis.push_block(&gen(k)).unwrap();
-        }
-        assert!(basis.converged(2, 1e-8, 0.5).unwrap());
-        assert!(!basis.converged(0, 1e-8, 0.5).unwrap(), "order 0 can't capture energy");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!  (nodes + weights)     (what to excite)       (tolerant sweep)         (how to truncate)
 //!  ───────────────┐      ───────────────┐      ─────────────────┐      ───────────────┐
 //!  Linear / Log   │      IdentityBlock  │      solve (sE−A)Z=R  │      JacobiSvd      │
-//!  Bands          ├──▶   Correlated     ├──▶   via ladder +     ├──▶   Incremental    ├──▶ congruence
-//!  Custom         │      (corr-SVD      │      ShiftSolveEngine │      Balance        │    projection
-//!                 │       draws)        │      (+ transpose for │      CrossGramian   │
-//!  ───────────────┘      ───────────────┘       two-sided)      │      ───────────────┘
+//!  Bands          ├──▶   Correlated     ├──▶   via ladder +     ├──▶   Balance        ├──▶ congruence
+//!  Custom         │      (corr-SVD      │      ShiftSolveEngine │      CrossGramian   │    projection
+//!  Greedy         │       draws)        │      (+ transpose for │      ───────────────┘
+//!  ───────────────┘      ───────────────┘       two-sided)      │
 //!                                              ─────────────────┘
 //! ```
 //!
@@ -52,11 +52,12 @@
 //!   *downgrades*: the eig-based [`Compressor::CrossGramian`] and the
 //!   two-sided [`Compressor::Balance`] fall back to a one-sided
 //!   spectral compression of the controllability samples, and any
-//!   spectral failure falls back to the SVD-free
-//!   [`Compressor::Incremental`] basis. Every rung is traced as a
-//!   `rung` event and every downgrade is recorded in the report.
-//! - **project** retries injected faults (chaos testing) and records
-//!   its outcome; real projection errors still fail the run.
+//!   spectral failure falls back to the SVD-free incremental QR basis
+//!   ([`IncrementalBasis`], paper Section V-C). Every rung is traced as
+//!   a `rung` event and every downgrade is recorded in the report.
+//! - **project**, like the cross-Gramian eigensolve, has no ladder: it
+//!   retries injected faults (chaos testing) and records its outcome;
+//!   real projection errors still fail the run.
 //!
 //! Worker panics anywhere inside a rung are contained by the same
 //! `catch_unwind` discipline `lti::ShiftSolveEngine` uses for shift
@@ -67,8 +68,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use lti::{
-    input_correlation_svd, realified_ncols, realify_columns_into, LtiSystem, NoFaults,
-    RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, StateSpace, TolerantSweep,
+    input_correlation_svd, realified_eigenbasis, realified_ncols, realify_columns_into,
+    square_root_bases, EigBlock, LtiSystem, NoFaults, RecoveryPolicy, ShiftOutcome, ShiftReport,
+    SolveFault, StateSpace, TolerantSweep,
 };
 use numkit::{
     c64, eig, svd, svd_with_opts, svd_with_sweeps, DMat, Lu, NumError, SplitMix64, Svd,
@@ -111,10 +113,6 @@ pub enum Compressor {
     /// One-shot SVD of the stacked sample matrix (with the equilibrated
     /// convergence safety net) — the paper's default.
     JacobiSvd,
-    /// Incremental Gram–Schmidt QR with `R`-factor singular-value
-    /// estimates ([`IncrementalBasis`], paper Section V-C): same
-    /// subspace, no full re-SVD per block.
-    Incremental,
     /// Two-sided square-root balancing: SVD of `Z_Lᵀ·Z_R` with
     /// `1/√σ`-scaled projectors (`WᵀV = I`).
     Balance,
@@ -274,13 +272,6 @@ impl ReductionPlan {
             compressor: Compressor::JacobiSvd,
             order,
         }
-    }
-
-    /// Swaps the compression backend (e.g. [`Compressor::Incremental`]).
-    #[must_use]
-    pub fn with_compressor(mut self, compressor: Compressor) -> Self {
-        self.compressor = compressor;
-        self
     }
 
     /// Cheap structural validation, run before any solve — the one
@@ -477,8 +468,8 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
 /// (`None` runs unfaulted, whatever the environment says).
 ///
 /// The budget's caps are enforced off the deterministic `obs` counters
-/// (never wall clock): the sweep attempts at most the remaining
-/// LU-factorization cap's worth of nodes, the compressor ladder clamps
+/// (never wall clock): the sweep attempts at most as many nodes as the
+/// LU-factorization cap, the compressor ladder clamps
 /// its sweep caps to the remaining SVD budget, and exhaustion yields a
 /// best-effort [`StageOutcome::Degraded`] model with the resource
 /// recorded in [`PipelineReport::budget_exhausted`]. The budget's
@@ -615,7 +606,7 @@ fn run_core<S: LtiSystem + ?Sized>(
         plan.compressor.is_two_sided(),
         &policy,
         solve_faults,
-        tracker.node_cap(),
+        budget.max_lu_factors.map(|cap| usize::try_from(cap).unwrap_or(usize::MAX)),
     )?;
     // Which stage consumed the budget (satellite of the budget report:
     // exhaustion names its stage in the notes and the trace).
@@ -1002,32 +993,7 @@ enum Compressed {
     Balanced { f: Svd<f64>, retried: bool },
     /// Realified eigenbasis `T` of the small cross-Gramian eigenproblem
     /// `N = Z_Lᵀ·Z_R`, its eigenvalue block structure, and moduli.
-    Cross { t: DMat, eigs: Vec<CrossEig>, moduli: Vec<f64>, retried: bool },
-}
-
-/// One realified eigenvalue block of the compressed cross-Gramian
-/// eigenproblem: a real eigenvalue owns one column of `T`, a conjugate
-/// pair `a ± bi` owns two (`[Re v, Im v]`).
-enum CrossEig {
-    /// Real eigenvalue `λ` (one column).
-    Real(f64),
-    /// Conjugate pair `a ± bi` (two columns).
-    Pair {
-        /// Real part `a`.
-        re: f64,
-        /// Imaginary part `b` of the `+bi` member.
-        im: f64,
-    },
-}
-
-impl CrossEig {
-    /// Number of realified columns this block owns.
-    fn width(&self) -> usize {
-        match self {
-            CrossEig::Real(_) => 1,
-            CrossEig::Pair { .. } => 2,
-        }
-    }
+    Cross { t: DMat, eigs: Vec<EigBlock>, moduli: Vec<f64>, retried: bool },
 }
 
 impl Compressed {
@@ -1105,6 +1071,32 @@ fn injected_outcome(
         return Some(NumError::WorkerPanicked { index: attempt });
     }
     None
+}
+
+/// The injected-fault retry of a stage step with no ladder to escalate
+/// through (the cross-Gramian eigensolve, the projection): spends the
+/// attempts `faults` poisons from attempt `first` on, each traced as one
+/// `rung` event `cand`, up to [`MAX_STAGE_ATTEMPTS`]. Returns how many
+/// it spent, with the last injected error when the cap left the step
+/// still poisoned. Unlike [`spectral_ladder`], every retry repeats the
+/// same computation.
+fn spend_injected_faults(
+    faults: Option<&FaultPlan>,
+    stage: FaultStage,
+    cand: &'static str,
+    first: usize,
+) -> (usize, Option<NumError>) {
+    let mut last = None;
+    for attempt in first..MAX_STAGE_ATTEMPTS {
+        match injected_outcome(faults, stage, attempt) {
+            Some(e) => {
+                rung_event(stage, cand, attempt);
+                last = Some(e);
+            }
+            None => return (attempt - first, None),
+        }
+    }
+    (MAX_STAGE_ATTEMPTS.saturating_sub(first), last)
 }
 
 /// The spectral compressor's escalation ladder: plain SVD → raised
@@ -1242,37 +1234,6 @@ fn compress(
             sp.field_str("method", "jacobi-svd");
             spectral_or_incremental(zmat, blocks, faults, tracker, report, &mut attempt)
         }
-        Compressor::Incremental => {
-            sp.field_str("method", "incremental-qr");
-            // No ladder to escalate through: retry past injected
-            // faults, then build the basis for real.
-            let mut last = None;
-            while attempt < MAX_STAGE_ATTEMPTS {
-                let this_attempt = attempt;
-                attempt += 1;
-                rung_event(FaultStage::Compress, "incremental", this_attempt);
-                match injected_outcome(faults, FaultStage::Compress, this_attempt) {
-                    Some(e) => last = Some(e),
-                    None => {
-                        last = None;
-                        break;
-                    }
-                }
-            }
-            match last {
-                Some(e) => Err(e),
-                None => {
-                    if attempt > 1 {
-                        report.compress = report.compress.max(StageOutcome::Recovered);
-                        report.notes.push(format!(
-                            "incremental compressor recovered after {} injected fault(s)",
-                            attempt - 1
-                        ));
-                    }
-                    incremental(zmat, blocks)
-                }
-            }
-        }
         Compressor::Balance => {
             sp.field_str("method", "balance");
             let zl = zl.ok_or(NumError::InvalidArgument("balance needs two-sided samples"))?;
@@ -1327,37 +1288,26 @@ fn compress(
             // two tall matmuls in `project` — the dominant cost of the
             // old cross path.
             let nmat = zl.transpose().matmul(zmat)?;
-            let mut eig_result = None;
-            let mut last_err = None;
-            let mut poisoned = 0usize;
-            while attempt < MAX_STAGE_ATTEMPTS {
-                let this_attempt = attempt;
-                attempt += 1;
-                rung_event(FaultStage::Compress, "eig", this_attempt);
-                match injected_outcome(faults, FaultStage::Compress, this_attempt) {
-                    Some(e) => {
-                        // Injected: retry the eigensolve on the next
-                        // attempt until the fault's depth is spent.
-                        last_err = Some(e);
-                        poisoned += 1;
+            // Injected faults poison whole attempts; each one retries
+            // the eigensolve until the fault's depth is spent.
+            let (poisoned, injected) =
+                spend_injected_faults(faults, FaultStage::Compress, "eig", attempt);
+            attempt += poisoned;
+            let solved = match injected {
+                Some(e) => Err(e),
+                None => {
+                    rung_event(FaultStage::Compress, "eig", attempt);
+                    attempt += 1;
+                    // A real eigensolve failure is not worth retrying
+                    // verbatim: downgrade below.
+                    match eig(&nmat) {
+                        Err(e) if !ladder_recoverable(&e) => return Err(e),
+                        solved => solved,
                     }
-                    None => match eig(&nmat) {
-                        Ok(e) => {
-                            eig_result = Some(e);
-                            break;
-                        }
-                        Err(e) if ladder_recoverable(&e) => {
-                            // A real eigensolve failure is not worth
-                            // retrying verbatim: downgrade below.
-                            last_err = Some(e);
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    },
                 }
-            }
-            match eig_result {
-                Some(e) => {
+            };
+            match solved {
+                Ok(e) => {
                     if poisoned > 0 {
                         report.compress = report.compress.max(StageOutcome::Recovered);
                         report.notes.push(format!(
@@ -1365,47 +1315,15 @@ fn compress(
                              fault(s)"
                         ));
                     }
-                    let c = nmat.ncols();
                     // Realified dominant eigenbasis (conjugate pairs →
                     // [Re, Im]), in the engine's decreasing-modulus order.
-                    let mut t = DMat::zeros(c, c);
-                    let mut eigs = Vec::with_capacity(c);
-                    let mut moduli = Vec::with_capacity(c);
-                    let mut j = 0;
-                    let mut col = 0;
-                    while j < c {
-                        let lam = e.values[j];
-                        let v = e.vectors.col(j);
-                        if lam.im.abs() > 1e-12 * lam.abs().max(1e-300) && j + 1 < c {
-                            for i in 0..c {
-                                t[(i, col)] = v[i].re;
-                                t[(i, col + 1)] = v[i].im;
-                            }
-                            eigs.push(CrossEig::Pair { re: lam.re, im: lam.im });
-                            moduli.push(lam.abs());
-                            moduli.push(lam.abs());
-                            col += 2;
-                            j += 2;
-                        } else {
-                            for i in 0..c {
-                                t[(i, col)] = v[i].re;
-                            }
-                            eigs.push(CrossEig::Real(lam.re));
-                            moduli.push(lam.abs());
-                            col += 1;
-                            j += 1;
-                        }
-                    }
+                    let (t, eigs, moduli) = realified_eigenbasis(&e);
                     Ok(Compressed::Cross { t, eigs, moduli, retried: poisoned > 0 })
                 }
-                None => {
+                Err(cause) => {
                     // Downgrade the eig-based compressor to one-sided
                     // spectral compression (then incremental if even
                     // that fails).
-                    let cause = last_err.unwrap_or(NumError::NotConverged {
-                        algorithm: "cross-gramian-eig",
-                        iterations: MAX_STAGE_ATTEMPTS,
-                    });
                     report.compress = StageOutcome::Degraded;
                     report.compressor_downgraded = true;
                     report.notes.push(format!(
@@ -1485,23 +1403,15 @@ fn project<S: LtiSystem + ?Sized>(
     report: &mut PipelineReport,
 ) -> Result<PmtbrModel, NumError> {
     let mut sp = obs::span("pmtbr.project");
-    let mut poisoned = 0usize;
-    while poisoned < MAX_STAGE_ATTEMPTS {
-        match injected_outcome(faults, FaultStage::Project, poisoned) {
-            Some(_) => {
-                rung_event(FaultStage::Project, "retry", poisoned);
-                poisoned += 1;
-            }
-            None => break,
-        }
-    }
+    // At the cap the projection proceeds: poisoned attempts never touch
+    // the data.
+    let (poisoned, _) = spend_injected_faults(faults, FaultStage::Project, "retry", 0);
     if poisoned > 0 {
         report.project = StageOutcome::Recovered;
         report
             .notes
             .push(format!("projection recovered after {poisoned} injected fault(s)"));
     }
-    let n = sys.nstates();
     let model = match compressed {
         Compressed::Spectral { f, .. } => spectral_model(sys, &f, order),
         Compressed::Incremental { basis, s } => {
@@ -1536,19 +1446,9 @@ fn project<S: LtiSystem + ?Sized>(
                 }
                 OrderControl::Tolerance { .. } => truncated_order(&f.s, order)?.min(rank),
             };
-            // Blocked congruence products Z_R·V_q and Z_L·U_q (the
-            // cache-blocked matmul sums ascending-k, bit-identical to
-            // the per-entry loops this replaces), then the balancing
-            // column scaling 1/√σⱼ.
-            let mut v = zmat.matmul(&f.v.leading_cols(q))?;
-            let mut w = zl.matmul(&f.u.leading_cols(q))?;
-            for j in 0..q {
-                let scale = 1.0 / f.s[j].sqrt();
-                for i in 0..n {
-                    v[(i, j)] *= scale;
-                    w[(i, j)] *= scale;
-                }
-            }
+            // Square-root balancing with the sample stacks as the
+            // Gramian factors: V = Z_R·V_q·Σ_q^{-1/2}, W = Z_L·U_q·Σ_q^{-1/2}.
+            let (v, w) = square_root_bases(zmat, zl, &f, q)?;
             let reduced: StateSpace = sys.project(&w, &v)?;
             Ok(PmtbrModel {
                 reduced,
@@ -1600,7 +1500,7 @@ fn project<S: LtiSystem + ?Sized>(
                     break;
                 }
                 match *blk {
-                    CrossEig::Real(lam) => {
+                    EigBlock::Real(lam) => {
                         if lam == 0.0 {
                             return Err(NumError::InvalidArgument(
                                 "cross-gramian eigenvalue vanished in the dominant block",
@@ -1611,7 +1511,7 @@ fn project<S: LtiSystem + ?Sized>(
                         }
                         row += 1;
                     }
-                    CrossEig::Pair { re, im } => {
+                    EigBlock::Pair { re, im } => {
                         let d = re * re + im * im;
                         if d == 0.0 {
                             return Err(NumError::InvalidArgument(
@@ -1690,29 +1590,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_compressor_matches_svd_subspace() {
-        let sys = mesh();
-        let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 12 }).with_max_order(5);
-        let svd_red = run_clean(&sys, &ReductionPlan::pmtbr(&opts)).unwrap();
-        let inc_red =
-            run_clean(&sys, &ReductionPlan::pmtbr(&opts).with_compressor(Compressor::Incremental))
-                .unwrap();
-        assert_eq!(svd_red.model.order, inc_red.model.order);
-        // Same singular values (the R factor is exact) and same subspace.
-        for (a, b) in svd_red
-            .model
-            .singular_values
-            .iter()
-            .zip(&inc_red.model.singular_values)
-        {
-            assert!((a - b).abs() < 1e-9 * (1.0 + a), "{a} vs {b}");
-        }
-        let angle =
-            numkit::max_principal_angle(&svd_red.model.v, &inc_red.model.v).unwrap();
-        assert!(angle < 1e-6, "subspace angle {angle}");
-    }
-
-    #[test]
     fn compress_ladder_escalates_one_rung_per_fault_depth() {
         use crate::fault::{FaultKind, FaultPlan, FaultStage};
         let sys = mesh();
@@ -1753,6 +1630,7 @@ mod tests {
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
         let plan = ReductionPlan::pmtbr(&opts);
+        let svd_red = run_clean(&sys, &plan).unwrap();
         // Depth 4 poisons every spectral rung: the compressor must fall
         // back to the SVD-free incremental basis and record the
         // downgrade instead of erroring.
@@ -1767,7 +1645,15 @@ mod tests {
             .notes
             .iter()
             .any(|n| n.contains("downgraded to incremental QR")));
-        assert!(red.model.singular_values.iter().all(|s| s.is_finite()));
+        // The incremental basis reproduces the spectral model: same
+        // order, same singular values (the R factor is exact) and same
+        // subspace.
+        assert_eq!(svd_red.model.order, red.model.order);
+        for (a, b) in svd_red.model.singular_values.iter().zip(&red.model.singular_values) {
+            assert!((a - b).abs() < 1e-9 * (1.0 + a), "{a} vs {b}");
+        }
+        let angle = numkit::max_principal_angle(&svd_red.model.v, &red.model.v).unwrap();
+        assert!(angle < 1e-6, "subspace angle {angle}");
     }
 
     #[test]
@@ -1828,6 +1714,27 @@ mod tests {
     }
 
     #[test]
+    fn cross_gramian_past_the_attempt_cap_downgrades_citing_the_injected_error() {
+        use crate::fault::{FaultKind, FaultPlan, FaultStage};
+        let sys = mesh();
+        let plan = ReductionPlan::cross_gramian(&Sampling::Linear { omega_max: 20.0, n: 12 }, 3);
+        // One fault deeper than the cap: every eigensolve attempt is
+        // poisoned, so the compressor downgrades, citing the last
+        // injected error, and the one-sided ladder takes over.
+        let faults = FaultPlan::new(5, 1.0, vec![FaultKind::Nan], MAX_STAGE_ATTEMPTS + 1)
+            .with_stages(vec![FaultStage::Compress]);
+        let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
+        assert_eq!(red.report.compress, StageOutcome::Degraded);
+        assert!(red.report.compressor_downgraded);
+        let cause = format!(
+            "cross-gramian compressor downgraded to one-sided jacobi-svd after: {}",
+            NumError::NotFinite
+        );
+        assert!(red.report.notes.contains(&cause), "{:?}", red.report.notes);
+        assert_eq!(red.model.order, 3);
+    }
+
+    #[test]
     fn project_stage_retries_injected_faults() {
         use crate::fault::{FaultKind, FaultPlan, FaultStage};
         let sys = mesh();
@@ -1845,29 +1752,49 @@ mod tests {
     }
 
     #[test]
+    fn projection_past_the_attempt_cap_proceeds_as_recovered() {
+        use crate::fault::{FaultKind, FaultPlan, FaultStage};
+        let sys = mesh();
+        let opts =
+            PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
+        let plan = ReductionPlan::pmtbr(&opts);
+        let clean = run_clean(&sys, &plan).unwrap();
+        let faults =
+            FaultPlan::new(9, 1.0, vec![FaultKind::Singular], MAX_STAGE_ATTEMPTS + 1)
+                .with_stages(vec![FaultStage::Project]);
+        let red = run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache).unwrap();
+        assert_eq!(red.report.project, StageOutcome::Recovered);
+        assert!(
+            red.report.notes.iter().any(|n| n.contains("after 32 injected fault(s)")),
+            "{:?}",
+            red.report.notes
+        );
+        assert_eq!(red.model.singular_values, clean.model.singular_values);
+    }
+
+    #[test]
     fn lu_budget_truncates_sweep_into_degraded_model() {
         let sys = mesh();
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
         let plan = ReductionPlan::pmtbr(&opts);
         let budget = Budget::default().with_max_lu_factors(4);
-        // Counters are process-global and other tests factor LUs
-        // concurrently, so the effective cap may shrink below 4 — a
-        // budget run must then still terminate with either a best-effort
-        // degraded model or an explicit exhaustion error, never a hang.
-        match run(&sys, &plan, None, &budget, &NullCache) {
-            Ok(red) => {
-                assert_eq!(red.report.budget_exhausted, Some("lu-factorizations"));
-                assert_eq!(red.report.sweep, StageOutcome::Degraded);
-                assert!(red.report.is_degraded());
-                assert!(red.diagnostics.dropped() > 0);
-                assert!(red.model.singular_values.iter().all(|s| s.is_finite()));
-            }
-            Err(NumError::BudgetExhausted { resource }) => {
-                assert_eq!(resource, "lu-factorizations");
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-        }
+        // The node cap is the budget's own, whatever other runs in the
+        // process factor: 4 of the 10 nodes are attempted, 6 dropped.
+        let red = run(&sys, &plan, None, &budget, &NullCache).unwrap();
+        assert_eq!(red.report.budget_exhausted, Some("lu-factorizations"));
+        assert_eq!(red.report.sweep, StageOutcome::Degraded);
+        assert_eq!(red.diagnostics.requested, 10);
+        assert_eq!(red.diagnostics.surviving, 4);
+        let budget_dropped = red
+            .diagnostics
+            .reports
+            .iter()
+            .filter(|r| r.error == Some(NumError::BudgetExhausted { resource: "lu-factorizations" }))
+            .count();
+        assert_eq!(budget_dropped, 6);
+        assert_eq!(red.diagnostics.dropped(), 6);
+        assert!(red.model.singular_values.iter().all(|s| s.is_finite()));
     }
 
     #[test]

@@ -671,22 +671,6 @@ impl<T: Scalar> SparseLu<T> {
         obs::counters::add(obs::Counter::RefineIters, 1);
         Ok(residual_norm(a, x, b))
     }
-
-    /// Reciprocal condition estimate from the `U` diagonal magnitudes.
-    pub fn rcond_estimate(&self) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi: f64 = 0.0;
-        for k in 0..self.n {
-            let d = self.u_vals[self.u_colptr[k + 1] - 1].abs();
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        if hi == 0.0 {
-            0.0
-        } else {
-            lo / hi
-        }
-    }
 }
 
 /// Reusable symbolic LU analysis: the column order, the pivot order and
@@ -1995,16 +1979,6 @@ mod tests {
         let sym = lu.symbolic(&a);
         assert_eq!(sym.pattern_nnz(), 4);
         assert_eq!(sym.dim(), 2);
-    }
-
-    #[test]
-    fn rcond_reasonable_for_identity() {
-        let mut t = Triplet::new(5, 5);
-        for i in 0..5 {
-            t.push(i, i, 1.0);
-        }
-        let lu = SparseLu::new(&t.to_csc()).unwrap();
-        assert!((lu.rcond_estimate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

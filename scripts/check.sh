@@ -141,4 +141,16 @@ done
 echo "==> numlint doccheck (links + method-registry drift)"
 cargo run -q -p numlint -- doccheck
 
+# Library size, informational (no threshold): non-test lines of each
+# library crate's src/*.rs, counting each file up to its first
+# `#[cfg(test)]` line, so each change can quote the gate's own count.
+echo "==> non-test library lines"
+lib_total=0
+for crate in numkit sparsekit lti circuits krylov pmtbr obs serve cli; do
+    lines=$(awk '/^#\[cfg\(test\)\]/{nextfile} {n++} END{print n+0}' "crates/$crate/src/"*.rs)
+    printf '%-10s %6d\n' "$crate" "$lines"
+    lib_total=$((lib_total + lines))
+done
+printf '%-10s %6d\n' total "$lib_total"
+
 echo "check.sh: all gates passed"

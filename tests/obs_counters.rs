@@ -9,6 +9,11 @@
 //! repairs the solution on the *same* factorization, so the identity
 //! must hold even while `REFINE_ITERS` climbs.
 //!
+//! The same sweep then feeds `pmtbr::IncrementalBasis`, pinning the
+//! paper's Section V-C claim that order control needs no SVD per added
+//! sample: pushing the blocks adds no `SVD_SWEEPS`, and only the
+//! singular-value estimates do.
+//!
 //! Counters are process-global, so this file contains exactly one test:
 //! cargo runs each integration-test binary's tests in threads of one
 //! process, and a sibling test's solves would double-count.
@@ -17,7 +22,7 @@ use circuits::rc_mesh;
 use lti::{RecoveryPolicy, ShiftSolveEngine};
 use numkit::c64;
 use obs::{counters, Counter};
-use pmtbr::{FaultKind, FaultPlan};
+use pmtbr::{FaultKind, FaultPlan, IncrementalBasis};
 
 #[test]
 fn lu_work_accounts_for_every_shift() {
@@ -78,4 +83,21 @@ fn lu_work_accounts_for_every_shift() {
         d.get(Counter::RefineIters),
         drifted
     );
+
+    // Order control: Gram–Schmidt per pushed block, one small-R SVD
+    // only when the estimates are asked for.
+    let mut basis = IncrementalBasis::new(rhs.nrows());
+    let before = counters::snapshot();
+    for z in sweep.solutions.iter().flatten() {
+        basis.push_block(&lti::realify_columns(z, 1e-13)).expect("push block");
+    }
+    assert_eq!(
+        counters::snapshot().delta(&before).get(Counter::SvdSweeps),
+        0,
+        "pushing {} blocks ran an SVD",
+        shifts.len()
+    );
+    let s = basis.singular_value_estimates().expect("estimates");
+    assert_eq!(s.len(), basis.rank());
+    assert!(counters::snapshot().delta(&before).get(Counter::SvdSweeps) > 0);
 }
