@@ -289,7 +289,7 @@ fn run_method(
         in_band_error,
         wall_s,
         stages: stage_seconds(&trace),
-        degraded: out.diagnostics.as_ref().is_some_and(|d| d.is_degraded()),
+        degraded: out.summary.as_ref().is_some_and(|s| s.sweep_degraded),
         error: None,
     };
     println!(

@@ -12,22 +12,24 @@
 //! constructors executed by [`pmtbr::pipeline::run_cached`], which means
 //! every method inherits the tolerant parallel sweep: `PMTBR_FAULT` degrades
 //! the quadrature instead of erroring, `--threads` pins the worker
-//! count, `--trace` records the sweep, and the returned
-//! [`SweepDiagnostics`] drive the binary's exit-code policy uniformly.
-//! The Krylov and dense-TBR baselines carry no sweep diagnostics
-//! (`diagnostics: None`) and are always strict.
+//! count, `--trace` records the sweep, and the run's
+//! [`PipelineSummary`] drives the binary's exit-code policy uniformly.
+//! The Krylov and dense-TBR baselines carry no summary
+//! (`summary: None`) and are always strict.
+//!
+//! Both `reduce` and `submit` run a method as a [`serve::JobRequest`]
+//! through [`handle_job`]: `reduce` in-process, `submit` on a server.
 
 use lti::{Descriptor, StateSpace};
 use numkit::c64;
-use pmtbr::{
-    ArtifactCache, Budget, InputCorrelatedOptions, PipelineReport, PmtbrOptions, ReductionPlan,
-    Sampling, SweepDiagnostics,
-};
+use pmtbr::{ArtifactCache, Budget, InputCorrelatedOptions, PmtbrOptions, ReductionPlan, Sampling};
+use serve::PipelineSummary;
 
 mod policy;
 mod service;
 
-pub use policy::{evaluate_acceptance, summarize_pipeline, summarize_sweep, Acceptance, Verdict};
+use policy::summarize;
+pub use policy::{evaluate_acceptance, Acceptance, Verdict};
 pub use service::{handle_job, mat_to_wire, wire_to_mat};
 
 /// What `reduce` collected from the command line; method runners read
@@ -99,14 +101,10 @@ pub struct MethodOutput {
     pub reduced: StateSpace,
     /// Report lines for stdout, starting with `method: <label>`.
     pub report: Vec<String>,
-    /// Sweep accounting for pipeline-backed methods; `None` for strict
-    /// baselines. Drives the degraded/rejected exit-code policy.
-    pub diagnostics: Option<SweepDiagnostics>,
-    /// Per-stage fault-containment outcomes for pipeline-backed
-    /// methods; `None` for strict baselines. A non-clean report is
-    /// echoed to stderr and budget exhaustion maps to its own exit
-    /// code.
-    pub pipeline: Option<PipelineReport>,
+    /// Per-stage outcomes and sweep accounting for pipeline-backed
+    /// methods; `None` for strict baselines. Drives the
+    /// degraded/rejected/budget exit-code policy.
+    pub summary: Option<PipelineSummary>,
 }
 
 /// One `reduce --method` entry.
@@ -150,9 +148,8 @@ fn run_plan(
         .map_err(|e| e.to_string())?;
     Ok(MethodOutput {
         report: pipeline_report(label, &red),
-        reduced: red.model.reduced.clone(),
-        diagnostics: Some(red.diagnostics),
-        pipeline: Some(red.report),
+        summary: Some(summarize(&red)),
+        reduced: red.model.reduced,
     })
 }
 
@@ -210,8 +207,7 @@ fn run_prima(sys: &Descriptor, req: &ReduceRequest, _cache: &dyn ArtifactCache) 
             format!("order: {}", m.reduced.nstates()),
         ],
         reduced: m.reduced,
-        diagnostics: None,
-        pipeline: None,
+        summary: None,
     })
 }
 
@@ -231,8 +227,7 @@ fn run_mpproj(sys: &Descriptor, req: &ReduceRequest, _cache: &dyn ArtifactCache)
             format!("order: {}", m.reduced.nstates()),
         ],
         reduced: m.reduced,
-        diagnostics: None,
-        pipeline: None,
+        summary: None,
     })
 }
 
@@ -258,8 +253,7 @@ fn run_tbr_family(
             format!("error_bound: {:.6e}", m.error_bound),
         ],
         reduced: m.reduced,
-        diagnostics: None,
-        pipeline: None,
+        summary: None,
     })
 }
 

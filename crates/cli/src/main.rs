@@ -17,7 +17,10 @@
 //! estimates (and exact Hankel values when the descriptor admits a
 //! state-space form); `reduce` builds a reduced model, reports its
 //! spectra and error estimate, and optionally cross-checks it against
-//! the full model over the band.
+//! the full model over the band. `reduce` runs the very job `submit`
+//! ships to a `serve` process — one `serve::JobRequest` through
+//! `pmtbr_cli::handle_job`, here in-process — and both commands print
+//! the result through one tail.
 //!
 //! Every command accepts `--threads N` to pin the sampling engine's
 //! worker count (equivalent to setting `PMTBR_THREADS=N`); results are
@@ -63,19 +66,9 @@ use std::process::ExitCode;
 
 use lti::{frequency_response, linspace, logspace, max_rel_error, SquareWave};
 use pmtbr::{sample_basis, Sampling};
+use pmtbr_cli::Verdict;
 
 const TAU: f64 = 2.0 * std::f64::consts::PI;
-
-/// How a successful command ran.
-enum Status {
-    /// Everything executed exactly as requested → exit 0.
-    Clean,
-    /// The sampling sweep degraded (drops/perturbations) but stayed
-    /// within the acceptance policy → exit 2.
-    Degraded,
-    /// A `--budget-*` cap ran out and the model is best-effort → exit 4.
-    BudgetExhausted,
-}
 
 /// Why a command failed.
 enum Failure {
@@ -101,7 +94,10 @@ impl From<&str> for Failure {
     }
 }
 
-type CmdResult = Result<Status, Failure>;
+/// How a command ran: a successful one's [`Verdict`] (exit 0, 2 or 4;
+/// commands other than `reduce` and `submit` are always clean), or why
+/// it failed.
+type CmdResult = Result<Verdict, Failure>;
 
 struct Args {
     positional: Vec<String>,
@@ -165,8 +161,15 @@ impl Args {
 }
 
 fn load(path: &str) -> Result<lti::Descriptor, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let nl = circuits::parse_netlist(&text).map_err(|e| e.to_string())?;
+    build(&read(path)?)
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+fn build(text: &str) -> Result<lti::Descriptor, String> {
+    let nl = circuits::parse_netlist(text).map_err(|e| e.to_string())?;
     nl.build().map_err(|e| format!("mna assembly failed: {e}"))
 }
 
@@ -201,7 +204,7 @@ fn cmd_sweep(args: &Args) -> CmdResult {
         }
         println!();
     }
-    Ok(Status::Clean)
+    Ok(Verdict::Clean)
 }
 
 fn cmd_hsv(args: &Args) -> CmdResult {
@@ -223,7 +226,7 @@ fn cmd_hsv(args: &Args) -> CmdResult {
     if exact.is_none() {
         eprintln!("(E is singular: exact Hankel values unavailable — PMTBR estimates only)");
     }
-    Ok(Status::Clean)
+    Ok(Verdict::Clean)
 }
 
 /// Parses `--bands lo:hi[,lo:hi...]` (hertz) into rad/s band edges.
@@ -240,73 +243,90 @@ fn parse_bands(spec: &str) -> Result<Vec<(f64, f64)>, String> {
     Ok(bands)
 }
 
+/// `pmtbr-cli reduce`: the job `submit` would ship, run in-process
+/// through the same handler the server runs. The handler records no
+/// trace of its own (`trace: false`), so the collector `main` installs
+/// for `--trace` records the run.
 fn cmd_reduce(args: &Args) -> CmdResult {
-    let path = args.positional.first().ok_or("reduce: missing netlist path")?;
-    let sys = load(path)?;
-    let band = args.num("band", 1e10)?;
-    let samples = args.int("samples", 40)?;
-    let tol = args.num("tol", 1e-8)?;
-    let order = args.flag_value("order").map(|v| v.parse::<usize>()).transpose().map_err(|_| "--order: invalid integer".to_string())?;
-    let method_name = args.flag_value("method").unwrap_or("pmtbr");
-    let omega_max = band * TAU;
-    let max_dropped = args.int("max-dropped-samples", samples)?;
+    run_job(args, "reduce", None, |job| Ok(pmtbr_cli::handle_job(job, &pmtbr::NullCache)))
+}
+
+/// The job a `reduce` or `submit` command line describes: the netlist
+/// text plus every `reduce` flag. The method is validated here for the
+/// fast error; the handler re-validates.
+fn job_request(args: &Args, cmd: &str, trace: bool) -> Result<serve::JobRequest, Failure> {
+    let path = args.positional.first().ok_or_else(|| format!("{cmd}: missing netlist path"))?;
+    let netlist = read(path)?;
+    let method = args.flag_value("method").unwrap_or("pmtbr");
+    pmtbr_cli::find(method)
+        .ok_or_else(|| format!("unknown --method `{method}` ({})", pmtbr_cli::method_list()))?;
+    Ok(serve::JobRequest {
+        method: method.to_string(),
+        netlist,
+        omega_max: args.num("band", 1e10)? * TAU,
+        bands: args.flag_value("bands").map(parse_bands).transpose()?.unwrap_or_default(),
+        samples: args.int("samples", 40)? as u64,
+        tol: args.num("tol", 1e-8)?,
+        order: args.cap("order")?,
+        greedy_tol: args.num("greedy-tol", 1e-3)?,
+        greedy_max_shifts: args.cap("greedy-max-shifts")?,
+        budget_lu: args.cap("budget-lu")?,
+        budget_svd: args.cap("budget-svd-sweeps")?,
+        budget_bytes: args.cap("budget-sample-bytes")?,
+        trace,
+    })
+}
+
+/// Runs the job a `reduce` or `submit` command line describes through
+/// `run` — in-process or over the wire — once every flag has parsed,
+/// and prints the response for both commands alike: the served trace
+/// (when `submit --trace` asked for one), then the acceptance policy —
+/// before any stdout, so a rejected sweep never prints a half-report,
+/// and with its stderr lines printed even then — then the report
+/// lines, `--check` and the model.
+fn run_job(
+    args: &Args,
+    cmd: &str,
+    trace_path: Option<&str>,
+    run: impl FnOnce(&serve::JobRequest) -> Result<serve::JobResponse, Failure>,
+) -> CmdResult {
+    let job = job_request(args, cmd, trace_path.is_some())?;
+    let max_dropped = args.int("max-dropped-samples", job.samples as usize)?;
     let strict = args.flag_present("strict");
-
-    // Dispatch, usage, and the error below all come from the registry.
-    let method = pmtbr_cli::find(method_name).ok_or_else(|| {
-        format!("unknown --method `{method_name}` ({})", pmtbr_cli::method_list())
-    })?;
-    let mut req = pmtbr_cli::ReduceRequest::new(omega_max, samples);
-    req.tol = tol;
-    req.order = order;
-    if let Some(spec) = args.flag_value("bands") {
-        req.bands = parse_bands(spec)?;
+    let result = match run(&job)? {
+        serve::JobResponse::Err(e) => return Err(Failure::Error(e)),
+        serve::JobResponse::Ok(result) => result,
+    };
+    // The trace is written before the acceptance gate: a rejected sweep
+    // is exactly when the telemetry matters.
+    if let (Some(path), Some(trace)) = (trace_path, &result.trace) {
+        match std::fs::write(path, trace) {
+            Ok(()) => eprintln!("trace: {} lines -> {path}", trace.lines().count()),
+            Err(e) => eprintln!("warning: cannot write trace to {path}: {e}"),
+        }
     }
-    req.greedy_tol = args.num("greedy-tol", req.greedy_tol)?;
-    req.greedy_max_shifts = args
-        .flag_value("greedy-max-shifts")
-        .map(|v| v.parse::<usize>())
-        .transpose()
-        .map_err(|_| "--greedy-max-shifts: invalid integer".to_string())?;
-    req.budget.max_lu_factors = args.cap("budget-lu")?;
-    req.budget.max_svd_sweeps = args.cap("budget-svd-sweeps")?;
-    req.budget.max_sample_bytes = args.cap("budget-sample-bytes")?;
-    // PMTBR_FAULT (chaos testing) is the only fault source in
-    // production; real solver failures flow through the same ladder and
-    // the same degradation accounting inside the pipeline.
-    let out = (method.run)(&sys, &req, &pmtbr::NullCache).map_err(Failure::Error)?;
-
-    // The acceptance policy — shared verbatim with `submit` via
-    // `pmtbr_cli::evaluate_acceptance` — runs before any stdout so a
-    // rejected sweep never prints a half-report. The per-stage pipeline
-    // report goes to stderr whenever any stage deviated from a clean
-    // run.
-    let pipeline = out.pipeline.as_ref().map(pmtbr_cli::summarize_pipeline);
-    let sweep = out.diagnostics.as_ref().map(pmtbr_cli::summarize_sweep);
-    let acc =
-        pmtbr_cli::evaluate_acceptance(pipeline.as_ref(), sweep.as_ref(), strict, max_dropped);
+    let acc = pmtbr_cli::evaluate_acceptance(result.pipeline.as_ref(), strict, max_dropped);
     for line in &acc.stderr {
         eprintln!("{line}");
     }
-    let status = verdict_status(acc.verdict.map_err(Failure::Rejected)?);
-    for line in &out.report {
+    let verdict = acc.verdict.map_err(Failure::Rejected)?;
+    for line in &result.report_lines {
         println!("{line}");
     }
-    let reduced = out.reduced;
-
+    let reduced = lti::StateSpace::new(
+        pmtbr_cli::wire_to_mat(&result.a).map_err(Failure::Protocol)?,
+        pmtbr_cli::wire_to_mat(&result.b).map_err(Failure::Protocol)?,
+        pmtbr_cli::wire_to_mat(&result.c).map_err(Failure::Protocol)?,
+        Some(pmtbr_cli::wire_to_mat(&result.d).map_err(Failure::Protocol)?),
+    )
+    .map_err(|e| Failure::Protocol(format!("inconsistent model shapes in response: {e}")))?;
     if let Some(npts) = args.flag_value("check") {
-        print_check(npts, omega_max, &sys, &reduced)?;
+        // The netlist is local, so the cross-check assembles its own
+        // full model whichever command ran the job.
+        print_check(npts, job.omega_max, &build(&job.netlist)?, &reduced)?;
     }
     print_model(&reduced);
-    Ok(status)
-}
-
-fn verdict_status(verdict: pmtbr_cli::Verdict) -> Status {
-    match verdict {
-        pmtbr_cli::Verdict::Clean => Status::Clean,
-        pmtbr_cli::Verdict::Degraded => Status::Degraded,
-        pmtbr_cli::Verdict::BudgetExhausted => Status::BudgetExhausted,
-    }
+    Ok(verdict)
 }
 
 /// `--check N`: compares full and reduced responses over the band.
@@ -373,97 +393,22 @@ fn cmd_serve(args: &Args) -> CmdResult {
         "served {} job(s) in {} batch(es), {} grouped; cache holds {entries} artifact(s), {bytes} byte(s)",
         stats.jobs, stats.batches, stats.grouped
     );
-    Ok(Status::Clean)
+    Ok(Verdict::Clean)
 }
 
-/// `pmtbr-cli submit`: ship a netlist plus `reduce` flags to a running
-/// server and apply the *local* acceptance policy to the response, so
-/// the exit code matches what `reduce` would have returned.
+/// `pmtbr-cli submit`: ship the job `reduce` would run to a server and
+/// print the response through the same tail as `reduce`, so the
+/// *local* acceptance flags decide the exit code.
 fn cmd_submit(args: &Args, trace_path: Option<&str>) -> CmdResult {
-    let path = args.positional.first().ok_or("submit: missing netlist path")?;
-    let netlist =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if args.flag_present("trace-wall") {
         return Err("submit: --trace-wall is unsupported (server traces use the deterministic clock)"
             .into());
     }
-    let band = args.num("band", 1e10)?;
-    let samples = args.int("samples", 40)?;
-    let omega_max = band * TAU;
-    let max_dropped = args.int("max-dropped-samples", samples)?;
-    let strict = args.flag_present("strict");
-    let method_name = args.flag_value("method").unwrap_or("pmtbr");
-    // Validate locally for the fast error; the server re-validates.
-    pmtbr_cli::find(method_name).ok_or_else(|| {
-        format!("unknown --method `{method_name}` ({})", pmtbr_cli::method_list())
-    })?;
-    let bands = match args.flag_value("bands") {
-        Some(spec) => parse_bands(spec)?,
-        None => Vec::new(),
-    };
-    let order = args.cap("order")?;
-    let job = serve::JobRequest {
-        method: method_name.to_string(),
-        netlist: netlist.clone(),
-        omega_max,
-        bands,
-        samples: samples as u64,
-        tol: args.num("tol", 1e-8)?,
-        order,
-        greedy_tol: args.num("greedy-tol", 1e-3)?,
-        greedy_max_shifts: args.cap("greedy-max-shifts")?,
-        budget_lu: args.cap("budget-lu")?,
-        budget_svd: args.cap("budget-svd-sweeps")?,
-        budget_bytes: args.cap("budget-sample-bytes")?,
-        trace: trace_path.is_some(),
-    };
     let addr = args.flag_value("addr").unwrap_or("127.0.0.1:7117");
     let timeout = std::time::Duration::from_millis(args.int("timeout-ms", 30_000)? as u64);
-    let result = match serve::submit(addr, &job, timeout)
-        .map_err(|e| Failure::Protocol(e.to_string()))?
-    {
-        serve::JobResponse::Err(e) => return Err(Failure::Error(e)),
-        serve::JobResponse::Ok(result) => result,
-    };
-    // The trace is written before the acceptance gate for the same
-    // reason `reduce` writes it on failure paths: a rejected sweep is
-    // exactly when the telemetry matters.
-    if let (Some(path), Some(trace)) = (trace_path, &result.trace) {
-        match std::fs::write(path, trace) {
-            Ok(()) => eprintln!("trace: {} lines -> {path}", trace.lines().count()),
-            Err(e) => eprintln!("warning: cannot write trace to {path}: {e}"),
-        }
-    }
-    let acc = pmtbr_cli::evaluate_acceptance(
-        result.pipeline.as_ref(),
-        result.sweep.as_ref(),
-        strict,
-        max_dropped,
-    );
-    for line in &acc.stderr {
-        eprintln!("{line}");
-    }
-    let status = verdict_status(acc.verdict.map_err(Failure::Rejected)?);
-    for line in &result.report_lines {
-        println!("{line}");
-    }
-    let reduced = lti::StateSpace::new(
-        pmtbr_cli::wire_to_mat(&result.a).map_err(Failure::Protocol)?,
-        pmtbr_cli::wire_to_mat(&result.b).map_err(Failure::Protocol)?,
-        pmtbr_cli::wire_to_mat(&result.c).map_err(Failure::Protocol)?,
-        Some(pmtbr_cli::wire_to_mat(&result.d).map_err(Failure::Protocol)?),
-    )
-    .map_err(|e| Failure::Protocol(format!("inconsistent model shapes in response: {e}")))?;
-    if let Some(npts) = args.flag_value("check") {
-        // The netlist is local, so the cross-check runs exactly as it
-        // does for `reduce`, against a locally assembled full model.
-        let sys = circuits::parse_netlist(&netlist)
-            .map_err(|e| e.to_string())
-            .and_then(|nl| nl.build().map_err(|e| format!("mna assembly failed: {e}")))?;
-        print_check(npts, omega_max, &sys, &reduced)?;
-    }
-    print_model(&reduced);
-    Ok(status)
+    run_job(args, "submit", trace_path, |job| {
+        serve::submit(addr, job, timeout).map_err(|e| Failure::Protocol(e.to_string()))
+    })
 }
 
 /// Simulates the netlist's transient response to square waves on every
@@ -499,7 +444,7 @@ fn cmd_transient(args: &Args) -> CmdResult {
         }
         println!();
     }
-    Ok(Status::Clean)
+    Ok(Verdict::Clean)
 }
 
 fn usage() -> String {
@@ -570,7 +515,7 @@ fn main() -> ExitCode {
         "submit" => cmd_submit(&args, trace_path.as_deref()),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
-            Ok(Status::Clean)
+            Ok(Verdict::Clean)
         }
         other => Err(Failure::Error(format!("unknown command `{other}`\n{}", usage()))),
     };
@@ -585,9 +530,9 @@ fn main() -> ExitCode {
         }
     }
     match result {
-        Ok(Status::Clean) => ExitCode::SUCCESS,
-        Ok(Status::Degraded) => ExitCode::from(2),
-        Ok(Status::BudgetExhausted) => ExitCode::from(4),
+        Ok(Verdict::Clean) => ExitCode::SUCCESS,
+        Ok(Verdict::Degraded) => ExitCode::from(2),
+        Ok(Verdict::BudgetExhausted) => ExitCode::from(4),
         Err(Failure::Rejected(e)) => {
             eprintln!("error: {e}");
             ExitCode::from(3)

@@ -1,16 +1,15 @@
-//! The shared acceptance policy for reduced models.
+//! The acceptance policy for reduced models.
 //!
-//! `reduce` (local run) and `submit` (service round trip) must agree,
-//! exit code for exit code, on when a degraded model is acceptable.
-//! This module is that single decision procedure: both commands turn
-//! their pipeline/sweep accounting into the wire-level summaries
-//! ([`serve::PipelineSummary`], [`serve::SweepSummary`]) and feed them
-//! through [`evaluate_acceptance`]. `reduce` summarizes the in-process
-//! report; `submit` gets the identical summaries from the server's
-//! response — so the verdict cannot drift between the two paths.
+//! `reduce` and `submit` both print a [`serve::JobResult`]: `reduce`
+//! runs the job in-process through [`crate::handle_job`], `submit` gets
+//! it from a server. Either way the run's outcome arrives as one
+//! [`PipelineSummary`] ([`summarize`] builds it from the
+//! [`pmtbr::Reduction`]), and [`evaluate_acceptance`] is the single
+//! decision procedure that turns it into stderr lines and an exit
+//! code, so the verdict cannot drift between the two commands.
 
-use pmtbr::{PipelineReport, SweepDiagnostics};
-use serve::{PipelineSummary, SweepSummary};
+use pmtbr::Reduction;
+use serve::PipelineSummary;
 
 /// The non-failure outcomes of the acceptance policy, in ascending
 /// exit-code order (0, 2, 4).
@@ -35,8 +34,10 @@ pub struct Acceptance {
     pub verdict: Result<Verdict, String>,
 }
 
-/// Projects a [`PipelineReport`] onto its wire summary.
-pub fn summarize_pipeline(rep: &PipelineReport) -> PipelineSummary {
+/// Projects a reduction's pipeline report and sweep accounting onto
+/// their wire summary.
+pub(crate) fn summarize(red: &Reduction) -> PipelineSummary {
+    let (rep, diag) = (&red.report, &red.diagnostics);
     PipelineSummary {
         sweep: rep.sweep.label().to_string(),
         compress: rep.compress.label().to_string(),
@@ -46,81 +47,73 @@ pub fn summarize_pipeline(rep: &PipelineReport) -> PipelineSummary {
         degraded: rep.is_degraded(),
         clean: rep.is_clean(),
         notes: rep.notes.clone(),
-    }
-}
-
-/// Projects [`SweepDiagnostics`] onto their wire summary.
-pub fn summarize_sweep(diag: &SweepDiagnostics) -> SweepSummary {
-    SweepSummary {
-        degraded: diag.is_degraded(),
+        sweep_degraded: diag.is_degraded(),
         dropped: diag.dropped() as u64,
-        summary: diag.summary(),
+        sweep_summary: diag.summary(),
     }
 }
 
 /// Decides whether a reduced model is acceptable and what to say about
-/// it, exactly as `reduce` has always done: a non-clean pipeline is
-/// echoed (and rejected under `strict`), a degraded sweep is echoed
-/// (rejected under `strict`, or when more than `max_dropped` sample
-/// points were lost), and budget exhaustion trumps plain degradation
-/// in the final verdict.
+/// it: a non-clean pipeline is echoed (and rejected under `strict`), a
+/// degraded sweep is echoed (rejected under `strict`, or when more than
+/// `max_dropped` sample points were lost), and budget exhaustion trumps
+/// plain degradation in the final verdict. A run without a summary (a
+/// strict baseline method) is clean.
 pub fn evaluate_acceptance(
-    pipeline: Option<&PipelineSummary>,
-    sweep: Option<&SweepSummary>,
+    summary: Option<&PipelineSummary>,
     strict: bool,
     max_dropped: usize,
 ) -> Acceptance {
     let mut stderr = Vec::new();
-    let mut verdict = Verdict::Clean;
-    if let Some(rep) = pipeline {
-        if !rep.clean {
-            stderr.push(format!(
-                "pipeline: sweep={} compress={} project={} downgraded={}{}",
-                rep.sweep,
-                rep.compress,
-                rep.project,
-                rep.downgraded,
-                match &rep.budget_exhausted {
-                    Some(r) => format!(" budget_exhausted={r}"),
-                    None => String::new(),
-                }
-            ));
-            for note in &rep.notes {
-                stderr.push(format!("  note: {note}"));
+    let Some(rep) = summary else {
+        return Acceptance { stderr, verdict: Ok(Verdict::Clean) };
+    };
+    if !rep.clean {
+        stderr.push(format!(
+            "pipeline: sweep={} compress={} project={} downgraded={}{}",
+            rep.sweep,
+            rep.compress,
+            rep.project,
+            rep.downgraded,
+            match &rep.budget_exhausted {
+                Some(r) => format!(" budget_exhausted={r}"),
+                None => String::new(),
             }
+        ));
+        for note in &rep.notes {
+            stderr.push(format!("  note: {note}"));
         }
-        if strict && rep.degraded {
+    }
+    if strict && rep.degraded {
+        return Acceptance {
+            stderr,
+            verdict: Err(format!(
+                "--strict: pipeline degraded (sweep={} compress={} project={} downgraded={})",
+                rep.sweep, rep.compress, rep.project, rep.downgraded,
+            )),
+        };
+    }
+    let mut verdict = Verdict::Clean;
+    if rep.sweep_degraded {
+        stderr.push(format!("degraded {}", rep.sweep_summary));
+        if strict {
+            return Acceptance {
+                stderr,
+                verdict: Err(format!("--strict: sweep degraded ({})", rep.sweep_summary)),
+            };
+        }
+        if rep.dropped > max_dropped as u64 {
             return Acceptance {
                 stderr,
                 verdict: Err(format!(
-                    "--strict: pipeline degraded (sweep={} compress={} project={} downgraded={})",
-                    rep.sweep, rep.compress, rep.project, rep.downgraded,
+                    "{} sample points dropped exceeds --max-dropped-samples {} ({})",
+                    rep.dropped, max_dropped, rep.sweep_summary
                 )),
             };
         }
+        verdict = Verdict::Degraded;
     }
-    if let Some(diag) = sweep {
-        if diag.degraded {
-            stderr.push(format!("degraded {}", diag.summary));
-            if strict {
-                return Acceptance {
-                    stderr,
-                    verdict: Err(format!("--strict: sweep degraded ({})", diag.summary)),
-                };
-            }
-            if diag.dropped > max_dropped as u64 {
-                return Acceptance {
-                    stderr,
-                    verdict: Err(format!(
-                        "{} sample points dropped exceeds --max-dropped-samples {} ({})",
-                        diag.dropped, max_dropped, diag.summary
-                    )),
-                };
-            }
-            verdict = Verdict::Degraded;
-        }
-    }
-    if pipeline.is_some_and(|r| r.budget_exhausted.is_some()) {
+    if rep.budget_exhausted.is_some() {
         verdict = Verdict::BudgetExhausted;
     }
     Acceptance { stderr, verdict: Ok(verdict) }
@@ -130,7 +123,7 @@ pub fn evaluate_acceptance(
 mod tests {
     use super::*;
 
-    fn clean_pipeline() -> PipelineSummary {
+    fn clean_summary() -> PipelineSummary {
         PipelineSummary {
             sweep: "Clean".into(),
             compress: "Clean".into(),
@@ -140,45 +133,56 @@ mod tests {
             degraded: false,
             clean: true,
             notes: vec![],
+            sweep_degraded: false,
+            dropped: 0,
+            sweep_summary: "12/12 survived".into(),
         }
     }
 
-    fn degraded_sweep() -> SweepSummary {
-        SweepSummary { degraded: true, dropped: 3, summary: "3/12 dropped".into() }
+    fn degraded_sweep() -> PipelineSummary {
+        PipelineSummary {
+            sweep_degraded: true,
+            dropped: 3,
+            sweep_summary: "3/12 dropped".into(),
+            ..clean_summary()
+        }
     }
 
     #[test]
     fn clean_run_is_silent_and_clean() {
-        let acc = evaluate_acceptance(Some(&clean_pipeline()), None, true, 0);
+        let acc = evaluate_acceptance(Some(&clean_summary()), true, 0);
         assert!(acc.stderr.is_empty());
         assert_eq!(acc.verdict.unwrap(), Verdict::Clean);
+        let baseline = evaluate_acceptance(None, true, 0);
+        assert!(baseline.stderr.is_empty());
+        assert_eq!(baseline.verdict.unwrap(), Verdict::Clean);
     }
 
     #[test]
     fn strict_rejects_but_still_reports() {
-        let mut rep = clean_pipeline();
+        let mut rep = clean_summary();
         rep.clean = false;
         rep.degraded = true;
         rep.notes = vec!["shift 3 dropped".into()];
-        let acc = evaluate_acceptance(Some(&rep), None, true, 0);
+        let acc = evaluate_acceptance(Some(&rep), true, 0);
         assert_eq!(acc.stderr.len(), 2, "pipeline line + note precede the rejection");
         assert!(acc.verdict.unwrap_err().starts_with("--strict: pipeline degraded"));
     }
 
     #[test]
     fn dropped_samples_gate_on_max_dropped() {
-        let tolerant = evaluate_acceptance(None, Some(&degraded_sweep()), false, 3);
+        let tolerant = evaluate_acceptance(Some(&degraded_sweep()), false, 3);
         assert_eq!(tolerant.verdict.unwrap(), Verdict::Degraded);
-        let tight = evaluate_acceptance(None, Some(&degraded_sweep()), false, 2);
+        let tight = evaluate_acceptance(Some(&degraded_sweep()), false, 2);
         assert!(tight.verdict.unwrap_err().contains("exceeds --max-dropped-samples 2"));
     }
 
     #[test]
     fn budget_exhaustion_outranks_degradation() {
-        let mut rep = clean_pipeline();
+        let mut rep = degraded_sweep();
         rep.clean = false;
         rep.budget_exhausted = Some("lu_factors".into());
-        let acc = evaluate_acceptance(Some(&rep), Some(&degraded_sweep()), false, 10);
+        let acc = evaluate_acceptance(Some(&rep), false, 10);
         assert_eq!(acc.verdict.unwrap(), Verdict::BudgetExhausted);
         assert!(acc.stderr.iter().any(|l| l.contains("budget_exhausted=lu_factors")));
     }

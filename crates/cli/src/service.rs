@@ -1,20 +1,19 @@
-//! The server-side job handler: from a wire [`serve::JobRequest`] to a
-//! wire [`serve::JobResponse`], through the exact code path a local
-//! `reduce` takes.
+//! The job handler: from a wire [`serve::JobRequest`] to a wire
+//! [`serve::JobResponse`], the one path every reduction takes.
 //!
 //! `pmtbr-cli serve` injects [`handle_job`] (closed over one shared
-//! [`pmtbr::LruCache`]) into [`serve::serve`]'s scheduler. Because the
-//! handler calls the same [`crate::Method`] runners as the local
-//! command and ships matrices as raw IEEE-754 bits, a submitted job's
-//! model is bit-identical to the model the same flags would produce
-//! locally — the cache only changes how fast the answer arrives, never
-//! which answer.
+//! [`pmtbr::LruCache`]) into [`serve::serve`]'s scheduler, and local
+//! `pmtbr-cli reduce` calls it in-process over a
+//! [`pmtbr::NullCache`]. Because both run the same handler and
+//! matrices travel as raw IEEE-754 bits, a submitted job's model is
+//! bit-identical to the model the same flags produce locally — the
+//! cache only changes how fast the answer arrives, never which answer.
 
 use numkit::DMat;
 use pmtbr::ArtifactCache;
 use serve::{JobRequest, JobResponse, JobResult, WireMat};
 
-use crate::{summarize_pipeline, summarize_sweep, ReduceRequest};
+use crate::ReduceRequest;
 
 /// Converts a dense matrix to its wire form, preserving every bit.
 pub fn mat_to_wire(m: &DMat) -> WireMat {
@@ -67,14 +66,15 @@ fn reduce_request(job: &JobRequest) -> ReduceRequest {
     req
 }
 
-/// Runs one job against the shared artifact cache.
+/// Runs one job against an artifact cache.
 ///
 /// Parse failures, unknown methods, and numerical errors all come back
-/// as [`JobResponse::Err`] — a *well-formed* response the client maps
-/// to exit 1, exactly as the local command would. When the job asks
-/// for a trace, a deterministic (counter-clock) collector is installed
-/// around just this job and its JSON-lines serialization rides back in
-/// the response.
+/// as [`JobResponse::Err`] — a *well-formed* response the CLI maps to
+/// exit 1. When the job asks for a trace, a deterministic
+/// (counter-clock) collector is installed around just this job and its
+/// JSON-lines serialization rides back in the response; local `reduce`
+/// leaves `trace` off, so the collector its `--trace` installed records
+/// the run instead.
 pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
     let sys = match circuits::parse_netlist(&job.netlist).map_err(|e| e.to_string()).and_then(
         |nl| nl.build().map_err(|e| e.to_string()),
@@ -99,8 +99,7 @@ pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
         Err(e) => JobResponse::Err(e),
         Ok(out) => JobResponse::Ok(Box::new(JobResult {
             report_lines: out.report,
-            pipeline: out.pipeline.as_ref().map(summarize_pipeline),
-            sweep: out.diagnostics.as_ref().map(summarize_sweep),
+            pipeline: out.summary,
             a: mat_to_wire(&out.reduced.a),
             b: mat_to_wire(&out.reduced.b),
             c: mat_to_wire(&out.reduced.c),
@@ -154,7 +153,8 @@ mod tests {
             assert_eq!(wire, &mat_to_wire(here), "wire trip must be bit-exact");
             assert!(wire_to_mat(wire).unwrap() == *here);
         }
-        assert!(remote.pipeline.is_some() && remote.sweep.is_some());
+        assert_eq!(remote.pipeline, local.summary);
+        assert!(remote.pipeline.is_some());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The contract under test is *parity*: a submitted job must be
 //! indistinguishable from the same flags run locally through `reduce` —
 //! byte-identical stdout, the same exit code, the same acceptance
-//! decisions — with exactly one new failure mode (exit 5) reserved for
-//! the transport itself. The chaos matrix from `tests/chaos.rs` is
+//! decisions and stderr policy lines — with exactly one new failure
+//! mode (exit 5) reserved for the transport itself. The chaos matrix from `tests/chaos.rs` is
 //! extended here through serve round-trips: faults are injected into
 //! the *server* process's environment, and containment means the
 //! client still sees the documented exit-code set with no escaped
@@ -128,6 +128,18 @@ fn reduce(netlist: &std::path::Path, extra: &[&str], fault: Option<&str>) -> Out
     cmd.output().expect("spawn pmtbr-cli reduce")
 }
 
+/// The acceptance-policy lines of a run's stderr — `pipeline:`,
+/// `  note:`, `degraded ` and the final `error:` — in order. Panic-hook
+/// output is left out: an injected panic prints it to the stderr of
+/// whichever process ran the job, the server's for `submit`.
+fn policy_lines(out: &Output) -> Vec<String> {
+    String::from_utf8_lossy(&out.stderr)
+        .lines()
+        .filter(|l| ["pipeline:", "  note:", "degraded ", "error:"].iter().any(|p| l.starts_with(p)))
+        .map(str::to_string)
+        .collect()
+}
+
 #[test]
 fn submit_matches_local_reduce_byte_for_byte() {
     let nl = write_netlist("parity.sp", RC_LADDER);
@@ -170,7 +182,8 @@ fn warm_resubmission_is_bit_identical_to_cold() {
 /// injected into the *server's* environment. Containment now spans the
 /// wire — the client's exit code stays in the documented `{0..=5}` set,
 /// no panic escapes either process, and the served outcome is
-/// bit-identical to a local `reduce` under the same fault spec.
+/// bit-identical to a local `reduce` under the same fault spec: stdout
+/// byte for byte, and the stderr policy lines line for line.
 #[test]
 fn chaos_matrix_through_serve_matches_local_reduce() {
     let nl = write_netlist("chaos.sp", RLC_LADDER);
@@ -198,6 +211,11 @@ fn chaos_matrix_through_serve_matches_local_reduce() {
             String::from_utf8_lossy(&local.stderr)
         );
         assert_eq!(remote.stdout, local.stdout, "{ctx}: served stdout diverged from local");
+        assert_eq!(
+            policy_lines(&remote),
+            policy_lines(&local),
+            "{ctx}: served stderr policy lines diverged from local"
+        );
         for out in [&remote, &local] {
             assert!(
                 !String::from_utf8_lossy(&out.stderr).contains("panicked at"),
@@ -257,6 +275,7 @@ fn budget_exhaustion_parity_exit_4() {
     assert_eq!(remote.status.code(), Some(4));
     assert_eq!(local.status.code(), Some(4));
     assert_eq!(remote.stdout, local.stdout, "best-effort model must match local");
+    assert_eq!(policy_lines(&remote), policy_lines(&local));
     assert!(
         String::from_utf8_lossy(&remote.stderr).contains("budget_exhausted=lu-factorizations"),
         "stderr: {}",
@@ -311,6 +330,24 @@ fn server_side_job_errors_exit_1() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("netlist:"), "stderr: {err}");
     assert!(out.stdout.is_empty());
+}
+
+/// A netlist the parser rejects fails `reduce` and `submit` with one
+/// and the same `error:` line: both run the job through one handler.
+#[test]
+fn malformed_netlist_errors_match_between_reduce_and_submit() {
+    let nl = write_netlist("unknown-card.sp", "R1 1 2 50\nC1 2 0 1p\nQ1 2 0 1\nPORT 1\n.end");
+    let flags = ["--band", "2e9", "--samples", "8"];
+    let server = Server::spawn(1, None);
+    let remote = submit(&server.addr, &nl, &flags);
+    server.finish();
+    let local = reduce(&nl, &flags, None);
+    assert_eq!(local.status.code(), Some(1));
+    assert_eq!(remote.status.code(), Some(1));
+    let lines = policy_lines(&local);
+    assert!(lines.len() == 1 && lines[0].contains("line 3"), "local stderr: {lines:?}");
+    assert_eq!(policy_lines(&remote), lines);
+    assert!(local.stdout.is_empty() && remote.stdout.is_empty());
 }
 
 /// `--trace` on submit ships the *server's* deterministic trace back

@@ -106,8 +106,7 @@ pub struct Diagnostic {
     pub message: String,
     /// For interprocedural findings (PANIC02/DET03): the witness call
     /// chain from the flagged function's first callee down to the seed
-    /// site. Empty for per-file findings. Deliberately excluded from
-    /// baseline fingerprints — chains shift with unrelated refactors.
+    /// site. Empty for per-file findings.
     pub chain: Vec<ChainStep>,
 }
 

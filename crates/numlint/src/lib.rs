@@ -8,8 +8,7 @@
 //!   thread count, so nothing order-sensitive may iterate a `HashMap`
 //!   and library crates may not read wall clocks.
 //! - **Panic safety** (PANIC01/ERR01): the library crates promise
-//!   `NumError` propagation; panicking shortcuts are hard errors, with
-//!   a count-based baseline for incremental burndown of legacy sites.
+//!   `NumError` propagation; panicking shortcuts are hard errors.
 //! - **Float discipline** (FLOAT01/FLOAT02): exact float comparisons
 //!   and bare lossy casts in the numerical kernels must be either
 //!   eliminated or justified in-line.
@@ -32,10 +31,9 @@
 //!
 //! The analyzer is zero-dependency and std-only by design — it must
 //! build in the same offline environment as the crates it audits. See
-//! `DESIGN.md` ("Static analysis architecture") for the rule table,
-//! suppression syntax, and baseline workflow.
+//! `DESIGN.md` ("Static analysis architecture") for the rule table and
+//! suppression syntax.
 
-pub mod baseline;
 pub mod cache;
 pub mod callgraph;
 pub mod doccheck;
@@ -46,7 +44,6 @@ pub mod rules;
 pub mod symbols;
 pub mod walk;
 
-pub use baseline::Baseline;
 pub use engine::{analyze_file, workspace_diagnostics, Diagnostic, FileAnalysis, FileClass, FileContext};
 
 /// Lints one file's source text under the given classification and

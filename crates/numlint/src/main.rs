@@ -9,15 +9,14 @@
 //! 2. **Workspace pass** — call graph + effect fixpoint + the
 //!    interprocedural rules (PANIC02/DET03/SAFE01). Always recomputed;
 //!    it is milliseconds and depends on every file at once.
-//! 3. **Baseline + reporting** — fingerprint-granular baseline
-//!    absorption, then text (with witness call chains on their own
-//!    `chain |` lines) or `--json` (chains as structured arrays).
+//! 3. **Reporting** — every finding, as text (with witness call chains
+//!    on their own `chain |` lines) or `--json` (chains as structured
+//!    arrays).
 //!
-//! Exit codes: `0` clean (all findings baselined or none), `2` at least
-//! one non-baselined finding, `1` usage or I/O error. `scripts/check.sh`
-//! treats any non-zero status as a gate failure.
+//! Exit codes: `0` clean, `2` at least one finding, `1` usage or I/O
+//! error. `scripts/check.sh` treats any non-zero status as a gate
+//! failure.
 
-use numlint::baseline::Baseline;
 use numlint::cache::{fnv64, Cache};
 use numlint::engine::{analyze_file, workspace_diagnostics, Diagnostic, FileAnalysis};
 use numlint::rules::{RULES, WORKSPACE_RULES};
@@ -31,42 +30,27 @@ const USAGE: &str = "\
 numlint — in-tree static analysis for the PMTBR workspace
 
 USAGE:
-    numlint check [--baseline PATH] [--update-baseline] [--json] [--root DIR] [--no-cache]
+    numlint check [--json] [--root DIR] [--no-cache]
     numlint doccheck [--root DIR]
     numlint rules
 
 FLAGS (check):
-    --baseline PATH      Absorb legacy findings recorded in PATH
-    --update-baseline    Rewrite PATH with current finding fingerprints and exit 0
     --json               One JSON diagnostic per line (machine-readable)
     --root DIR           Workspace root (default: nearest [workspace] above cwd)
     --no-cache           Ignore and do not write target/numlint-cache
 ";
 
 struct Args {
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
     json: bool,
     root: Option<PathBuf>,
     no_cache: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        baseline: None,
-        update_baseline: false,
-        json: false,
-        root: None,
-        no_cache: false,
-    };
+    let mut args = Args { json: false, root: None, no_cache: false };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline requires a path")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
-            "--update-baseline" => args.update_baseline = true,
             "--json" => args.json = true,
             "--root" => {
                 let v = it.next().ok_or("--root requires a directory")?;
@@ -75,9 +59,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--no-cache" => args.no_cache = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if args.update_baseline && args.baseline.is_none() {
-        return Err("--update-baseline requires --baseline PATH".into());
     }
     Ok(args)
 }
@@ -213,31 +194,7 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
     findings.extend(workspace_diagnostics(&analyses));
     findings.sort();
 
-    if args.update_baseline {
-        let path = args.baseline.as_ref().ok_or("--update-baseline requires --baseline")?;
-        let b = Baseline::from_findings(&findings);
-        fs::write(path, b.render()).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        eprintln!(
-            "numlint: baseline updated — {} finding(s) across {} file(s) recorded in {}",
-            b.total(),
-            findings.iter().map(|(p, _)| p).collect::<std::collections::BTreeSet<_>>().len(),
-            path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let baseline = match &args.baseline {
-        Some(path) => {
-            let text = fs::read_to_string(path)
-                .map_err(|e| format!("reading baseline {}: {e}", path.display()))?;
-            Baseline::parse(&text)
-                .map_err(|e| format!("{}:{}: {}", path.display(), e.line, e.message))?
-        }
-        None => Baseline::default(),
-    };
-    let (reported, absorbed) = baseline.apply(findings);
-
-    for (path, d) in &reported {
+    for (path, d) in &findings {
         let line = sources
             .get(path)
             .and_then(|ls| ls.get(d.line.saturating_sub(1)))
@@ -253,22 +210,16 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
         if args.no_cache { " (cache disabled)" } else { "" }
     );
     if !args.json {
-        if reported.is_empty() {
-            eprintln!(
-                "numlint: clean — {} file(s) checked, {} legacy finding(s) baselined",
-                files.len(),
-                absorbed
-            );
+        if findings.is_empty() {
+            eprintln!("numlint: clean — {} file(s) checked", files.len());
         } else {
             eprintln!(
-                "numlint: {} finding(s) ({} baselined) — fix, `// numlint:allow(RULE) reason`, \
-                 or regenerate the baseline via scripts/numlint-baseline.sh",
-                reported.len(),
-                absorbed
+                "numlint: {} finding(s) — fix, or `// numlint:allow(RULE) reason`",
+                findings.len()
             );
         }
     }
-    Ok(if reported.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(2) })
+    Ok(if findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(2) })
 }
 
 fn main() -> ExitCode {

@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 
 /// A single lint rule.
 pub struct Rule {
-    /// Stable identifier (`DET01`, …) used in output, allows, baseline.
+    /// Stable identifier (`DET01`, …) used in output and allows.
     pub id: &'static str,
     /// One-line description for `numlint rules`.
     pub summary: &'static str,
@@ -357,7 +357,7 @@ fn panic01(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
                 "PANIC01",
                 format!(
                     "`{call}` in library code aborts callers that were promised NumError \
-                     propagation; return an error (or baseline/allow with a reason)"
+                     propagation; return an error (or allow it with a reason)"
                 ),
             );
         }

@@ -19,8 +19,8 @@ pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
         for entry in fs::read_dir(&dir)? {
             entries.push(entry?.path());
         }
-        // read_dir order is filesystem-dependent; sort so diagnostics,
-        // baselines, and JSON output are reproducible byte-for-byte.
+        // read_dir order is filesystem-dependent; sort so diagnostics
+        // and JSON output are reproducible byte-for-byte.
         entries.sort();
         for path in entries {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");

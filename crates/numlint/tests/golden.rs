@@ -7,7 +7,7 @@
 //! test with `NUMLINT_BLESS=1` and reviewing the diff.
 
 use numlint::effects::render_chain;
-use numlint::{analyze_file, lint_source, workspace_diagnostics, Baseline, FileAnalysis, FileClass};
+use numlint::{analyze_file, lint_source, workspace_diagnostics, FileAnalysis, FileClass};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -188,12 +188,11 @@ fn fixtures_are_exempt_as_test_files() {
 }
 
 /// The shipped tree is clean: analyzing the real workspace — per-file
-/// rules *and* the interprocedural PANIC02/DET03/SAFE01 pass — with the
-/// checked-in baseline yields zero non-baselined findings. This is the
-/// same invariant `scripts/check.sh` gates on, enforced from the tier-1
-/// test suite so it cannot rot unnoticed.
+/// rules *and* the interprocedural PANIC02/DET03/SAFE01 pass — yields
+/// zero findings. This is the same invariant `scripts/check.sh` gates
+/// on, enforced from the tier-1 test suite so it cannot rot unnoticed.
 #[test]
-fn workspace_is_clean_under_baseline() {
+fn workspace_is_clean() {
     let root = numlint::walk::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")));
     let files = numlint::walk::workspace_rs_files(&root).expect("walk workspace");
     assert!(files.len() > 100, "workspace walk looks truncated: {} files", files.len());
@@ -208,15 +207,10 @@ fn workspace_is_clean_under_baseline() {
         findings.extend(fa.diags.iter().cloned().map(|d| (path.clone(), d)));
     }
     findings.extend(workspace_diagnostics(&analyses));
-    let baseline = match fs::read_to_string(root.join("numlint.baseline")) {
-        Ok(text) => Baseline::parse(&text).expect("valid baseline"),
-        Err(_) => Baseline::default(),
-    };
-    let (reported, _absorbed) = baseline.apply(findings);
     assert!(
-        reported.is_empty(),
-        "non-baselined findings in the shipped tree:\n{}",
-        reported
+        findings.is_empty(),
+        "findings in the shipped tree:\n{}",
+        findings
             .iter()
             .map(|(p, d)| format!("{p}:{}:{} {} {}", d.line, d.col, d.rule, d.message))
             .collect::<Vec<_>>()

@@ -258,6 +258,21 @@ impl Surrogate {
     }
 }
 
+/// The round's pick: the position and score of the highest η, the
+/// lowest position on ties (strict `>`). A NaN η ranks as `+∞`: like a
+/// singular projected pencil, it says the basis cannot represent the
+/// candidate, so that candidate is sampled next.
+fn best_candidate(scores: &[(f64, Option<ZMat>)]) -> (usize, f64) {
+    let mut best = (0, f64::NEG_INFINITY);
+    for (at, &(eta, _)) in scores.iter().enumerate() {
+        let eta = if eta.is_nan() { f64::INFINITY } else { eta };
+        if eta > best.1 {
+            best = (at, eta);
+        }
+    }
+    best
+}
+
 /// Runs greedy selection and packages the result as the sweep stage's
 /// output. Called by `pipeline::sweep` when the plan's sampling is
 /// [`crate::Sampling::Greedy`], with parameters already checked by
@@ -346,19 +361,14 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
             let surr = Surrogate::build(sys, &basis)?;
             let shifts: Vec<c64> = remaining.iter().map(|&c| c64::new(0.0, omega(c))).collect();
             let scores = surr.score_round(&shifts, &b, bnorm, &d)?;
-            let mut best_score = f64::NEG_INFINITY;
-            let mut best = remaining[0];
+            let (at, best_score) = best_candidate(&scores);
+            let best = remaining[at];
             let mut h_scale: f64 = 0.0;
             let mut h_change: f64 = 0.0;
             let mut round_h: Vec<(usize, ZMat)> = Vec::with_capacity(remaining.len());
-            for (&c, (eta, h)) in remaining.iter().zip(scores) {
+            for (&c, (_, h)) in remaining.iter().zip(scores) {
                 scored_total += 1;
                 obs::counters::add(obs::Counter::GreedyScored, 1);
-                // Strict `>` keeps the lowest candidate index on ties.
-                if eta > best_score {
-                    best_score = eta;
-                    best = c;
-                }
                 if let Some(h) = h {
                     h_scale = h_scale.max(h.norm_fro());
                     if let Some(old) = &prev_h[c] {
@@ -633,6 +643,14 @@ mod tests {
         for (c, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(score_bits(g), score_bits(w), "candidate {c}");
         }
+        // The round's pick ranks candidate 2's NaN η as +∞, like the
+        // singular pencil: it beats the finite scores, and a round of it
+        // alone is never "converged" below a tolerance.
+        let round = |cands: &[usize]| cands.iter().map(|&c| got[c].clone()).collect::<Vec<_>>();
+        assert_eq!(best_candidate(&round(&[0, 2, 4])), (1, f64::INFINITY));
+        assert_eq!(best_candidate(&round(&[2])), (0, f64::INFINITY));
+        // Ties keep the lowest position: the singular candidate 1 first.
+        assert_eq!(best_candidate(&round(&[0, 1, 2])), (1, f64::INFINITY));
 
         // A 1 × 1 pencil `s` against VᵀB = 1e300 overflows without NaN
         // contamination from the elimination: x̂ = (0, −∞) at

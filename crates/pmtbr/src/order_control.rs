@@ -9,7 +9,7 @@
 //! exact trailing-value estimates without touching the `n × m` matrix
 //! again.
 
-use numkit::{singular_values, DMat, NumError};
+use numkit::{svd, DMat, NumError, Svd};
 
 /// An incrementally updated orthonormal basis with order-control
 /// estimates, fed by sample blocks.
@@ -114,10 +114,16 @@ impl IncrementalBasis {
         if self.r_cols.is_empty() {
             return Ok(Vec::new());
         }
+        Ok(self.r_svd()?.s)
+    }
+
+    /// The SVD of the small `R` factor (`rank × ncols`): its singular
+    /// values are the sample matrix's, and [`Self::basis_from`] lifts
+    /// its left vectors to the sample matrix's.
+    pub(crate) fn r_svd(&self) -> Result<Svd<f64>, NumError> {
         let k = self.q.len();
-        let m = self.r_cols.len();
-        let r = DMat::from_fn(k, m, |i, j| self.r_cols[j].get(i).copied().unwrap_or(0.0));
-        singular_values(&r)
+        let r = DMat::from_fn(k, self.ncols(), |i, j| self.r_cols[j].get(i).copied().unwrap_or(0.0));
+        svd(&r)
     }
 
     /// The orthonormal basis truncated to the `order` dominant
@@ -127,16 +133,15 @@ impl IncrementalBasis {
     ///
     /// [`NumError::InvalidArgument`] if `order` exceeds the rank.
     pub fn dominant_basis(&self, order: usize) -> Result<DMat, NumError> {
-        let k = self.q.len();
-        if order > k {
+        self.basis_from(&self.r_svd()?, order)
+    }
+
+    /// `V = Q · U_r[:, :order]` for `f` = [`Self::r_svd`].
+    pub(crate) fn basis_from(&self, f: &Svd<f64>, order: usize) -> Result<DMat, NumError> {
+        if order > self.rank() {
             return Err(NumError::InvalidArgument("order exceeds basis rank"));
         }
-        let m = self.r_cols.len();
-        let r = DMat::from_fn(k, m, |i, j| self.r_cols[j].get(i).copied().unwrap_or(0.0));
-        let f = numkit::svd(&r)?;
-        // V = Q · U_r[:, :order].
-        let qmat = DMat::from_cols(&self.q);
-        qmat.matmul(&f.u.leading_cols(order))
+        DMat::from_cols(&self.q).matmul(&f.u.leading_cols(order))
     }
 }
 

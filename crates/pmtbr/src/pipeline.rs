@@ -987,8 +987,9 @@ fn realify_blocks(
 enum Compressed {
     /// SVD of the controllability sample matrix.
     Spectral { f: Svd<f64>, retried: bool },
-    /// Incremental QR with `R`-factor singular-value estimates.
-    Incremental { basis: IncrementalBasis, s: Vec<f64> },
+    /// Incremental QR and the one SVD of its `R` factor, which gives
+    /// both the spectrum and the projection basis.
+    Incremental { basis: IncrementalBasis, f: Svd<f64> },
     /// SVD of the balancing product `Z_Lᵀ·Z_R`.
     Balanced { f: Svd<f64>, retried: bool },
     /// Realified eigenbasis `T` of the small cross-Gramian eigenproblem
@@ -1175,14 +1176,14 @@ fn incremental_fallback(
 }
 
 /// The incremental QR basis over the stack, one node block at a time,
-/// with its `R`-factor singular-value estimates.
+/// with the SVD of its `R` factor.
 fn incremental(zmat: &DMat, blocks: &[(usize, usize)]) -> Result<Compressed, NumError> {
     let mut basis = IncrementalBasis::new(zmat.nrows());
     for &(c0, c1) in blocks {
         basis.push_block(&zmat.block(0, zmat.nrows(), c0, c1))?;
     }
-    let s = basis.singular_value_estimates()?;
-    Ok(Compressed::Incremental { basis, s })
+    let f = basis.r_svd()?;
+    Ok(Compressed::Incremental { basis, f })
 }
 
 /// Spectral compression of the one-sided sample stack, used both by
@@ -1414,22 +1415,22 @@ fn project<S: LtiSystem + ?Sized>(
     }
     let model = match compressed {
         Compressed::Spectral { f, .. } => spectral_model(sys, &f, order),
-        Compressed::Incremental { basis, s } => {
-            let mut q = truncated_order(&s, order)?;
+        Compressed::Incremental { basis, f } => {
+            let mut q = truncated_order(&f.s, order)?;
             if matches!(order, OrderControl::Tolerance { .. }) {
                 // Tolerance picks from the (padded) spectrum; an exact
-                // request past the rank must error in dominant_basis.
+                // request past the rank must error in basis_from.
                 q = q.min(basis.rank()).max(1);
             }
-            let v = basis.dominant_basis(q)?;
+            let v = basis.basis_from(&f, q)?;
             let q = v.ncols();
             let reduced: StateSpace = sys.project(&v, &v)?;
             Ok(PmtbrModel {
                 reduced,
                 v,
-                singular_values: s.clone(),
                 order: q,
-                error_estimate: s.iter().skip(q).sum(),
+                error_estimate: f.s.iter().skip(q).sum(),
+                singular_values: f.s,
             })
         }
         Compressed::Balanced { f, .. } => {

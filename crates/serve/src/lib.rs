@@ -6,7 +6,7 @@
 //! reduction jobs over a zero-dependency TCP protocol; `pmtbr-cli
 //! submit` ships a netlist plus the usual `reduce` flags and gets back
 //! the reduced model — bit-exact, as raw IEEE-754 words — the report
-//! lines, the acceptance-policy summaries, and optionally the
+//! lines, the acceptance-policy summary, and optionally the
 //! deterministic trace.
 //!
 //! The crate splits four ways:
@@ -43,6 +43,6 @@ pub use client::submit;
 pub use deadline::Deadline;
 pub use server::{serve, ServeOptions, ServeStats};
 pub use wire::{
-    read_frame, write_frame, JobRequest, JobResponse, JobResult, PipelineSummary, SweepSummary,
-    WireError, WireMat, WireReader, WireWriter, MAX_FRAME, REQUEST_MAGIC, RESPONSE_MAGIC,
+    read_frame, write_frame, JobRequest, JobResponse, JobResult, PipelineSummary, WireError,
+    WireMat, WireReader, WireWriter, MAX_FRAME, REQUEST_MAGIC, RESPONSE_MAGIC,
 };

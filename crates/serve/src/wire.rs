@@ -11,7 +11,7 @@
 //! the trip bit-exactly — the service inherits the workspace's
 //! bit-identity contract), strings as a length + UTF-8 bytes, options
 //! as a flag byte + value. No varints, no schema evolution: both ends
-//! are this workspace, and the magic's trailing `1` is the version.
+//! are this workspace, and the magic's trailing digit is the version.
 //!
 //! Every decode error is a protocol error; the CLI maps those to exit
 //! code 5, distinct from numerical failures reported *inside* a
@@ -23,7 +23,7 @@ use std::io::{Read, Write};
 /// First 8 payload bytes of every request frame.
 pub const REQUEST_MAGIC: [u8; 8] = *b"PMTBRRQ1";
 /// First 8 payload bytes of every response frame.
-pub const RESPONSE_MAGIC: [u8; 8] = *b"PMTBRRS1";
+pub const RESPONSE_MAGIC: [u8; 8] = *b"PMTBRRS2";
 /// Hard cap on a single frame's payload size (64 MiB).
 pub const MAX_FRAME: usize = 64 << 20;
 
@@ -413,9 +413,9 @@ impl JobRequest {
     }
 }
 
-/// The per-stage pipeline outcome a client needs to reproduce the
-/// CLI's acceptance policy locally — a wire projection of
-/// `pmtbr::PipelineReport`.
+/// The run outcome a client needs to reproduce the CLI's acceptance
+/// policy locally — a wire projection of `pmtbr::PipelineReport` and
+/// the sweep's `pmtbr::SweepDiagnostics`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineSummary {
     /// Sweep-stage outcome label.
@@ -434,6 +434,13 @@ pub struct PipelineSummary {
     pub clean: bool,
     /// Human-readable notes, including budget-stage attribution.
     pub notes: Vec<String>,
+    /// `SweepDiagnostics::is_degraded()` at the source: a sample point
+    /// was dropped or repaired.
+    pub sweep_degraded: bool,
+    /// Dropped sample-point count.
+    pub dropped: u64,
+    /// `SweepDiagnostics::summary()` at the source.
+    pub sweep_summary: String,
 }
 
 impl PipelineSummary {
@@ -446,6 +453,9 @@ impl PipelineSummary {
         w.flag(self.degraded);
         w.flag(self.clean);
         w.strs(&self.notes);
+        w.flag(self.sweep_degraded);
+        w.u64(self.dropped);
+        w.str(&self.sweep_summary);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -458,46 +468,22 @@ impl PipelineSummary {
             degraded: r.flag()?,
             clean: r.flag()?,
             notes: r.strs()?,
+            sweep_degraded: r.flag()?,
+            dropped: r.u64()?,
+            sweep_summary: r.str()?,
         })
     }
 }
 
-/// Sweep accounting a client needs for the degraded/rejected policy —
-/// a wire projection of `pmtbr::SweepDiagnostics`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepSummary {
-    /// Whether any sample point was dropped or repaired.
-    pub degraded: bool,
-    /// Dropped sample-point count.
-    pub dropped: u64,
-    /// `SweepDiagnostics::summary()` at the source.
-    pub summary: String,
-}
-
-impl SweepSummary {
-    fn encode(&self, w: &mut WireWriter) {
-        w.flag(self.degraded);
-        w.u64(self.dropped);
-        w.str(&self.summary);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SweepSummary { degraded: r.flag()?, dropped: r.u64()?, summary: r.str()? })
-    }
-}
-
 /// A completed job: the reduced model, the report the CLI would have
-/// printed, the policy summaries, and optionally the trace.
+/// printed, the policy summary, and optionally the trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
     /// Stdout report lines (method, order, singular values, ...).
     pub report_lines: Vec<String>,
-    /// Pipeline outcome for the acceptance policy; `None` for strict
+    /// Run outcome for the acceptance policy; `None` for strict
     /// baseline methods.
     pub pipeline: Option<PipelineSummary>,
-    /// Sweep accounting for the acceptance policy; `None` for strict
-    /// baseline methods.
-    pub sweep: Option<SweepSummary>,
     /// Reduced `A`, bit-exact.
     pub a: WireMat,
     /// Reduced `B`, bit-exact.
@@ -515,7 +501,7 @@ pub struct JobResult {
 /// *numerical/usage* failure, not a protocol error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobResponse {
-    /// The job ran; inspect the summaries for degradation.
+    /// The job ran; inspect the summary for degradation.
     Ok(Box<JobResult>),
     /// The job failed before producing a model.
     Err(String),
@@ -536,10 +522,6 @@ impl JobResponse {
                 w.flag(res.pipeline.is_some());
                 if let Some(p) = &res.pipeline {
                     p.encode(&mut w);
-                }
-                w.flag(res.sweep.is_some());
-                if let Some(s) = &res.sweep {
-                    s.encode(&mut w);
                 }
                 for m in [&res.a, &res.b, &res.c, &res.d] {
                     m.encode(&mut w);
@@ -562,22 +544,12 @@ impl JobResponse {
         } else {
             let report_lines = r.strs()?;
             let pipeline = if r.flag()? { Some(PipelineSummary::decode(&mut r)?) } else { None };
-            let sweep = if r.flag()? { Some(SweepSummary::decode(&mut r)?) } else { None };
             let a = WireMat::decode(&mut r)?;
             let b = WireMat::decode(&mut r)?;
             let c = WireMat::decode(&mut r)?;
             let d = WireMat::decode(&mut r)?;
             let trace = r.opt_str()?;
-            JobResponse::Ok(Box::new(JobResult {
-                report_lines,
-                pipeline,
-                sweep,
-                a,
-                b,
-                c,
-                d,
-                trace,
-            }))
+            JobResponse::Ok(Box::new(JobResult { report_lines, pipeline, a, b, c, d, trace }))
         };
         r.finish()?;
         Ok(resp)
@@ -618,11 +590,9 @@ mod tests {
                 degraded: true,
                 clean: false,
                 notes: vec!["lu factor budget exhausted in the sweep stage".into()],
-            }),
-            sweep: Some(SweepSummary {
-                degraded: true,
+                sweep_degraded: true,
                 dropped: 3,
-                summary: "3/12 dropped".into(),
+                sweep_summary: "3/12 dropped".into(),
             }),
             a: WireMat { rows: 2, cols: 2, bits: vec![1, 2, 3, f64::to_bits(-0.0)] },
             b: WireMat { rows: 2, cols: 1, bits: vec![5, 6] },
@@ -687,7 +657,6 @@ mod tests {
         let mut w = WireWriter::new(&RESPONSE_MAGIC);
         w.flag(true);
         w.strs(&[]);
-        w.flag(false);
         w.flag(false);
         w.u64(1000);
         w.u64(1000);

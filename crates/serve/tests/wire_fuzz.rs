@@ -8,9 +8,7 @@
 //! run decodes the same inputs.
 
 use numkit::SplitMix64;
-use serve::{
-    JobRequest, JobResponse, JobResult, PipelineSummary, SweepSummary, WireError, WireMat,
-};
+use serve::{JobRequest, JobResponse, JobResult, PipelineSummary, WireError, WireMat};
 
 /// Mutated payloads decoded per seed payload.
 const CASES: u64 = 150_000;
@@ -42,10 +40,10 @@ fn wire_mat(rows: usize, cols: usize) -> WireMat {
     WireMat { rows, cols, bits }
 }
 
-fn result(summaries: bool) -> JobResult {
+fn result(summary: bool) -> JobResult {
     JobResult {
         report_lines: vec!["method: greedy".into(), "order: 2".into()],
-        pipeline: summaries.then(|| PipelineSummary {
+        pipeline: summary.then(|| PipelineSummary {
             sweep: "Recovered".into(),
             compress: "Clean".into(),
             project: "Clean".into(),
@@ -54,17 +52,15 @@ fn result(summaries: bool) -> JobResult {
             degraded: true,
             clean: false,
             notes: vec!["lu factor budget exhausted in the sweep stage".into()],
-        }),
-        sweep: summaries.then(|| SweepSummary {
-            degraded: true,
+            sweep_degraded: true,
             dropped: 1,
-            summary: "1/8 dropped".into(),
+            sweep_summary: "1/8 dropped".into(),
         }),
         a: wire_mat(2, 2),
         b: wire_mat(2, 2),
         c: wire_mat(2, 2),
         d: wire_mat(2, 2),
-        trace: summaries.then(|| "{\"span\":\"pmtbr.sweep\"}\n".into()),
+        trace: summary.then(|| "{\"span\":\"pmtbr.sweep\"}\n".into()),
     }
 }
 

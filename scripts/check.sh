@@ -26,9 +26,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # cache hit/miss counts numlint prints on stderr belong to each pass.
 echo "==> numlint check"
 numlint_t0=$(date +%s%N)
-cargo run -q -p numlint -- check --baseline numlint.baseline
+cargo run -q -p numlint -- check
 numlint_t1=$(date +%s%N)
-cargo run -q -p numlint -- check --baseline numlint.baseline >/dev/null
+cargo run -q -p numlint -- check >/dev/null
 numlint_t2=$(date +%s%N)
 numlint_cold_ms=$(( (numlint_t1 - numlint_t0) / 1000000 ))
 numlint_warm_ms=$(( (numlint_t2 - numlint_t1) / 1000000 ))

@@ -12,7 +12,9 @@
 //! The same sweep then feeds `pmtbr::IncrementalBasis`, pinning the
 //! paper's Section V-C claim that order control needs no SVD per added
 //! sample: pushing the blocks adds no `SVD_SWEEPS`, and only the
-//! singular-value estimates do.
+//! singular-value estimates do. A reduction whose spectral compressor
+//! falls back to that basis SVDs its `R` factor once: the one
+//! factorization gives the spectrum and the projection basis.
 //!
 //! Counters are process-global, so this file contains exactly one test:
 //! cargo runs each integration-test binary's tests in threads of one
@@ -22,7 +24,10 @@ use circuits::rc_mesh;
 use lti::{RecoveryPolicy, ShiftSolveEngine};
 use numkit::c64;
 use obs::{counters, Counter};
-use pmtbr::{FaultKind, FaultPlan, IncrementalBasis};
+use pmtbr::{
+    pipeline, Budget, FaultKind, FaultPlan, FaultStage, IncrementalBasis, NullCache, PmtbrOptions,
+    ReductionPlan, Sampling,
+};
 
 #[test]
 fn lu_work_accounts_for_every_shift() {
@@ -100,4 +105,27 @@ fn lu_work_accounts_for_every_shift() {
     let s = basis.singular_value_estimates().expect("estimates");
     assert_eq!(s.len(), basis.rank());
     assert!(counters::snapshot().delta(&before).get(Counter::SvdSweeps) > 0);
+
+    // Every spectral rung poisoned: the compressor falls back to the
+    // incremental basis, whose one SVD of `R` also gives the projection
+    // basis. The only other SVD is the projection's own, of the q × q
+    // reduced `E`.
+    let plan = ReductionPlan::pmtbr(&PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 8 }));
+    let faults =
+        FaultPlan::new(11, 1.0, vec![FaultKind::Drift], 4).with_stages(vec![FaultStage::Compress]);
+    assert!(obs::install(obs::ClockKind::Counter), "a trace collector is already installed");
+    let red = pipeline::run(&sys, &plan, Some(&faults), &Budget::default(), &NullCache);
+    let trace = obs::drain().expect("trace").to_jsonl();
+    let red = red.expect("fallback run");
+    assert!(red.report.compressor_downgraded);
+    let svds: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains(r#""ev":"exit""#) && l.contains(r#"/svd.jacobi""#))
+        .collect();
+    let q = red.model.order;
+    let er = format!(r#""span":"pmtbr.project/svd.jacobi","m":{q},"n":{q},"#);
+    assert!(
+        svds.len() == 2 && svds[0].contains("pmtbr.compress/svd.jacobi") && svds[1].contains(&er),
+        "the incremental fallback must SVD `R` once: {svds:#?}"
+    );
 }
