@@ -158,54 +158,6 @@ impl Netlist {
         self.ports.len()
     }
 
-    /// Deterministic structural hash of the netlist — the circuit-level
-    /// companion of [`lti::Descriptor::pencil_hash`], available
-    /// *before* paying for MNA assembly. R/C/M elements combine
-    /// commutatively (stamping sums them, so insertion order cannot
-    /// change the built system); inductors fold in their branch index,
-    /// because branch numbering decides the state layout. Equal hashes
-    /// are a grouping hint, not a correctness claim — the artifact
-    /// cache itself keys on the assembled pencil's content address.
-    pub fn structural_hash(&self) -> u64 {
-        use lti::hash::Fnv64;
-        let element = |tag: u64, a: u64, b: u64, v: f64| -> u64 {
-            let mut h = Fnv64::new();
-            h.word(tag).word(a).word(b).word(v.to_bits());
-            h.finish()
-        };
-        let mut inductor_branch = 0u64;
-        let mut acc = 0u64;
-        for e in &self.elements {
-            acc = acc.wrapping_add(match *e {
-                Element::Resistor(n1, n2, ohms) => element(1, n1 as u64, n2 as u64, ohms),
-                Element::Capacitor(n1, n2, farads) => element(2, n1 as u64, n2 as u64, farads),
-                Element::Inductor(n1, n2, henries) => {
-                    let mut h = Fnv64::new();
-                    h.word(3).word(n1 as u64).word(n2 as u64).word(henries.to_bits());
-                    h.word(inductor_branch);
-                    inductor_branch += 1;
-                    h.finish()
-                }
-                Element::Mutual(l1, l2, m) => element(4, l1 as u64, l2 as u64, m),
-            });
-        }
-        let mut h = Fnv64::new();
-        h.label("pmtbr-netlist-v1");
-        h.word(self.max_node as u64).word(self.n_inductors as u64);
-        h.word(self.elements.len() as u64).word(acc);
-        // Port/probe order fixes the input/output column layout, so it
-        // folds in sequentially, not commutatively.
-        h.word(self.ports.len() as u64);
-        for &p in &self.ports {
-            h.word(p as u64);
-        }
-        h.word(self.probes.len() as u64);
-        for &p in &self.probes {
-            h.word(p as u64);
-        }
-        h.finish()
-    }
-
     /// Assembles the MNA descriptor system.
     ///
     /// Outputs are ordered: port voltages first, then probe voltages.
@@ -403,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn structural_hash_commutes_over_rc_order_but_sees_values() {
+    fn rc_insertion_order_does_not_change_the_pencil() {
         let build = |swap: bool, ohms: f64| {
             let mut nl = Netlist::new();
             if swap {
@@ -416,15 +368,12 @@ mod tests {
             nl.port(1);
             nl
         };
-        // R/C insertion order cannot change the MNA result → same hash.
-        assert_eq!(build(false, 1e3).structural_hash(), build(true, 1e3).structural_hash());
+        let pencil = |swap: bool, ohms: f64| build(swap, ohms).build().unwrap().pencil_hash();
+        // Stamping sums R/C contributions, so insertion order cannot
+        // change the assembled pencil or its content address.
+        assert_eq!(pencil(false, 1e3), pencil(true, 1e3));
         // Any value change must change the address.
-        assert_ne!(build(false, 1e3).structural_hash(), build(false, 2e3).structural_hash());
-        // And the built descriptors content-address identically too.
-        assert_eq!(
-            build(false, 1e3).build().unwrap().pencil_hash(),
-            build(true, 1e3).build().unwrap().pencil_hash()
-        );
+        assert_ne!(pencil(false, 1e3), pencil(false, 2e3));
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! the quadrature instead of erroring, `--threads` pins the worker
 //! count, `--trace` records the sweep, and the run's
 //! [`PipelineSummary`] drives the binary's exit-code policy uniformly.
+//! Those whose plan needs nothing from the system expose it as a
+//! [`RequestPlan`] ([`Method::plan`]), which lets the served handler
+//! find a repeated job's model before it parses the netlist.
 //! The Krylov and dense-TBR baselines carry no summary
 //! (`summary: None`) and are always strict.
 //!
@@ -118,6 +121,27 @@ pub struct Method {
     pub needs_order: bool,
     /// Builds the reduced model.
     pub run: fn(&Descriptor, &ReduceRequest, &dyn ArtifactCache) -> Result<MethodOutput, String>,
+    /// `Some` for a pipeline method whose plan depends on the request
+    /// alone; `run` then executes exactly this plan. The served handler
+    /// uses it to look a repeated job's model up before it builds the
+    /// system.
+    pub plan: Option<RequestPlan>,
+}
+
+/// The plan of a pipeline method that needs nothing from the system.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestPlan {
+    /// The `method:` label of the report.
+    pub label: &'static str,
+    /// Builds the plan; fails when the request lacks a flag the method
+    /// needs.
+    pub build: fn(&ReduceRequest) -> Result<ReductionPlan, String>,
+}
+
+impl RequestPlan {
+    fn run(&self, sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
+        run_plan(sys, &(self.build)(req)?, req, cache, self.label)
+    }
 }
 
 /// Report lines shared by every pipeline-backed method.
@@ -146,37 +170,64 @@ fn run_plan(
 ) -> Result<MethodOutput, String> {
     let red = pmtbr::pipeline::run_cached(sys, plan, &req.budget, cache)
         .map_err(|e| e.to_string())?;
-    Ok(MethodOutput {
+    Ok(pipeline_output(label, red))
+}
+
+/// What the CLI prints about a pipeline reduction, however it was
+/// obtained.
+fn pipeline_output(label: &str, red: pmtbr::Reduction) -> MethodOutput {
+    MethodOutput {
         report: pipeline_report(label, &red),
         summary: Some(summarize(&red)),
         reduced: red.model.reduced,
-    })
+    }
 }
 
+const PMTBR: RequestPlan =
+    RequestPlan { label: "pmtbr", build: |req| Ok(ReductionPlan::pmtbr(&req.pmtbr_options())) };
+
+const BALANCED: RequestPlan = RequestPlan {
+    label: "balanced-pmtbr",
+    build: |req| Ok(ReductionPlan::balanced(&req.sampling(), req.order_required("balanced")?)),
+};
+
+const CROSS: RequestPlan = RequestPlan {
+    label: "cross-gramian-pmtbr",
+    build: |req| Ok(ReductionPlan::cross_gramian(&req.sampling(), req.order_required("cross")?)),
+};
+
+const FSEL: RequestPlan = RequestPlan {
+    label: "frequency-selective-pmtbr",
+    build: |req| Ok(ReductionPlan::frequency_selective(&req.bands, req.samples, req.order, req.tol)),
+};
+
+const GREEDY: RequestPlan = RequestPlan {
+    label: "greedy-pmtbr",
+    build: |req| {
+        let max_shifts = req.greedy_max_shifts.unwrap_or(req.samples).max(1);
+        let order = pmtbr::OrderControl::Tolerance { tolerance: req.tol, max_order: req.order };
+        Ok(ReductionPlan::greedy(req.omega_max, req.greedy_tol, max_shifts, order))
+    },
+};
+
 fn run_pmtbr(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    run_plan(sys, &ReductionPlan::pmtbr(&req.pmtbr_options()), req, cache, "pmtbr")
+    PMTBR.run(sys, req, cache)
 }
 
 fn run_balanced(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    let q = req.order_required("balanced")?;
-    run_plan(sys, &ReductionPlan::balanced(&req.sampling(), q), req, cache, "balanced-pmtbr")
+    BALANCED.run(sys, req, cache)
 }
 
 fn run_cross(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    let q = req.order_required("cross")?;
-    run_plan(sys, &ReductionPlan::cross_gramian(&req.sampling(), q), req, cache, "cross-gramian-pmtbr")
+    CROSS.run(sys, req, cache)
 }
 
 fn run_fsel(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    let plan = ReductionPlan::frequency_selective(&req.bands, req.samples, req.order, req.tol);
-    run_plan(sys, &plan, req, cache, "frequency-selective-pmtbr")
+    FSEL.run(sys, req, cache)
 }
 
 fn run_greedy(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    let max_shifts = req.greedy_max_shifts.unwrap_or(req.samples).max(1);
-    let order = pmtbr::OrderControl::Tolerance { tolerance: req.tol, max_order: req.order };
-    let plan = ReductionPlan::greedy(req.omega_max, req.greedy_tol, max_shifts, order);
-    run_plan(sys, &plan, req, cache, "greedy-pmtbr")
+    GREEDY.run(sys, req, cache)
 }
 
 fn run_correlated(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
@@ -276,66 +327,77 @@ pub const METHODS: &[Method] = &[
         summary: "multipoint sampling + SVD truncation (paper Algorithm 1)",
         needs_order: false,
         run: run_pmtbr,
+        plan: Some(PMTBR),
     },
     Method {
         name: "balanced",
         summary: "two-sided square-root balancing of sampled Gramians",
         needs_order: true,
         run: run_balanced,
+        plan: Some(BALANCED),
     },
     Method {
         name: "cross",
         summary: "sampled cross-Gramian eigenprojection (paper Section V-D)",
         needs_order: true,
         run: run_cross,
+        plan: Some(CROSS),
     },
     Method {
         name: "fsel",
         summary: "frequency-selective quadrature over --bands (paper Algorithm 2)",
         needs_order: false,
         run: run_fsel,
+        plan: Some(FSEL),
     },
     Method {
         name: "greedy",
         summary: "greedy adaptive shift placement with convergence stopping (docs/SAMPLING.md)",
         needs_order: false,
         run: run_greedy,
+        plan: Some(GREEDY),
     },
     Method {
         name: "correlated",
         summary: "input-correlated stochastic sampling (paper Algorithm 3)",
         needs_order: false,
         run: run_correlated,
+        plan: None,
     },
     Method {
         name: "prima",
         summary: "passive block Krylov moment matching (baseline)",
         needs_order: true,
         run: run_prima,
+        plan: None,
     },
     Method {
         name: "mpproj",
         summary: "multipoint rational Krylov projection (baseline)",
         needs_order: true,
         run: run_mpproj,
+        plan: None,
     },
     Method {
         name: "tbr",
         summary: "exact dense balanced truncation (baseline)",
         needs_order: true,
         run: run_tbr,
+        plan: None,
     },
     Method {
         name: "tbr-res",
         summary: "balanced truncation with DC residualization (baseline)",
         needs_order: true,
         run: run_tbr_res,
+        plan: None,
     },
     Method {
         name: "fltbr",
         summary: "frequency-limited balanced truncation (baseline)",
         needs_order: true,
         run: run_fltbr,
+        plan: None,
     },
 ];
 

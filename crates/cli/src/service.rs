@@ -8,12 +8,23 @@
 //! matrices travel as raw IEEE-754 bits, a submitted job's model is
 //! bit-identical to the model the same flags produce locally — the
 //! cache only changes how fast the answer arrives, never which answer.
+//!
+//! A cache with a source index ([`ArtifactCache::source_pencil`]) lets
+//! an untraced repeat skip the netlist altogether: when the job's text
+//! is indexed and its method's plan depends on the request alone
+//! ([`crate::Method::plan`]), [`pmtbr::pipeline::warm_hit`] looks the
+//! model up under the indexed pencil before anything is parsed,
+//! assembled or hashed. Every other job, and every lookup that does not
+//! hit, takes the parse path, which notes the text's pencil once the
+//! pipeline has hashed it.
+
+use std::sync::OnceLock;
 
 use numkit::DMat;
-use pmtbr::ArtifactCache;
+use pmtbr::{Artifact, ArtifactCache, CacheKey};
 use serve::{JobRequest, JobResponse, JobResult, WireMat};
 
-use crate::ReduceRequest;
+use crate::{MethodOutput, ReduceRequest};
 
 /// Converts a dense matrix to its wire form, preserving every bit.
 pub fn mat_to_wire(m: &DMat) -> WireMat {
@@ -74,8 +85,15 @@ fn reduce_request(job: &JobRequest) -> ReduceRequest {
 /// (counter-clock) collector is installed around just this job and its
 /// JSON-lines serialization rides back in the response; local `reduce`
 /// leaves `trace` off, so the collector its `--trace` installed records
-/// the run instead.
+/// the run instead. An untraced job whose text the cache has indexed
+/// may be answered from the model cache without a parse (module docs);
+/// its response is the one the parse path would return.
 pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
+    if !job.trace {
+        if let Some(out) = indexed_hit(job, cache) {
+            return respond(Ok(out), None);
+        }
+    }
     let sys = match circuits::parse_netlist(&job.netlist).map_err(|e| e.to_string()).and_then(
         |nl| nl.build().map_err(|e| e.to_string()),
     ) {
@@ -93,8 +111,57 @@ pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
     if job.trace {
         obs::install(obs::ClockKind::Counter);
     }
-    let outcome = (method.run)(&sys, &req, cache);
+    let seen = PencilSeen { inner: cache, pencil: OnceLock::new() };
+    let outcome = (method.run)(&sys, &req, &seen);
     let trace = if job.trace { obs::drain().map(|t| t.to_jsonl()) } else { None };
+    if let Some(&pencil) = seen.pencil.get() {
+        cache.note_source(job.netlist.as_bytes(), pencil);
+    }
+    respond(outcome, trace)
+}
+
+/// The model of an untraced job whose text `cache` has indexed, looked
+/// up without parsing, assembling or hashing the netlist; `None`
+/// whenever the job needs the parse path: its method's plan needs the
+/// system, its text is not indexed, its plan is invalid or
+/// `PMTBR_FAULT` is malformed (the parse path reports both), or no
+/// model for this plan, fault plan and budget is cached.
+fn indexed_hit(job: &JobRequest, cache: &dyn ArtifactCache) -> Option<MethodOutput> {
+    let plan = crate::find(&job.method)?.plan?;
+    let pencil = cache.source_pencil(job.netlist.as_bytes())?;
+    let req = reduce_request(job);
+    let built = (plan.build)(&req).ok()?;
+    let faults = pmtbr::pipeline::env_faults().ok()?;
+    let red = pmtbr::pipeline::warm_hit(pencil, &built, faults.as_ref(), &req.budget, cache).ok()??;
+    Some(crate::pipeline_output(plan.label, red))
+}
+
+/// Forwards to a cache and keeps the pencil of the first model looked
+/// up through it — the pencil the pipeline hashed from the job's
+/// system — so the handler can index the job's text without hashing the
+/// pencil a second time.
+struct PencilSeen<'a> {
+    inner: &'a dyn ArtifactCache,
+    pencil: OnceLock<u64>,
+}
+
+impl ArtifactCache for PencilSeen<'_> {
+    fn get(&self, key: &CacheKey) -> Option<Artifact> {
+        let _ = self.pencil.set(key.pencil);
+        self.inner.get(key)
+    }
+
+    fn put(&self, key: CacheKey, value: Artifact) {
+        self.inner.put(key, value);
+    }
+
+    fn stats(&self) -> (usize, usize) {
+        self.inner.stats()
+    }
+}
+
+/// The wire response for a method's outcome and the job's trace.
+fn respond(outcome: Result<MethodOutput, String>, trace: Option<String>) -> JobResponse {
     match outcome {
         Err(e) => JobResponse::Err(e),
         Ok(out) => JobResponse::Ok(Box::new(JobResult {

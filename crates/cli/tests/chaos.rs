@@ -3,7 +3,9 @@
 //! × thread count — and asserts the pipeline's containment contract:
 //!
 //! - no escaped panic or signal ever reaches the process boundary
-//!   (exit codes stay within the documented `{0, 1, 2, 3, 4}` set);
+//!   (exit codes stay within the documented `{0, 1, 2, 3, 4}` set, and
+//!   the only panic reports on stderr are the injector's own, which a
+//!   stage or worker caught — an escaped panic exits 101);
 //! - every printed model is finite (no `NaN`/`inf` leaks into the
 //!   A/B/C dump);
 //! - at a fixed fault seed the *stdout is byte-identical* at 1, 2, and
@@ -14,6 +16,8 @@
 //! the matrix never mutates this test process's env (no cross-test
 //! races). The quick CI gate in `scripts/check.sh` runs the same matrix
 //! through this test.
+
+mod common;
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -69,27 +73,73 @@ fn run_reduce(method: &pmtbr_cli::Method, fault: Option<&str>, threads: &str) ->
     cmd.output().expect("spawn pmtbr-cli")
 }
 
-/// The containment contract every chaos run must satisfy.
+/// The containment contract every chaos run must satisfy: an exit code
+/// in the documented set (an escaped panic exits 101, a signal has no
+/// code), finite printed numbers, and no panic report on stderr other
+/// than the injector's own.
+fn containment(code: Option<i32>, stdout: &str, stderr: &str) -> Result<(), String> {
+    if !matches!(code, Some(0..=4)) {
+        return Err(format!(
+            "exit {code:?} outside the documented set (signal or escaped panic?)\nstderr: {stderr}"
+        ));
+    }
+    if let Some(token) = ["NaN", "inf"].into_iter().find(|t| stdout.contains(t)) {
+        return Err(format!("non-finite `{token}` leaked into stdout"));
+    }
+    let foreign = common::foreign_panics(stderr);
+    if !foreign.is_empty() {
+        return Err(format!("a panic the injector did not raise: {foreign:?}\nstderr: {stderr}"));
+    }
+    Ok(())
+}
+
 fn assert_contained(out: &Output, ctx: &str) {
-    let code = out.status.code();
-    assert!(
-        matches!(code, Some(0..=4)),
-        "{ctx}: exit {code:?} outside the documented set (signal or escaped panic?)\n\
-         stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for token in ["NaN", "inf"] {
-        assert!(
-            !stdout.contains(token),
-            "{ctx}: non-finite `{token}` leaked into stdout"
-        );
+    if let Err(e) = containment(out.status.code(), &stdout, &stderr) {
+        panic!("{ctx}: {e}");
     }
-    assert!(
-        !stderr.contains("panicked at"),
-        "{ctx}: a panic escaped to stderr:\n{stderr}"
+}
+
+/// A stage panic the pipeline contains still prints the panic hook's
+/// report: at this seed the compress stage's first two ladder attempts
+/// panic and its third succeeds. The run exits 0, the gate accepts it,
+/// and both reports carry the injector's message.
+#[test]
+fn contained_stage_panics_pass_the_gate() {
+    let method = pmtbr_cli::find("pmtbr").expect("registry");
+    let spec = "seed=3,rate=1,kinds=panic,depth=2,stage=compress";
+    let out = run_reduce(method, Some(spec), "1");
+    assert_contained(&out, spec);
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("compress=recovered"), "stderr:\n{stderr}");
+    assert_eq!(stderr.matches(" panicked at ").count(), 2, "stderr:\n{stderr}");
+    assert_eq!(
+        stderr.matches("injected chaos panic in pipeline stage compress").count(),
+        2,
+        "stderr:\n{stderr}"
     );
+}
+
+/// Negative control: the gate still refuses an escaped panic's exit
+/// code and any panic report whose message is not the injector's.
+#[test]
+fn containment_rejects_escapes_and_foreign_panics() {
+    let injected = "thread 'main' (7) panicked at crates/pmtbr/src/pipeline.rs:1:1:\n\
+                    injected chaos panic in pipeline stage compress\n";
+    let worker = "thread '<unnamed>' (8) panicked at crates/lti/src/shift_engine.rs:1:1:\n\
+                  injected worker panic at shift index 3\n";
+    let foreign = "thread 'main' (7) panicked at crates/pmtbr/src/sampling.rs:1:1:\n\
+                   capacity overflow\n";
+    assert!(containment(Some(0), "", injected).is_ok());
+    assert!(containment(Some(2), "", worker).is_ok());
+    assert!(containment(Some(101), "", injected).is_err(), "exit 101 is an escaped panic");
+    assert!(containment(None, "", "").is_err(), "a signal has no exit code");
+    assert!(containment(Some(0), "", foreign).is_err());
+    assert!(containment(Some(0), "", &format!("{injected}{foreign}")).is_err());
+    assert!(containment(Some(0), "", "thread 'main' (7) panicked at src/x.rs:1:1:").is_err());
+    assert!(containment(Some(0), "A: NaN", "").is_err());
 }
 
 #[test]

@@ -16,6 +16,8 @@
 //! Fault specs ride each child's own environment — this test process's
 //! env is never mutated.
 
+mod common;
+
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Output, Stdio};
 
@@ -181,7 +183,8 @@ fn warm_resubmission_is_bit_identical_to_cold() {
 /// round-trips: every registry method under a 25%-rate fault mix
 /// injected into the *server's* environment. Containment now spans the
 /// wire — the client's exit code stays in the documented `{0..=5}` set,
-/// no panic escapes either process, and the served outcome is
+/// no panic escapes either process (the only panic reports are the
+/// injector's own, caught where they were raised), and the served outcome is
 /// bit-identical to a local `reduce` under the same fault spec: stdout
 /// byte for byte, and the stderr policy lines line for line.
 #[test]
@@ -217,10 +220,8 @@ fn chaos_matrix_through_serve_matches_local_reduce() {
             "{ctx}: served stderr policy lines diverged from local"
         );
         for out in [&remote, &local] {
-            assert!(
-                !String::from_utf8_lossy(&out.stderr).contains("panicked at"),
-                "{ctx}: a panic escaped to stderr"
-            );
+            let foreign = common::foreign_panics(&String::from_utf8_lossy(&out.stderr));
+            assert!(foreign.is_empty(), "{ctx}: a panic the injector did not raise: {foreign:?}");
         }
     }
     server.finish();
@@ -379,4 +380,64 @@ fn submit_trace_rides_back_from_the_server() {
     assert!(first.contains("pmtbr-trace-v1"), "first line: {first}");
     assert!(first.contains("\"clock\":\"counter\""), "served traces use the counter clock");
     assert!(text.contains("cache_lookup"), "cache spans must appear in the served trace");
+}
+
+/// A count too large to allocate is a job error, not a panic: `reduce`
+/// prints an `error:` line and exits 1, and a server answers the same
+/// job with an error response and then serves the next job. Both counts
+/// fail the allocator's size check before anything is allocated.
+#[test]
+fn unallocatable_counts_are_job_errors() {
+    let nl = write_netlist("hostile.sp", RC_LADDER);
+    let hostile: [&[&str]; 2] = [
+        &["--band", "1", "--samples", "4611686018427387904"],
+        &["--band", "1", "--method", "greedy", "--greedy-max-shifts", "4611686018427387904"],
+    ];
+    let server = Server::spawn(hostile.len() + 1, None);
+    for flags in hostile {
+        for out in [reduce(&nl, flags, None), submit(&server.addr, &nl, flags)] {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{flags:?}: stderr: {stderr}");
+            assert!(stderr.contains("error: invalid argument: point count is too large"), "{stderr}");
+            assert!(!stderr.contains(" panicked at "), "{flags:?}: stderr: {stderr}");
+            assert!(out.stdout.is_empty());
+        }
+    }
+    let next = submit(&server.addr, &nl, &["--order", "2", "--band", "2e9", "--samples", "8"]);
+    server.finish();
+    assert_eq!(next.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&next.stderr));
+}
+
+/// Served traces are unchanged by the handler's source index. Traced
+/// jobs always parse: the first traced job after an untraced one
+/// computes (an untraced model cannot serve a trace) and returns the
+/// cold trace, the next returns the warm trace, both byte-identical to
+/// the fixtures recorded before the index existed, and an untraced
+/// repeat — answered through the index — prints the same model.
+#[test]
+fn submit_traces_are_unchanged_cold_and_warm() {
+    let nl = write_netlist("trace-fixture.sp", RC_LADDER);
+    let dir = std::env::temp_dir().join("pmtbr-serve-tests");
+    let flags = ["--order", "2", "--band", "2e9", "--samples", "12"];
+    let server = Server::spawn(4, None);
+    let first = submit(&server.addr, &nl, &flags);
+    let mut traces = Vec::new();
+    for name in ["fixture-cold.jsonl", "fixture-warm.jsonl"] {
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        let traced = [&flags[..], &["--trace", path.to_str().expect("utf8 path")]].concat();
+        let out = submit(&server.addr, &nl, &traced);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.stdout, first.stdout);
+        traces.push(std::fs::read_to_string(&path).expect("trace written"));
+    }
+    let repeat = submit(&server.addr, &nl, &flags);
+    server.finish();
+    assert_eq!(first.status.code(), Some(0));
+    assert_eq!(repeat.stdout, first.stdout);
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (trace, name) in traces.iter().zip(["submit_trace_cold.jsonl", "submit_trace_warm.jsonl"]) {
+        let want = std::fs::read_to_string(fixtures.join(name)).expect("fixture");
+        assert!(trace == &want, "{name}: served trace differs from the fixture\n{trace}");
+    }
 }

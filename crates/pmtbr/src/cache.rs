@@ -21,6 +21,18 @@
 //! runs with equal keys are bit-identical by the determinism contract,
 //! so a cache hit is exact, never approximate.
 //!
+//! A cache may also keep a **source index**: netlist text → the pencil
+//! hash of the system it built ([`ArtifactCache::source_pencil`],
+//! [`ArtifactCache::note_source`]). A server that receives a text it
+//! has built before can then look the model up with
+//! [`crate::pipeline::warm_hit`] before it parses, assembles or hashes
+//! anything. [`LruCache`] keeps the last [`SOURCE_INDEX_CAPACITY`]
+//! texts noted. It keys each one by a per-process randomly keyed hash
+//! of the bytes ([`std::collections::hash_map::RandomState`]) plus
+//! their length, never by an unkeyed hash, so a client cannot choose a
+//! text that lands on another text's entry. [`NullCache`] indexes
+//! nothing and hashes no text.
+//!
 //! # Identity contract
 //!
 //! - A **cold** run through a cache (every lookup misses) is
@@ -42,7 +54,9 @@
 //! answer as a clean one. The pipeline enforces this before every
 //! `put`; [`LruCache`] is policy-free storage.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, VecDeque};
+use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex};
 
 use lti::hash::Fnv64;
@@ -123,6 +137,18 @@ pub trait ArtifactCache: Send + Sync {
 
     /// `(entries, bytes)` currently resident.
     fn stats(&self) -> (usize, usize);
+
+    /// The pencil hash that `source`, a netlist text, was noted to
+    /// build ([`ArtifactCache::note_source`]), if this cache still
+    /// indexes it. The default indexes nothing.
+    fn source_pencil(&self, _source: &[u8]) -> Option<u64> {
+        None
+    }
+
+    /// Records that the netlist text `source` builds the system whose
+    /// [`lti::LtiSystem::pencil_hash`] is `pencil`. The default is a
+    /// no-op.
+    fn note_source(&self, _source: &[u8], _pencil: u64) {}
 }
 
 /// The no-op cache: every lookup misses, every offer is discarded.
@@ -155,11 +181,24 @@ impl ArtifactCache for NullCache {
 /// Evictions increment [`obs::Counter::CacheEvict`] — the one counter
 /// that is backend state, which is why the identity contract pins it
 /// only on hit-free runs.
+///
+/// Its source index remembers the last [`SOURCE_INDEX_CAPACITY`]
+/// netlist texts noted, forgetting the oldest-noted first; noting a
+/// text again neither grows the index nor renews the text's place.
 #[derive(Debug)]
 pub struct LruCache {
     budget: usize,
+    /// Keys the source index's text hashes; drawn once per cache.
+    text_keys: RandomState,
     inner: Mutex<LruInner>,
 }
+
+/// Most netlist texts [`LruCache`]'s source index holds. An entry
+/// costs a few dozen bytes, so a full index stays under 300 KiB.
+pub const SOURCE_INDEX_CAPACITY: usize = 4096;
+
+/// A text's randomly keyed hash and its byte length.
+type SourceKey = (u64, usize);
 
 #[derive(Debug, Default)]
 struct LruInner {
@@ -167,6 +206,10 @@ struct LruInner {
     recency: BTreeMap<u64, CacheKey>,
     seq: u64,
     bytes: usize,
+    /// Source index: text → pencil, looked up and never iterated.
+    sources: BTreeMap<SourceKey, u64>,
+    /// Indexed texts in the order they were first noted.
+    noted: VecDeque<SourceKey>,
 }
 
 #[derive(Debug)]
@@ -180,7 +223,15 @@ impl LruCache {
     /// Creates a cache holding at most `budget_bytes` of artifact data
     /// (as measured by [`CachedReduction::approx_bytes`]).
     pub fn new(budget_bytes: usize) -> Self {
-        LruCache { budget: budget_bytes, inner: Mutex::new(LruInner::default()) }
+        LruCache {
+            budget: budget_bytes,
+            text_keys: RandomState::new(),
+            inner: Mutex::new(LruInner::default()),
+        }
+    }
+
+    fn source_key(&self, source: &[u8]) -> SourceKey {
+        (self.text_keys.hash_one(source), source.len())
     }
 
     /// The configured byte budget.
@@ -241,6 +292,25 @@ impl ArtifactCache for LruCache {
     fn stats(&self) -> (usize, usize) {
         let inner = self.lock();
         (inner.entries.len(), inner.bytes)
+    }
+
+    fn source_pencil(&self, source: &[u8]) -> Option<u64> {
+        let key = self.source_key(source);
+        self.lock().sources.get(&key).copied()
+    }
+
+    fn note_source(&self, source: &[u8], pencil: u64) {
+        let key = self.source_key(source);
+        let mut inner = self.lock();
+        if inner.sources.insert(key, pencil).is_some() {
+            return;
+        }
+        inner.noted.push_back(key);
+        if inner.noted.len() > SOURCE_INDEX_CAPACITY {
+            if let Some(oldest) = inner.noted.pop_front() {
+                inner.sources.remove(&oldest);
+            }
+        }
     }
 }
 
@@ -465,5 +535,53 @@ mod tests {
         c.put(key(1, 0), probe(8));
         c.put(key(1, 0), probe(2));
         assert_eq!(c.stats(), (1, 144));
+    }
+
+    fn text(i: usize) -> Vec<u8> {
+        format!("* netlist {i}\nR1 1 0 1\nPORT 1\n.end").into_bytes()
+    }
+
+    #[test]
+    fn source_index_stops_at_its_capacity_and_forgets_oldest_first() {
+        let c = LruCache::new(0);
+        // Noting a text twice takes one slot: the full index below
+        // still holds text 0.
+        c.note_source(&text(0), 100);
+        c.note_source(&text(0), 100);
+        for i in 1..SOURCE_INDEX_CAPACITY {
+            c.note_source(&text(i), 100 + i as u64);
+        }
+        for i in 0..SOURCE_INDEX_CAPACITY {
+            assert_eq!(c.source_pencil(&text(i)), Some(100 + i as u64), "text {i}");
+        }
+        // One more forgets the oldest-noted text, and only that one.
+        let last = SOURCE_INDEX_CAPACITY;
+        c.note_source(&text(last), 7);
+        assert_eq!(c.source_pencil(&text(0)), None);
+        assert_eq!(c.source_pencil(&text(1)), Some(101));
+        assert_eq!(c.source_pencil(&text(last)), Some(7));
+        // The index is apart from the model entries.
+        assert_eq!(c.stats(), (0, 0));
+    }
+
+    #[test]
+    fn texts_differing_in_one_byte_do_not_alias() {
+        let c = LruCache::new(0);
+        let a = b"R1 1 0 1\nPORT 1\n".to_vec();
+        let mut b = a.clone();
+        b[3] = b'2';
+        assert_eq!(a.len(), b.len());
+        c.note_source(&a, 1);
+        assert_eq!(c.source_pencil(&b), None);
+        c.note_source(&b, 2);
+        assert_eq!(c.source_pencil(&a), Some(1));
+        assert_eq!(c.source_pencil(&b), Some(2));
+    }
+
+    #[test]
+    fn null_cache_indexes_nothing() {
+        let c = NullCache;
+        c.note_source(&text(0), 1);
+        assert_eq!(c.source_pencil(&text(0)), None);
     }
 }

@@ -63,6 +63,7 @@ use numkit::{c64, DMat, Lu, NumError, ZMat};
 
 use crate::order_control::IncrementalBasis;
 use crate::pipeline::{stack_samples, Solved, SweptSamples};
+use crate::sampling::with_room;
 use crate::SamplePoint;
 
 /// Column cap on the surrogate basis `V`: per-candidate scoring solves a
@@ -293,6 +294,14 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
     if cap == 0 {
         return Err(NumError::BudgetExhausted { resource: "lu-factorizations" });
     }
+    // Per-candidate state, reserved up front: a pool too large to
+    // allocate is an error, not an abort.
+    let mut remaining = with_room(pool)?;
+    remaining.extend(0..pool);
+    // Reduced transfer function per candidate from the previous round,
+    // for the frequency-aware stopping rule.
+    let mut prev_h: Vec<Option<ZMat>> = with_room(pool)?;
+    prev_h.resize(pool, None);
 
     let mut sp = obs::span("pmtbr.sample_sweep");
     sp.field_str("sampling", "greedy");
@@ -305,7 +314,6 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
     // the fixed grid's node positions.
     let dw = omega_max / pool as f64;
     let omega = |c: usize| dw * (c as f64 + 0.5);
-    let mut remaining: Vec<usize> = (0..pool).collect();
 
     let b = sys.input_matrix().to_complex();
     let bnorm = b.norm_fro().max(1e-300);
@@ -324,9 +332,6 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
     let mut attempts = 0usize;
     let mut scored_total = 0u64;
     let mut budget_truncated = 0usize;
-    // Reduced transfer function per candidate from the previous round,
-    // for the frequency-aware stopping rule.
-    let mut prev_h: Vec<Option<ZMat>> = vec![None; pool];
     let mut stop_reason = "max-shifts";
 
     while accepted.len() < max_shifts {

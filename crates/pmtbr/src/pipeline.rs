@@ -32,8 +32,10 @@
 //! There are exactly two ways to execute a plan: [`run`], the one
 //! explicit core (fault plan, budget, and artifact cache all passed
 //! in), and [`run_cached`], which reads the fault plan from
-//! `PMTBR_FAULT` and calls it. Every variant therefore inherits the
-//! same guarantees: the parallel factorization-reusing
+//! `PMTBR_FAULT` and calls it. A third entry, [`warm_hit`], executes
+//! nothing: it is [`run`]'s cache lookup for a caller that knows the
+//! pencil hash but has not built the system. Every variant therefore
+//! inherits the same guarantees: the parallel factorization-reusing
 //! `ShiftSolveEngine`, the fault-tolerance escalation ladders with
 //! [`SweepDiagnostics`] and [`PipelineReport`], deterministic work
 //! budgets with cooperative cancellation ([`Budget`]), content-addressed
@@ -409,18 +411,35 @@ pub struct Reduction {
     pub report: PipelineReport,
 }
 
+/// The fault plan the `PMTBR_FAULT` environment variable asks for
+/// (`None` when unset). This is the only place the library reads
+/// `PMTBR_FAULT`: [`run_cached`] runs under it, and a server that looks
+/// a model up with [`warm_hit`] must key the lookup with it.
+///
+/// # Errors
+///
+/// [`NumError::InvalidArgument`] when `PMTBR_FAULT` is set but
+/// malformed — a bad spec must never run silently unfaulted. (The CLI
+/// validates the variable up front and prints the detailed parse
+/// error; this in-library error is deliberately static.)
+pub fn env_faults() -> Result<Option<FaultPlan>, NumError> {
+    FaultPlan::from_env().map_err(|_| {
+        NumError::InvalidArgument(
+            "malformed PMTBR_FAULT spec: fix or unset it (the pmtbr CLI prints the detailed \
+             parse error)",
+        )
+    })
+}
+
 /// Executes a plan with the fault plan from the `PMTBR_FAULT`
-/// environment variable (none when unset), so chaos testing applies
-/// uniformly to every variant, the CLI, and the serve daemon. This is
-/// the only place the library reads `PMTBR_FAULT`; everything else is
-/// [`run`].
+/// environment variable ([`env_faults`]), so chaos testing applies
+/// uniformly to every variant, the CLI, and the serve daemon;
+/// everything else is [`run`].
 ///
 /// # Errors
 ///
 /// - [`NumError::InvalidArgument`] when `PMTBR_FAULT` is set but
-///   malformed — a bad spec must never run silently unfaulted. (The
-///   CLI validates the variable up front and prints the detailed parse
-///   error; this in-library error is deliberately static.)
+///   malformed ([`env_faults`]).
 /// - See [`run`] for the rest.
 ///
 /// ```
@@ -441,13 +460,7 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
     budget: &Budget,
     cache: &dyn ArtifactCache,
 ) -> Result<Reduction, NumError> {
-    match FaultPlan::from_env() {
-        Ok(faults) => run(sys, plan, faults.as_ref(), budget, cache),
-        Err(_) => Err(NumError::InvalidArgument(
-            "malformed PMTBR_FAULT spec: fix or unset it (the pmtbr CLI prints the detailed \
-             parse error)",
-        )),
-    }
+    run(sys, plan, env_faults()?.as_ref(), budget, cache)
 }
 
 /// Executes a plan: sweep → compress → project, with an explicit fault
@@ -534,26 +547,16 @@ pub fn run<S: LtiSystem + ?Sized>(
     let Some(pencil) = sys.pencil_hash() else {
         return run_core(sys, plan, faults, budget);
     };
-    let traced = obs::is_enabled();
     let key = CacheKey { pencil, digest: cache::model_digest(plan, faults, budget) };
-    if let Some(entry) = cache.get(&key) {
-        // An entry captured without a trace cannot serve a traced run:
-        // replaying nothing would silently drop the pipeline spans, so
-        // the lookup deterministically degrades to a miss.
-        if entry.traced || !traced {
-            cache::record_lookup(&key, true);
-            if traced {
-                obs::skip_seq_roots(entry.seq_watermark);
-                obs::replay(&entry.events);
-            }
-            return Ok(entry.reduction.clone());
-        }
+    if let Some(reduction) = replay_hit(&key, cache) {
+        return Ok(reduction);
     }
     cache::record_lookup(&key, false);
 
     // Capture the work events from here: a warm hit replays exactly
     // this slice (its own `cache_lookup` span is emitted live, before
     // the mark).
+    let traced = obs::is_enabled();
     let mark = obs::flushed_len();
     let reduction = run_core(sys, plan, faults, budget)?;
     // Poisoned-entry rejection: a Degraded result encodes this run's
@@ -569,6 +572,57 @@ pub fn run<S: LtiSystem + ?Sized>(
         cache::record_offer(cache, key, Arc::new(entry));
     }
     Ok(reduction)
+}
+
+/// [`run`]'s warm hit for a caller that knows the system's
+/// [`LtiSystem::pencil_hash`] but has not built the system — a server
+/// answering a netlist text it has built before
+/// ([`ArtifactCache::source_pencil`]).
+///
+/// Validates the plan, checks for cancellation, and looks the model up
+/// under the key [`run`] would use. A hit is recorded and its events
+/// replayed by the same code as [`run`]'s, so it returns the same
+/// reduction with the same counters and trace. A miss records nothing
+/// and returns `None`: the caller falls back to [`run`], which looks
+/// the model up again and records the miss once.
+///
+/// # Errors
+///
+/// Plan validation ([`NumError::InvalidArgument`]) and
+/// [`NumError::Cancelled`], as [`run`] reports them.
+pub fn warm_hit(
+    pencil: u64,
+    plan: &ReductionPlan,
+    faults: Option<&FaultPlan>,
+    budget: &Budget,
+    cache: &dyn ArtifactCache,
+) -> Result<Option<Reduction>, NumError> {
+    plan.validate()?;
+    BudgetTracker::start(budget).check_cancelled()?;
+    let key = CacheKey { pencil, digest: cache::model_digest(plan, faults, budget) };
+    Ok(replay_hit(&key, cache))
+}
+
+/// The one place a model hit is recorded: returns the stored reduction
+/// under `key` after emitting its `cache_lookup` span (counting
+/// `CACHE_HIT`) and, in a traced run, replaying the events captured
+/// when it was computed. Returns `None`, recording nothing, when the
+/// entry is absent or cannot serve this run.
+fn replay_hit(key: &CacheKey, cache: &dyn ArtifactCache) -> Option<Reduction> {
+    let entry = cache.get(key)?;
+    // An entry captured without a trace cannot serve a traced run:
+    // replaying nothing would silently drop the pipeline spans, so the
+    // lookup deterministically degrades to a miss.
+    let traced = obs::is_enabled();
+    if traced && !entry.traced {
+        return None;
+    }
+    cache::record_lookup(key, true);
+    if traced {
+        obs::skip_seq_roots(entry.seq_watermark);
+        obs::replay(&entry.events);
+    }
+    Some(entry.reduction.clone())
 }
 
 /// The stage core: sweep → compress → project.

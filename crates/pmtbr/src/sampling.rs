@@ -77,13 +77,24 @@ pub enum Sampling {
     },
 }
 
+/// An empty vector with room for `n` items, reserved with a checked
+/// request, so a count too large to allocate is an error instead of an
+/// abort. Counts arrive from the command line and the wire.
+pub(crate) fn with_room<T>(n: usize) -> Result<Vec<T>, NumError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(n)
+        .map_err(|_| NumError::InvalidArgument("point count is too large to allocate"))?;
+    Ok(v)
+}
+
 impl Sampling {
     /// Materializes the scheme into concrete quadrature nodes.
     ///
     /// # Errors
     ///
     /// [`NumError::InvalidArgument`] for empty/degenerate parameters
-    /// (zero points, non-positive band edges, inverted bands).
+    /// (zero points, non-positive band edges, inverted bands) and for
+    /// a point count too large to allocate.
     pub fn points(&self) -> Result<Vec<SamplePoint>, NumError> {
         match self {
             Sampling::Linear { omega_max, n } => {
@@ -91,14 +102,14 @@ impl Sampling {
                     return Err(NumError::InvalidArgument("linear sampling needs n > 0, ω_max > 0"));
                 }
                 let dw = omega_max / *n as f64;
-                Ok((0..*n)
-                    .map(|k| SamplePoint {
-                        // Midpoint rule avoids placing a sample exactly at
-                        // a dc pole.
-                        s: c64::new(0.0, dw * (k as f64 + 0.5)),
-                        weight: dw,
-                    })
-                    .collect())
+                let mut pts = with_room(*n)?;
+                pts.extend((0..*n).map(|k| SamplePoint {
+                    // Midpoint rule avoids placing a sample exactly at a
+                    // dc pole.
+                    s: c64::new(0.0, dw * (k as f64 + 0.5)),
+                    weight: dw,
+                }));
+                Ok(pts)
             }
             Sampling::Log { omega_min, omega_max, n } => {
                 if *n == 0 || !(*omega_min > 0.0) || omega_max <= omega_min {
@@ -115,20 +126,20 @@ impl Sampling {
                 let lmin = omega_min.ln();
                 let lmax = omega_max.ln();
                 let step = (lmax - lmin) / (*n as f64 - 1.0);
-                let omegas: Vec<f64> =
-                    (0..*n).map(|k| (lmin + step * k as f64).exp()).collect();
-                Ok((0..*n)
-                    .map(|k| {
-                        // Trapezoid-like local interval length as weight.
-                        let lo = if k == 0 { omegas[0] } else { (omegas[k - 1] + omegas[k]) / 2.0 };
-                        let hi = if k + 1 == *n {
-                            omegas[*n - 1]
-                        } else {
-                            (omegas[k] + omegas[k + 1]) / 2.0
-                        };
-                        SamplePoint { s: c64::new(0.0, omegas[k]), weight: (hi - lo).max(0.0) }
-                    })
-                    .collect())
+                let mut omegas = with_room(*n)?;
+                omegas.extend((0..*n).map(|k| (lmin + step * k as f64).exp()));
+                let mut pts = with_room(*n)?;
+                pts.extend((0..*n).map(|k| {
+                    // Trapezoid-like local interval length as weight.
+                    let lo = if k == 0 { omegas[0] } else { (omegas[k - 1] + omegas[k]) / 2.0 };
+                    let hi = if k + 1 == *n {
+                        omegas[*n - 1]
+                    } else {
+                        (omegas[k] + omegas[k + 1]) / 2.0
+                    };
+                    SamplePoint { s: c64::new(0.0, omegas[k]), weight: (hi - lo).max(0.0) }
+                }));
+                Ok(pts)
             }
             Sampling::Bands { bands, n } => {
                 if bands.is_empty() || *n == 0 {
@@ -142,7 +153,7 @@ impl Sampling {
                     total += hi - lo;
                 }
                 // Allocate points proportionally to bandwidth (≥1 each).
-                let mut pts = Vec::with_capacity(*n);
+                let mut pts = with_room(*n)?;
                 let mut remaining = *n;
                 for (idx, &(lo, hi)) in bands.iter().enumerate() {
                     let share = if idx + 1 == bands.len() {
@@ -225,6 +236,18 @@ mod tests {
         assert!(Sampling::Custom(vec![SamplePoint { s: c64::ONE, weight: -1.0 }])
             .points()
             .is_err());
+    }
+
+    #[test]
+    fn unallocatable_counts_are_errors() {
+        let n = 1usize << 62;
+        for scheme in [
+            Sampling::Linear { omega_max: 1.0, n },
+            Sampling::Log { omega_min: 1.0, omega_max: 2.0, n },
+            Sampling::Bands { bands: vec![(0.0, 1.0)], n },
+        ] {
+            assert!(matches!(scheme.points(), Err(NumError::InvalidArgument(_))), "{scheme:?}");
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!
 //! The server never imports the method registry — the CLI injects a
 //! handler — and never parses a netlist: the handler's parse is the
-//! only one a job pays for. The code uses only the standard library;
+//! only one a job can pay for, and the CLI's handler skips it for an
+//! untraced repeat of a text its cache has indexed. The code uses only the standard library;
 //! the manifest still lists `circuits`, unused, until the benchmark's
 //! lock file drops it too.
 

@@ -13,7 +13,9 @@
 //! pipeline's content-addressed artifact cache into a service win: the
 //! first job of a group computes the model, the rest hit the model
 //! cache. Keying on the text rather than on the parsed circuit leaves
-//! the handler's parse as the only one a job pays for.
+//! the handler's parse as the only one a job can pay for, and a handler
+//! whose cache indexes the texts it has built (the CLI's does) answers
+//! an untraced repeat without parsing at all.
 //!
 //! Reading a connection's request and writing its response each get
 //! one I/O timeout as a whole, not per socket call: a client that never
@@ -84,7 +86,9 @@ struct Job {
 
 /// The batching group key: the FNV-1a hash of the netlist text.
 /// Identical texts share a key; the handler parses the text and reports
-/// any error in it.
+/// any error in it. The hash is unkeyed, so a client can choose texts
+/// that share a key: it orders jobs and answers none, which is why the
+/// handler's source index keys texts with a randomly keyed hash instead.
 fn group_key(netlist: &str) -> u64 {
     netlist
         .bytes()

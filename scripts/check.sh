@@ -51,7 +51,8 @@ cargo test -q -p pmtbr --test cache
 # Quick chaos gate: the CLI binary under a 25% deterministic fault rate
 # across every registry method, every injectable stage, and 1/2/8
 # worker threads. Asserts containment (exit codes within the documented
-# set, no escaped panics, finite output) and bit-identical stdout per
+# set, no panic report on stderr but the injector's own, finite
+# output) and bit-identical stdout per
 # thread count at a fixed fault seed, plus budget-exhaustion exit codes.
 # Runs as part of `cargo test -q --workspace` too; named here so a
 # containment regression is called out explicitly.
@@ -60,15 +61,21 @@ cargo test -q -p pmtbr-cli --test chaos
 
 # Service gate: serve/submit round-trips over real sockets — byte-level
 # parity with local `reduce` (stdout and exit codes), the chaos matrix
-# through the server's environment, protocol failures as exit 5, and
-# served traces riding back — then the serve crate's own tests: the
-# scheduler's stall tests (silent client, unread or slowly drained
-# response) and shutdown tests (idle, every reader slot held), the
-# client's deadline test (trickling server) and the wire-codec fuzz.
-# Runs as part of `cargo test -q --workspace` too; named here so a
-# wire-contract or scheduler regression is called out explicitly.
-echo "==> service gate (serve/submit parity + chaos through the wire, scheduler + wire fuzz)"
+# through the server's environment, protocol failures as exit 5,
+# unallocatable counts as job errors the server survives, and served
+# traces riding back byte-identical to their fixtures, cold and warm —
+# then the handler's source-index tests (an untraced repeat answered
+# from the model cache without a parse, bit for bit and with one
+# CACHE_HIT; every job the index cannot answer on the parse path), then
+# the serve crate's own tests: the scheduler's stall tests (silent
+# client, unread or slowly drained response) and shutdown tests (idle,
+# every reader slot held), the client's deadline test (trickling
+# server) and the wire-codec fuzz. Runs as part of
+# `cargo test -q --workspace` too; named here so a wire-contract,
+# handler or scheduler regression is called out explicitly.
+echo "==> service gate (serve/submit parity + chaos through the wire, handler source index, scheduler + wire fuzz)"
 cargo test -q -p pmtbr-cli --test serve
+cargo test -q -p pmtbr-cli --test source_index
 cargo test -q -p serve
 
 # Variant-coverage + perf trend gate: every `reduce` method registry
