@@ -41,7 +41,7 @@ struct Case {
 fn run_one(case: &Case, name: &str, method: &str, req: &ReduceRequest) -> Result<Record, String> {
     let m = pmtbr_cli::find(method).ok_or_else(|| format!("no registry method {method}"))?;
     let before = obs::counters::snapshot();
-    let out = (m.run)(&case.sys, req, &pmtbr::NullCache).map_err(|e| format!("{name}: {e}"))?;
+    let out = m.run(&case.sys, req, &pmtbr::NullCache).map_err(|e| format!("{name}: {e}"))?;
     let after = obs::counters::snapshot();
     let delta = |c: obs::Counter| after.get(c).saturating_sub(before.get(c));
     let h_red = frequency_response(&out.reduced, &case.grid).map_err(|e| e.to_string())?;

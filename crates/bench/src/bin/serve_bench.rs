@@ -80,8 +80,8 @@ fn json(
          \"cold_s\": {cold_s:.6},\n  \"warm_s\": [{warm_list}],\n  \
          \"warm_median_s\": {warm_median_s:.6},\n  \"warm_speedup\": {speedup:.2},\n  \
          \"min_warm_speedup\": {MIN_WARM_SPEEDUP},\n  \
-         \"jobs\": {},\n  \"batches\": {},\n  \"grouped\": {}\n}}\n",
-        stats.jobs, stats.batches, stats.grouped
+         \"jobs\": {}\n}}\n",
+        stats.jobs
     )
 }
 
@@ -127,8 +127,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let speedup = cold_s / warm_median_s;
     println!(
         "serve bench: cold {cold_s:.3}s, warm median {warm_median_s:.6}s over {WARM_RUNS} runs \
-         ({speedup:.1}x), {} jobs in {} batches",
-        stats.jobs, stats.batches
+         ({speedup:.1}x), {} jobs",
+        stats.jobs
     );
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -275,7 +275,7 @@ fn run_method(
     req.order = Some(10);
     assert!(obs::install(obs::ClockKind::Wall), "a trace collector is already installed");
     let t0 = Instant::now();
-    let run_res = (m.run)(&case.sys, &req, &pmtbr::NullCache);
+    let run_res = m.run(&case.sys, &req, &pmtbr::NullCache);
     let wall_s = t0.elapsed().as_secs_f64();
     let trace = obs::drain().ok_or("trace collector vanished mid-run")?;
     let out = run_res.map_err(|e| format!("{record_name}: {e}"))?;

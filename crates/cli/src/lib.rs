@@ -2,8 +2,8 @@
 //!
 //! Every reduction algorithm the CLI can run is one [`Method`] entry in
 //! [`METHODS`]: a name, a one-line summary, whether `--order` is
-//! mandatory, and a runner from `(system, request)` to a reduced model
-//! plus report lines. The binary's `reduce` dispatch, its usage text,
+//! mandatory, and one [`Runner`] from `(system, request)` to a reduced
+//! model plus report lines. The binary's `reduce` dispatch, its usage text,
 //! and its unknown-method error are all derived from this table, so the
 //! three can never drift apart again — adding a variant here is the
 //! whole job.
@@ -14,8 +14,8 @@
 //! the quadrature instead of erroring, `--threads` pins the worker
 //! count, `--trace` records the sweep, and the run's
 //! [`PipelineSummary`] drives the binary's exit-code policy uniformly.
-//! Those whose plan needs nothing from the system expose it as a
-//! [`RequestPlan`] ([`Method::plan`]), which lets the served handler
+//! Those whose plan needs nothing from the system run as a
+//! [`RequestPlan`] ([`Runner::Plan`]), which lets the served handler
 //! find a repeated job's model before it parses the netlist.
 //! The Krylov and dense-TBR baselines carry no summary
 //! (`summary: None`) and are always strict.
@@ -120,12 +120,41 @@ pub struct Method {
     /// `--order` as an optional cap).
     pub needs_order: bool,
     /// Builds the reduced model.
-    pub run: fn(&Descriptor, &ReduceRequest, &dyn ArtifactCache) -> Result<MethodOutput, String>,
-    /// `Some` for a pipeline method whose plan depends on the request
-    /// alone; `run` then executes exactly this plan. The served handler
-    /// uses it to look a repeated job's model up before it builds the
-    /// system.
-    pub plan: Option<RequestPlan>,
+    pub runner: Runner,
+}
+
+/// How a registry method builds its reduced model.
+#[derive(Clone, Copy)]
+pub enum Runner {
+    /// A pipeline method whose plan depends on the request alone: it
+    /// runs exactly this plan, and the served handler uses it to look a
+    /// repeated job's model up before it builds the system.
+    Plan(RequestPlan),
+    /// A method that needs the system before it can run: the Krylov and
+    /// dense-TBR baselines, and the input-correlated method, whose
+    /// training inputs are sized to the system's ports.
+    Fn(fn(&Descriptor, &ReduceRequest, &dyn ArtifactCache) -> Result<MethodOutput, String>),
+}
+
+impl Method {
+    /// Builds the reduced model of `sys` for `req`, looking finished
+    /// models up in (and storing them to) `cache`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the request lacks a flag the method needs
+    /// or the reduction fails.
+    pub fn run(
+        &self,
+        sys: &Descriptor,
+        req: &ReduceRequest,
+        cache: &dyn ArtifactCache,
+    ) -> Result<MethodOutput, String> {
+        match self.runner {
+            Runner::Plan(plan) => run_plan(sys, &(plan.build)(req)?, req, cache, plan.label),
+            Runner::Fn(run) => run(sys, req, cache),
+        }
+    }
 }
 
 /// The plan of a pipeline method that needs nothing from the system.
@@ -136,12 +165,6 @@ pub struct RequestPlan {
     /// Builds the plan; fails when the request lacks a flag the method
     /// needs.
     pub build: fn(&ReduceRequest) -> Result<ReductionPlan, String>,
-}
-
-impl RequestPlan {
-    fn run(&self, sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-        run_plan(sys, &(self.build)(req)?, req, cache, self.label)
-    }
 }
 
 /// Report lines shared by every pipeline-backed method.
@@ -181,53 +204,6 @@ fn pipeline_output(label: &str, red: pmtbr::Reduction) -> MethodOutput {
         summary: Some(summarize(&red)),
         reduced: red.model.reduced,
     }
-}
-
-const PMTBR: RequestPlan =
-    RequestPlan { label: "pmtbr", build: |req| Ok(ReductionPlan::pmtbr(&req.pmtbr_options())) };
-
-const BALANCED: RequestPlan = RequestPlan {
-    label: "balanced-pmtbr",
-    build: |req| Ok(ReductionPlan::balanced(&req.sampling(), req.order_required("balanced")?)),
-};
-
-const CROSS: RequestPlan = RequestPlan {
-    label: "cross-gramian-pmtbr",
-    build: |req| Ok(ReductionPlan::cross_gramian(&req.sampling(), req.order_required("cross")?)),
-};
-
-const FSEL: RequestPlan = RequestPlan {
-    label: "frequency-selective-pmtbr",
-    build: |req| Ok(ReductionPlan::frequency_selective(&req.bands, req.samples, req.order, req.tol)),
-};
-
-const GREEDY: RequestPlan = RequestPlan {
-    label: "greedy-pmtbr",
-    build: |req| {
-        let max_shifts = req.greedy_max_shifts.unwrap_or(req.samples).max(1);
-        let order = pmtbr::OrderControl::Tolerance { tolerance: req.tol, max_order: req.order };
-        Ok(ReductionPlan::greedy(req.omega_max, req.greedy_tol, max_shifts, order))
-    },
-};
-
-fn run_pmtbr(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    PMTBR.run(sys, req, cache)
-}
-
-fn run_balanced(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    BALANCED.run(sys, req, cache)
-}
-
-fn run_cross(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    CROSS.run(sys, req, cache)
-}
-
-fn run_fsel(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    FSEL.run(sys, req, cache)
-}
-
-fn run_greedy(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    GREEDY.run(sys, req, cache)
 }
 
 fn run_correlated(sys: &Descriptor, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
@@ -308,96 +284,92 @@ fn run_tbr_family(
     })
 }
 
-fn run_tbr(sys: &Descriptor, req: &ReduceRequest, _cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    run_tbr_family(sys, req, "tbr")
-}
-
-fn run_tbr_res(sys: &Descriptor, req: &ReduceRequest, _cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    run_tbr_family(sys, req, "tbr-res")
-}
-
-fn run_fltbr(sys: &Descriptor, req: &ReduceRequest, _cache: &dyn ArtifactCache) -> Result<MethodOutput, String> {
-    run_tbr_family(sys, req, "fltbr")
-}
-
 /// Every reduction method `pmtbr-cli reduce` can run, in display order.
 pub const METHODS: &[Method] = &[
     Method {
         name: "pmtbr",
         summary: "multipoint sampling + SVD truncation (paper Algorithm 1)",
         needs_order: false,
-        run: run_pmtbr,
-        plan: Some(PMTBR),
+        runner: Runner::Plan(RequestPlan {
+            label: "pmtbr",
+            build: |req| Ok(ReductionPlan::pmtbr(&req.pmtbr_options())),
+        }),
     },
     Method {
         name: "balanced",
         summary: "two-sided square-root balancing of sampled Gramians",
         needs_order: true,
-        run: run_balanced,
-        plan: Some(BALANCED),
+        runner: Runner::Plan(RequestPlan {
+            label: "balanced-pmtbr",
+            build: |req| Ok(ReductionPlan::balanced(&req.sampling(), req.order_required("balanced")?)),
+        }),
     },
     Method {
         name: "cross",
         summary: "sampled cross-Gramian eigenprojection (paper Section V-D)",
         needs_order: true,
-        run: run_cross,
-        plan: Some(CROSS),
+        runner: Runner::Plan(RequestPlan {
+            label: "cross-gramian-pmtbr",
+            build: |req| Ok(ReductionPlan::cross_gramian(&req.sampling(), req.order_required("cross")?)),
+        }),
     },
     Method {
         name: "fsel",
         summary: "frequency-selective quadrature over --bands (paper Algorithm 2)",
         needs_order: false,
-        run: run_fsel,
-        plan: Some(FSEL),
+        runner: Runner::Plan(RequestPlan {
+            label: "frequency-selective-pmtbr",
+            build: |req| Ok(ReductionPlan::frequency_selective(&req.bands, req.samples, req.order, req.tol)),
+        }),
     },
     Method {
         name: "greedy",
         summary: "greedy adaptive shift placement with convergence stopping (docs/SAMPLING.md)",
         needs_order: false,
-        run: run_greedy,
-        plan: Some(GREEDY),
+        runner: Runner::Plan(RequestPlan {
+            label: "greedy-pmtbr",
+            build: |req| {
+                let max_shifts = req.greedy_max_shifts.unwrap_or(req.samples).max(1);
+                let order = pmtbr::OrderControl::Tolerance { tolerance: req.tol, max_order: req.order };
+                Ok(ReductionPlan::greedy(req.omega_max, req.greedy_tol, max_shifts, order))
+            },
+        }),
     },
     Method {
         name: "correlated",
         summary: "input-correlated stochastic sampling (paper Algorithm 3)",
         needs_order: false,
-        run: run_correlated,
-        plan: None,
+        runner: Runner::Fn(run_correlated),
     },
     Method {
         name: "prima",
         summary: "passive block Krylov moment matching (baseline)",
         needs_order: true,
-        run: run_prima,
-        plan: None,
+        runner: Runner::Fn(run_prima),
     },
     Method {
         name: "mpproj",
         summary: "multipoint rational Krylov projection (baseline)",
         needs_order: true,
-        run: run_mpproj,
-        plan: None,
+        runner: Runner::Fn(run_mpproj),
     },
     Method {
         name: "tbr",
         summary: "exact dense balanced truncation (baseline)",
         needs_order: true,
-        run: run_tbr,
-        plan: None,
+        runner: Runner::Fn(|sys, req, _| run_tbr_family(sys, req, "tbr")),
     },
     Method {
         name: "tbr-res",
         summary: "balanced truncation with DC residualization (baseline)",
         needs_order: true,
-        run: run_tbr_res,
-        plan: None,
+        runner: Runner::Fn(|sys, req, _| run_tbr_family(sys, req, "tbr-res")),
     },
     Method {
         name: "fltbr",
         summary: "frequency-limited balanced truncation (baseline)",
         needs_order: true,
-        run: run_fltbr,
-        plan: None,
+        runner: Runner::Fn(|sys, req, _| run_tbr_family(sys, req, "fltbr")),
     },
 ];
 
@@ -440,7 +412,7 @@ mod tests {
         let sys = circuits::rc_mesh(2, 2, &[0], 1.0, 1.0, 2.0).expect("mesh");
         let req = ReduceRequest::new(10.0, 8);
         for m in METHODS.iter().filter(|m| m.needs_order) {
-            let err = (m.run)(&sys, &req, &pmtbr::NullCache).expect_err("must demand --order");
+            let err = m.run(&sys, &req, &pmtbr::NullCache).expect_err("must demand --order");
             assert!(err.contains("requires --order"), "{}: {err}", m.name);
         }
     }

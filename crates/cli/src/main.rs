@@ -42,9 +42,11 @@
 //! strict Krylov/TBR baselines never degrade (they either succeed
 //! cleanly or fail with exit 1).
 //!
-//! - `0` — clean run, every sample point solved as requested;
-//! - `2` — degraded but accepted (drops within `--max-dropped-samples`,
-//!   default: any number as long as one point survives);
+//! - `0` — clean run: every sample point solved as requested and no
+//!   stage recorded an accuracy concession;
+//! - `2` — degraded but accepted: a degraded sweep (drops within
+//!   `--max-dropped-samples`, default: any number as long as one point
+//!   survives) or a degraded or downgraded compressor;
 //! - `3` — degradation rejected: drops exceeded `--max-dropped-samples`,
 //!   or `--strict` was set and the pipeline recorded any accuracy
 //!   concession (dropped/perturbed points, downgraded compressor,
@@ -74,7 +76,7 @@ const TAU: f64 = 2.0 * std::f64::consts::PI;
 enum Failure {
     /// Ordinary error (bad arguments, I/O, numerics) → exit 1.
     Error(String),
-    /// The sweep degraded beyond what the policy accepts → exit 3.
+    /// The run degraded beyond what the policy accepts → exit 3.
     Rejected(String),
     /// `submit`/`serve` could not speak the wire protocol (unreachable
     /// server, timeout, malformed frame) → exit 5. Distinct from exit 1
@@ -367,8 +369,8 @@ fn print_model(reduced: &lti::StateSpace) {
 }
 
 /// `pmtbr-cli serve`: bind, print the bound address, and run the
-/// batching scheduler over one shared artifact cache until `--max-jobs`
-/// jobs have completed (or forever).
+/// first-come-first-served scheduler over one shared artifact cache
+/// until `--max-jobs` jobs have completed (or forever).
 fn cmd_serve(args: &Args) -> CmdResult {
     let addr = args.flag_value("addr").unwrap_or("127.0.0.1:7117");
     let cache_mb = args.int("cache-mb", 256)?;
@@ -390,8 +392,8 @@ fn cmd_serve(args: &Args) -> CmdResult {
         .map_err(|e| Failure::Protocol(e.to_string()))?;
     let (entries, bytes) = pmtbr::ArtifactCache::stats(&cache);
     eprintln!(
-        "served {} job(s) in {} batch(es), {} grouped; cache holds {entries} artifact(s), {bytes} byte(s)",
-        stats.jobs, stats.batches, stats.grouped
+        "served {} job(s); cache holds {entries} artifact(s), {bytes} byte(s)",
+        stats.jobs
     );
     Ok(Verdict::Clean)
 }
@@ -461,7 +463,7 @@ fn usage() -> String {
         ));
     }
     s.push_str(
-        "global flags:\n  --threads N         worker count for the sampling engine (PMTBR_THREADS)\n  --trace <path>      write a JSON-lines solver trace (docs/OBSERVABILITY.md)\n  --trace-wall        stamp the trace with wall-clock nanoseconds instead of\n                      the deterministic event counter\nbudget flags (reduce, pipeline-backed methods only; counted off the\ndeterministic obs counters, never wall clock):\n  --greedy-tol T           greedy method: convergence tolerance (default 1e-3; 0 = run\n                           to the shift budget)\n  --greedy-max-shifts N    greedy method: hard cap on accepted shifts (default --samples)\n  --budget-lu N            cap on LU factorizations\n  --budget-svd-sweeps N    cap on Jacobi SVD sweeps\n  --budget-sample-bytes N  cap on retained weighted sample bytes\nservice flags (serve/submit):\n  --addr host:port    server address (default 127.0.0.1:7117; serve accepts :0 and\n                      prints the bound port)\n  --cache-mb N        serve: artifact-cache byte budget in MiB (default 256)\n  --max-jobs N        serve: exit cleanly after N jobs (tests/benches)\n  --timeout-ms N      submit: deadline for the whole round trip (default 30000)\nexit codes:\n  0 clean  |  2 degraded sweep, accepted  |  3 degradation rejected  |  4 budget exhausted, best-effort model  |  5 service protocol error (submit/serve)  |  1 error\n  (canonical table: README.md, \"Error handling and exit codes\")",
+        "global flags:\n  --threads N         worker count for the sampling engine (PMTBR_THREADS)\n  --trace <path>      write a JSON-lines solver trace (docs/OBSERVABILITY.md)\n  --trace-wall        stamp the trace with wall-clock nanoseconds instead of\n                      the deterministic event counter\nbudget flags (reduce, pipeline-backed methods only; counted off the\ndeterministic obs counters, never wall clock):\n  --greedy-tol T           greedy method: convergence tolerance (default 1e-3; 0 = run\n                           to the shift budget)\n  --greedy-max-shifts N    greedy method: hard cap on accepted shifts (default --samples)\n  --budget-lu N            cap on LU factorizations\n  --budget-svd-sweeps N    cap on Jacobi SVD sweeps\n  --budget-sample-bytes N  cap on retained weighted sample bytes\nservice flags (serve/submit):\n  --addr host:port    server address (default 127.0.0.1:7117; serve accepts :0 and\n                      prints the bound port)\n  --cache-mb N        serve: artifact-cache byte budget in MiB (default 256)\n  --max-jobs N        serve: exit cleanly after N jobs (tests/benches)\n  --timeout-ms N      submit: deadline for the whole round trip (default 30000)\nexit codes:\n  0 clean  |  2 degraded, accepted  |  3 degradation rejected  |  4 budget exhausted, best-effort model  |  5 service protocol error (submit/serve)  |  1 error\n  (canonical table: README.md, \"Error handling and exit codes\")",
     );
     s
 }

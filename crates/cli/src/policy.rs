@@ -17,7 +17,8 @@ use serve::PipelineSummary;
 pub enum Verdict {
     /// Every stage ran clean: exit 0.
     Clean,
-    /// The model is usable but the sweep degraded: exit 2.
+    /// The model is usable but carries a recorded accuracy concession
+    /// (a degraded sweep or compressor, or a downgrade): exit 2.
     Degraded,
     /// A work budget ran out and the result is partial: exit 4.
     BudgetExhausted,
@@ -54,8 +55,9 @@ pub(crate) fn summarize(red: &Reduction) -> PipelineSummary {
 }
 
 /// Decides whether a reduced model is acceptable and what to say about
-/// it: a non-clean pipeline is echoed (and rejected under `strict`), a
-/// degraded sweep is echoed (rejected under `strict`, or when more than
+/// it: a non-clean pipeline is echoed, a degraded one is rejected under
+/// `strict` and accepted as [`Verdict::Degraded`] otherwise, a degraded
+/// sweep is echoed (rejected under `strict`, or when more than
 /// `max_dropped` sample points were lost), and budget exhaustion trumps
 /// plain degradation in the final verdict. A run without a summary (a
 /// strict baseline method) is clean.
@@ -93,7 +95,7 @@ pub fn evaluate_acceptance(
             )),
         };
     }
-    let mut verdict = Verdict::Clean;
+    let mut verdict = if rep.degraded { Verdict::Degraded } else { Verdict::Clean };
     if rep.sweep_degraded {
         stderr.push(format!("degraded {}", rep.sweep_summary));
         if strict {
@@ -175,6 +177,24 @@ mod tests {
         assert_eq!(tolerant.verdict.unwrap(), Verdict::Degraded);
         let tight = evaluate_acceptance(Some(&degraded_sweep()), false, 2);
         assert!(tight.verdict.unwrap_err().contains("exceeds --max-dropped-samples 2"));
+    }
+
+    #[test]
+    fn a_degraded_compressor_is_degraded_not_clean() {
+        let mut rep = clean_summary();
+        rep.compress = "degraded".into();
+        rep.downgraded = true;
+        rep.clean = false;
+        rep.degraded = true;
+        let acc = evaluate_acceptance(Some(&rep), false, 0);
+        assert_eq!(acc.verdict.unwrap(), Verdict::Degraded);
+        assert!(acc.stderr[0].contains("compress=degraded"));
+        // A recovered stage is no concession: the run stays clean.
+        let mut rep = clean_summary();
+        rep.compress = "recovered".into();
+        rep.clean = false;
+        let acc = evaluate_acceptance(Some(&rep), false, 0);
+        assert_eq!(acc.verdict.unwrap(), Verdict::Clean);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! A cache with a source index ([`ArtifactCache::source_pencil`]) lets
 //! an untraced repeat skip the netlist altogether: when the job's text
 //! is indexed and its method's plan depends on the request alone
-//! ([`crate::Method::plan`]), [`pmtbr::pipeline::warm_hit`] looks the
+//! ([`crate::Runner::Plan`]), [`pmtbr::pipeline::warm_hit`] looks the
 //! model up under the indexed pencil before anything is parsed,
 //! assembled or hashed. Every other job, and every lookup that does not
 //! hit, takes the parse path, which notes the text's pencil once the
@@ -112,7 +112,7 @@ pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
         obs::install(obs::ClockKind::Counter);
     }
     let seen = PencilSeen { inner: cache, pencil: OnceLock::new() };
-    let outcome = (method.run)(&sys, &req, &seen);
+    let outcome = method.run(&sys, &req, &seen);
     let trace = if job.trace { obs::drain().map(|t| t.to_jsonl()) } else { None };
     if let Some(&pencil) = seen.pencil.get() {
         cache.note_source(job.netlist.as_bytes(), pencil);
@@ -127,7 +127,9 @@ pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
 /// `PMTBR_FAULT` is malformed (the parse path reports both), or no
 /// model for this plan, fault plan and budget is cached.
 fn indexed_hit(job: &JobRequest, cache: &dyn ArtifactCache) -> Option<MethodOutput> {
-    let plan = crate::find(&job.method)?.plan?;
+    let crate::Runner::Plan(plan) = crate::find(&job.method)?.runner else {
+        return None;
+    };
     let pencil = cache.source_pencil(job.netlist.as_bytes())?;
     let req = reduce_request(job);
     let built = (plan.build)(&req).ok()?;
@@ -209,7 +211,7 @@ mod tests {
         // The same flags run locally, straight through the registry.
         let sys = circuits::parse_netlist(&job.netlist).unwrap().build().unwrap();
         let method = crate::find("pmtbr").unwrap();
-        let local = (method.run)(&sys, &reduce_request(&job), &NullCache).unwrap();
+        let local = method.run(&sys, &reduce_request(&job), &NullCache).unwrap();
         assert_eq!(remote.report_lines, local.report);
         for (wire, here) in [
             (&remote.a, &local.reduced.a),

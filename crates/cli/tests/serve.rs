@@ -265,6 +265,29 @@ fn degraded_submit_exit_codes_match_reduce() {
     server.finish();
 }
 
+/// A run whose compressor fell back is degraded, not clean: exit 2 from
+/// `reduce` and `submit` alike. At this seed every spectral attempt on
+/// the 6×6 mesh panics, so the compressor downgrades to the incremental
+/// QR basis.
+#[test]
+fn compressor_fallback_exits_2_from_reduce_and_submit() {
+    let mesh = circuits::rc_mesh_netlist(6, 6, &[0, 35], 1.0, 1.0, 2.0);
+    let nl = write_netlist("fallback.sp", &mesh);
+    let fault = "seed=3,rate=1,kinds=panic,depth=5,stage=compress";
+    let flags = ["--band", "1", "--samples", "8"];
+    let server = Server::spawn(1, Some(fault));
+    let remote = submit(&server.addr, &nl, &flags);
+    server.finish();
+    let local = reduce(&nl, &flags, Some(fault));
+    for (what, out) in [("submit", &remote), ("reduce", &local)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{what} stderr: {stderr}");
+    }
+    assert_eq!(remote.stdout, local.stdout);
+    assert_eq!(policy_lines(&remote), policy_lines(&local));
+    assert!(policy_lines(&local)[0].contains("compress=degraded project=clean downgraded=true"));
+}
+
 #[test]
 fn budget_exhaustion_parity_exit_4() {
     let nl = write_netlist("budget.sp", RLC_LADDER);

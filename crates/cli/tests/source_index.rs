@@ -140,6 +140,25 @@ fn repeated_jobs_are_answered_from_the_index_bit_for_bit() {
     }
 }
 
+/// A repeat is a model hit in any order: another netlist served in
+/// between neither evicts nor unindexes the first, so no scheduler has
+/// to run repeats back-to-back.
+#[test]
+fn a_repeat_after_another_netlist_is_still_a_hit() {
+    let _g = lock();
+    let a = job("pmtbr");
+    let mut b = a.clone();
+    b.netlist = circuits::rc_mesh_netlist(5, 5, &[0, 24], 1.0, 1.0, 2.0);
+    let lru = LruCache::new(16 << 20);
+    let (first_a, counts) = handle(&a, &lru);
+    assert_eq!(counts, (0, 1), "A computes");
+    let (_, counts) = handle(&b, &lru);
+    assert_eq!(counts, (0, 1), "B computes");
+    let (second_a, counts) = handle(&a, &lru);
+    assert_eq!(counts, (1, 0), "the second A is a model hit");
+    assert_eq!(bytes(&second_a), bytes(&first_a));
+}
+
 #[test]
 fn an_indexed_text_is_answered_without_parsing() {
     let _g = lock();

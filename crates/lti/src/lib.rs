@@ -16,8 +16,7 @@
 //! - balanced residualization ([`tbr_residualized`], dc-exact);
 //! - sampled passivity verification ([`is_passive_sampled`]);
 //! - the waveform generators behind the input-correlated experiments
-//!   ([`dithered_square_inputs`], [`latent_mixture_inputs`]) and state
-//!   snapshots for empirical Gramians ([`state_snapshots`]).
+//!   ([`dithered_square_inputs`], [`latent_mixture_inputs`]).
 //!
 //! ```
 //! use lti::{hankel_singular_values, tbr, StateSpace};
@@ -53,7 +52,6 @@ mod passivity;
 mod realify;
 mod shift_engine;
 mod signal;
-mod snapshots;
 mod ss;
 mod system;
 mod tbr;
@@ -73,7 +71,6 @@ pub use signal::{
     dithered_square_inputs, input_correlation_svd, latent_mixture_inputs,
     random_phase_square_inputs, SquareWave,
 };
-pub use snapshots::state_snapshots;
 pub use ss::StateSpace;
 pub use system::LtiSystem;
 pub use tbr::{

@@ -212,11 +212,6 @@ impl TolerantSweep {
     pub fn dropped(&self) -> usize {
         self.solutions.len() - self.surviving()
     }
-
-    /// `true` when every shift survived.
-    pub fn is_complete(&self) -> bool {
-        self.dropped() == 0
-    }
 }
 
 /// Injection hook for the numerical fault harness.
@@ -302,7 +297,7 @@ mod tests {
             &RecoveryPolicy::default(),
             &NoFaults,
         );
-        assert!(sweep.is_complete());
+        assert_eq!(sweep.dropped(), 0);
         assert_eq!(sweep.surviving(), 5);
         for rep in &sweep.reports {
             let expected =
@@ -391,7 +386,7 @@ mod tests {
             &RecoveryPolicy::default(),
             &DriftAll,
         );
-        assert!(sweep.is_complete());
+        assert_eq!(sweep.dropped(), 0);
         assert_eq!(sweep.reports[0].outcome, ShiftOutcome::Refined);
         assert!(sweep.reports[0].refine_steps >= 1);
         assert!(sweep.reports[0].residual <= 1e-10);

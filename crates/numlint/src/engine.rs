@@ -249,11 +249,9 @@ impl FileContext {
 }
 
 /// The complete analysis of one file: per-file diagnostics plus the
-/// extracted symbols the workspace pass consumes. This is the unit the
-/// incremental cache stores and restores — everything downstream of it
-/// (call graph, fixpoint, interprocedural rules) is recomputed from
-/// these on every run, which is why warm runs are fast: lexing and
-/// extraction dominate, the fixpoint is milliseconds.
+/// extracted symbols the workspace pass consumes. Everything downstream
+/// of it (call graph, fixpoint, interprocedural rules) is computed from
+/// the analyses of every file at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileAnalysis {
     pub class: FileClass,

@@ -25,16 +25,13 @@
 //! interprocedural rules gate on the result: PANIC02 (pub Result fns
 //! reaching panic sites, reported with full witness call chains), DET03
 //! (transitive wall-clock reachability), and SAFE01
-//! (`#![forbid(unsafe_code)]` pinned in every library crate). Per-file
-//! analyses are memoized in a content-hash [`cache`] under
-//! `target/numlint-cache/` so warm runs are sub-second.
+//! (`#![forbid(unsafe_code)]` pinned in every library crate).
 //!
 //! The analyzer is zero-dependency and std-only by design — it must
 //! build in the same offline environment as the crates it audits. See
 //! `DESIGN.md` ("Static analysis architecture") for the rule table and
 //! suppression syntax.
 
-pub mod cache;
 pub mod callgraph;
 pub mod doccheck;
 pub mod effects;

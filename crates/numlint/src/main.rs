@@ -3,12 +3,10 @@
 //!
 //! A `check` run has three stages:
 //!
-//! 1. **Per-file analysis** — lex, per-file rules, symbol extraction —
-//!    memoized in the content-hash cache under `target/numlint-cache/`
-//!    so warm runs skip everything whose source is unchanged.
+//! 1. **Per-file analysis** — lex, per-file rules, symbol extraction.
 //! 2. **Workspace pass** — call graph + effect fixpoint + the
-//!    interprocedural rules (PANIC02/DET03/SAFE01). Always recomputed;
-//!    it is milliseconds and depends on every file at once.
+//!    interprocedural rules (PANIC02/DET03/SAFE01), over every file at
+//!    once.
 //! 3. **Reporting** — every finding, as text (with witness call chains
 //!    on their own `chain |` lines) or `--json` (chains as structured
 //!    arrays).
@@ -17,7 +15,6 @@
 //! error. `scripts/check.sh` treats any non-zero status as a gate
 //! failure.
 
-use numlint::cache::{fnv64, Cache};
 use numlint::engine::{analyze_file, workspace_diagnostics, Diagnostic, FileAnalysis};
 use numlint::rules::{RULES, WORKSPACE_RULES};
 use numlint::walk;
@@ -30,24 +27,22 @@ const USAGE: &str = "\
 numlint — in-tree static analysis for the PMTBR workspace
 
 USAGE:
-    numlint check [--json] [--root DIR] [--no-cache]
+    numlint check [--json] [--root DIR]
     numlint doccheck [--root DIR]
     numlint rules
 
 FLAGS (check):
     --json               One JSON diagnostic per line (machine-readable)
     --root DIR           Workspace root (default: nearest [workspace] above cwd)
-    --no-cache           Ignore and do not write target/numlint-cache
 ";
 
 struct Args {
     json: bool,
     root: Option<PathBuf>,
-    no_cache: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args { json: false, root: None, no_cache: false };
+    let mut args = Args { json: false, root: None };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -56,7 +51,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let v = it.next().ok_or("--root requires a directory")?;
                 args.root = Some(PathBuf::from(v));
             }
-            "--no-cache" => args.no_cache = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -161,9 +155,7 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
     let files = walk::workspace_rs_files(&root)
         .map_err(|e| format!("walking {}: {e}", root.display()))?;
 
-    // Stage 1: per-file analyses, served from the content-hash cache
-    // where the source is unchanged.
-    let mut cache = if args.no_cache { Cache::default() } else { Cache::load(&root) };
+    // Stage 1: per-file analyses.
     let mut analyses: BTreeMap<String, FileAnalysis> = BTreeMap::new();
     let mut sources: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for rel in &files {
@@ -171,22 +163,12 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
         let full = root.join(rel);
         let src = fs::read_to_string(&full)
             .map_err(|e| format!("reading {}: {e}", full.display()))?;
-        let hash = fnv64(src.as_bytes());
-        let fa = match cache.lookup(&rel_str, hash) {
-            Some(fa) => fa,
-            None => analyze_file(&rel_str, &src),
-        };
-        cache.record(&rel_str, hash, fa.clone());
+        let fa = analyze_file(&rel_str, &src);
         sources.insert(rel_str.clone(), src.lines().map(str::to_string).collect());
         analyses.insert(rel_str, fa);
     }
-    if !args.no_cache {
-        if let Err(e) = cache.save(&root) {
-            eprintln!("numlint: warning: cache not saved: {e}");
-        }
-    }
 
-    // Stage 2: the workspace pass over the full (cached + fresh) set.
+    // Stage 2: the workspace pass over every file's analysis.
     let mut findings: Vec<(String, Diagnostic)> = Vec::new();
     for (path, fa) in &analyses {
         findings.extend(fa.diags.iter().cloned().map(|d| (path.clone(), d)));
@@ -201,14 +183,6 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
             .map(String::as_str);
         emit(path, d, line, args.json);
     }
-    // Cache statistics go to stderr in both modes: check.sh surfaces
-    // them next to its wall-time report.
-    eprintln!(
-        "numlint: cache {} hit(s), {} miss(es){}",
-        cache.hits,
-        cache.misses,
-        if args.no_cache { " (cache disabled)" } else { "" }
-    );
     if !args.json {
         if findings.is_empty() {
             eprintln!("numlint: clean — {} file(s) checked", files.len());

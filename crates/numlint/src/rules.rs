@@ -104,19 +104,9 @@ pub const WORKSPACE_RULES: &[(&str, &str)] = &[
 /// True if `id` names a rule (per-file, workspace, or the meta-rule
 /// LINT00) — used to validate `numlint:allow(...)` lists.
 pub fn is_known_rule(id: &str) -> bool {
-    canonical_rule_id(id).is_some()
-}
-
-/// Interns a rule name back to its `&'static str` id (the cache stores
-/// rule ids as plain text and `Diagnostic::rule` wants the static str).
-pub fn canonical_rule_id(id: &str) -> Option<&'static str> {
-    if id == "LINT00" {
-        return Some("LINT00");
-    }
-    if let Some(r) = RULES.iter().find(|r| r.id == id) {
-        return Some(r.id);
-    }
-    WORKSPACE_RULES.iter().find(|(w, _)| *w == id).map(|(w, _)| *w)
+    id == "LINT00"
+        || RULES.iter().any(|r| r.id == id)
+        || WORKSPACE_RULES.iter().any(|(w, _)| *w == id)
 }
 
 fn diag(out: &mut Vec<Diagnostic>, t: &Token, rule: &'static str, message: String) {
@@ -855,7 +845,6 @@ mod tests {
     fn workspace_rule_ids_are_known() {
         for id in ["PANIC02", "DET03", "SAFE01", "CONC01", "LINT00"] {
             assert!(is_known_rule(id), "{id}");
-            assert_eq!(canonical_rule_id(id), Some(id));
         }
         assert!(!is_known_rule("NOSUCH"));
     }

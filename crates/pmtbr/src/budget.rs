@@ -32,7 +32,7 @@ use numkit::{CancelToken, NumError};
 /// ```
 /// use pmtbr::Budget;
 ///
-/// let b = Budget::default().with_max_lu_factors(8);
+/// let b = Budget { max_lu_factors: Some(8), ..Budget::default() };
 /// assert_eq!(b.max_lu_factors, Some(8));
 /// assert!(b.max_svd_sweeps.is_none());
 /// ```
@@ -55,43 +55,6 @@ pub struct Budget {
     /// Cooperative cancellation, polled at stage boundaries and once
     /// per sweep shift.
     pub cancel: Option<CancelToken>,
-}
-
-impl Budget {
-    /// `true` when no cap is set (the cancel token does not count).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_lu_factors.is_none()
-            && self.max_svd_sweeps.is_none()
-            && self.max_sample_bytes.is_none()
-    }
-
-    /// Caps LU factorizations (builder style).
-    #[must_use]
-    pub fn with_max_lu_factors(mut self, cap: u64) -> Self {
-        self.max_lu_factors = Some(cap);
-        self
-    }
-
-    /// Caps SVD sweeps (builder style).
-    #[must_use]
-    pub fn with_max_svd_sweeps(mut self, cap: u64) -> Self {
-        self.max_svd_sweeps = Some(cap);
-        self
-    }
-
-    /// Caps retained sample bytes (builder style).
-    #[must_use]
-    pub fn with_max_sample_bytes(mut self, cap: u64) -> Self {
-        self.max_sample_bytes = Some(cap);
-        self
-    }
-
-    /// Attaches a cancellation token (builder style).
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
 }
 
 /// Scopes a [`Budget`] to one pipeline run by snapshotting the
@@ -151,7 +114,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_exhausts() {
         let b = Budget::default();
-        assert!(b.is_unlimited());
         let t = BudgetTracker::start(&b);
         assert_eq!(t.exhausted(), None);
         assert_eq!(t.remaining_svd_sweeps(), None);
@@ -163,8 +125,7 @@ mod tests {
         // Counters are process-global and other tests in this binary
         // run SVDs concurrently, so assert only monotone-safe facts:
         // headroom never exceeds the cap, and overrun is sticky.
-        let b = Budget::default().with_max_svd_sweeps(5);
-        assert!(!b.is_unlimited());
+        let b = Budget { max_svd_sweeps: Some(5), ..Budget::default() };
         let t = BudgetTracker::start(&b);
         assert!(t.remaining_svd_sweeps().is_some_and(|r| r <= 5));
         obs::counters::add(obs::Counter::SvdSweeps, 6);
@@ -175,7 +136,7 @@ mod tests {
     #[test]
     fn cancellation_surfaces_as_cancelled_error() {
         let token = CancelToken::new();
-        let b = Budget::default().with_cancel(token.clone());
+        let b = Budget { cancel: Some(token.clone()), ..Budget::default() };
         let t = BudgetTracker::start(&b);
         assert!(t.check_cancelled().is_ok());
         token.cancel();

@@ -29,9 +29,11 @@
 //! anything. [`LruCache`] keeps the last [`SOURCE_INDEX_CAPACITY`]
 //! texts noted. It keys each one by a per-process randomly keyed hash
 //! of the bytes ([`std::collections::hash_map::RandomState`]) plus
-//! their length, never by an unkeyed hash, so a client cannot choose a
-//! text that lands on another text's entry. [`NullCache`] indexes
-//! nothing and hashes no text.
+//! their length, so a client cannot choose a text that lands on another
+//! text's entry. A repeat finds its model whatever ran in between, as
+//! long as neither its index entry nor its model has been evicted, so
+//! a server needs no particular job order to serve repeats warm.
+//! [`NullCache`] indexes nothing and hashes no text.
 //!
 //! # Identity contract
 //!

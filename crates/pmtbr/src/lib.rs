@@ -26,8 +26,6 @@
 //!   controllability and observability Gramians (two-sided);
 //! - [`ReductionPlan::greedy`] — adaptive shift placement driven by a
 //!   solve-free residual surrogate, with a frequency-aware stopping rule;
-//! - [`pod_reduce`] — snapshot-based (time-domain empirical Gramian)
-//!   reduction, the statistical interpretation taken literally;
 //! - [`IncrementalBasis`] — on-the-fly order control without re-SVDs
 //!   (Section V-C).
 //!
@@ -75,7 +73,6 @@ mod greedy;
 mod input_correlated;
 mod order_control;
 pub mod pipeline;
-mod pod;
 mod sampling;
 mod sweep;
 
@@ -92,6 +89,5 @@ pub use pipeline::{
     Compressor, InputDirections, OrderControl, PipelineReport, Reduction, ReductionPlan,
     StageOutcome,
 };
-pub use pod::{pod_reduce, PodOptions};
 pub use sampling::{SamplePoint, Sampling};
 pub use sweep::SweepDiagnostics;

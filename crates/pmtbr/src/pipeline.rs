@@ -525,7 +525,7 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
 /// let opts =
 ///     PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
 /// let plan = ReductionPlan::pmtbr(&opts);
-/// let budget = Budget::default().with_max_lu_factors(1_000);
+/// let budget = Budget { max_lu_factors: Some(1_000), ..Budget::default() };
 /// let red = run(&sys, &plan, None, &budget, &NullCache)?;
 /// assert_eq!(red.report.worst(), StageOutcome::Clean);
 /// assert!(red.report.budget_exhausted.is_none());
@@ -1424,7 +1424,7 @@ pub(crate) fn truncated_order(s: &[f64], order: &OrderControl) -> Result<usize, 
 
 /// Order selection and congruence projection onto the dominant left
 /// singular vectors of `f`: the spectral compressor's projection, also
-/// behind [`crate::reduce_with_basis`] and [`crate::pod_reduce`].
+/// behind [`crate::reduce_with_basis`].
 pub(crate) fn spectral_model<S: LtiSystem + ?Sized>(
     sys: &S,
     f: &Svd<f64>,
@@ -1833,7 +1833,7 @@ mod tests {
         let opts =
             PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
         let plan = ReductionPlan::pmtbr(&opts);
-        let budget = Budget::default().with_max_lu_factors(4);
+        let budget = Budget { max_lu_factors: Some(4), ..Budget::default() };
         // The node cap is the budget's own, whatever other runs in the
         // process factor: 4 of the 10 nodes are attempted, 6 dropped.
         let red = run(&sys, &plan, None, &budget, &NullCache).unwrap();
@@ -1861,7 +1861,7 @@ mod tests {
         // A zero SVD budget dries the spectral ladder immediately; the
         // run still completes on the SVD-free incremental compressor
         // with the exhaustion recorded.
-        let budget = Budget::default().with_max_svd_sweeps(0);
+        let budget = Budget { max_svd_sweeps: Some(0), ..Budget::default() };
         let red = run(&sys, &plan, None, &budget, &NullCache).unwrap();
         assert_eq!(red.report.budget_exhausted, Some("svd-sweeps"));
         assert!(red.report.compressor_downgraded);
@@ -1877,7 +1877,7 @@ mod tests {
         let plan = ReductionPlan::pmtbr(&opts);
         let token = numkit::CancelToken::new();
         token.cancel();
-        let budget = Budget::default().with_cancel(token);
+        let budget = Budget { cancel: Some(token), ..Budget::default() };
         let err = run(&sys, &plan, None, &budget, &NullCache).unwrap_err();
         assert_eq!(err, NumError::Cancelled);
     }

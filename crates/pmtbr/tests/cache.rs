@@ -189,7 +189,7 @@ fn degraded_results_are_never_cached() {
     let sys = mesh();
     // A one-factorization budget truncates the sweep: the result is
     // Degraded and must be rejected by the admission policy.
-    let budget = Budget::default().with_max_lu_factors(1);
+    let budget = Budget { max_lu_factors: Some(1), ..Budget::default() };
     let cache = LruCache::new(64 << 20);
     let red = run_cached(&sys, &plan(), &budget, &cache).expect("degraded run");
     assert!(red.report.is_degraded());

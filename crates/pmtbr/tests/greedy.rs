@@ -250,7 +250,7 @@ fn greedy_dropped_shifts_reenter_selection() {
 fn greedy_composes_with_lu_budget() {
     let sys = test_system();
     let plan = ReductionPlan::greedy(10.0, 0.0, 8, order());
-    let budget = Budget::default().with_max_lu_factors(3);
+    let budget = Budget { max_lu_factors: Some(3), ..Budget::default() };
     // Counters are process-global and other tests factor LUs
     // concurrently, so the effective cap may shrink below 3 — the run
     // must then still terminate with either a best-effort degraded

@@ -43,11 +43,6 @@ impl Deadline {
             Some(self.end - now)
         }
     }
-
-    /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_none()
-    }
 }
 
 /// The error of a socket exchange whose deadline has passed.
@@ -104,7 +99,6 @@ mod tests {
     #[test]
     fn fresh_deadline_has_time_remaining() {
         let d = Deadline::new(Duration::from_secs(3600));
-        assert!(!d.expired());
         let left = d.remaining().expect("not expired");
         assert!(left <= Duration::from_secs(3600));
         assert!(left > Duration::from_secs(3500));
@@ -113,7 +107,6 @@ mod tests {
     #[test]
     fn zero_deadline_expires_immediately() {
         let d = Deadline::new(Duration::ZERO);
-        assert!(d.expired());
         assert!(d.remaining().is_none());
     }
 }

@@ -14,12 +14,11 @@
 //! - [`wire`]: length-prefixed frames and the job codec. All numbers
 //!   travel as raw bits, so a submitted job returns the *same bytes* a
 //!   local `reduce` would produce.
-//! - [`server`]: the batching scheduler. An acceptor thread blocks in
-//!   `accept`, reader threads decode requests, and pending jobs are
-//!   grouped by a hash of their netlist text and run back-to-back, so
-//!   the first job of a group computes the model and the repeats after
-//!   it hit the model cache. Reading a request and writing a response
-//!   each get one I/O timeout as a whole.
+//! - [`server`]: the first-come-first-served scheduler. An acceptor
+//!   thread blocks in `accept`, reader threads decode requests, and the
+//!   job loop answers them in the order they were decoded; a repeat
+//!   hits the handler's model cache in any order. Reading a request and
+//!   writing a response each get one I/O timeout as a whole.
 //! - [`client`]: one-call job submission under a single deadline.
 //! - [`deadline`]: the crate's one sanctioned monotonic-clock read, and
 //!   the deadline-bounded socket both ends read and write through.

@@ -1,21 +1,18 @@
-//! The batching scheduler: accept, read, group, run, respond.
+//! The first-come-first-served scheduler: accept, read, run, respond.
 //!
 //! An acceptor thread blocks in `accept` and hands each new connection
 //! to its own detached reader thread, which reads and decodes the
-//! request off the batch loop, so a client that connects and sends
+//! request off the job loop, so a client that connects and sends
 //! nothing delays nobody but itself. A connection keeps its slot, one
-//! of 64, until its response is written, so while the batch loop is
-//! busy further clients wait in the listener's backlog, not in memory.
-//! The batch loop blocks on the decoded jobs; the ones ready together
-//! form a *batch*. The server groups the batch by a hash of each job's
-//! netlist text and runs the groups in `(key, arrival)` order. Repeated
-//! netlists therefore execute back-to-back, which is what turns the
-//! pipeline's content-addressed artifact cache into a service win: the
-//! first job of a group computes the model, the rest hit the model
-//! cache. Keying on the text rather than on the parsed circuit leaves
-//! the handler's parse as the only one a job can pay for, and a handler
-//! whose cache indexes the texts it has built (the CLI's does) answers
-//! an untraced repeat without parsing at all.
+//! of 64, until its response is written, so while the job loop is busy
+//! further clients wait in the listener's backlog, not in memory. The
+//! job loop answers decoded jobs in the order they were decoded. A
+//! repeated netlist needs no help from the scheduler to land on a warm
+//! cache: the handler's model cache serves it in any order, and a
+//! handler whose cache indexes the texts it has built (the CLI's does)
+//! answers an untraced repeat without parsing at all. The scheduler
+//! never reads the netlist text, so the handler's parse is the only
+//! one a job can pay for.
 //!
 //! Reading a connection's request and writing its response each get
 //! one I/O timeout as a whole, not per socket call: a client that never
@@ -66,12 +63,6 @@ impl Default for ServeOptions {
 pub struct ServeStats {
     /// Jobs completed (responses written).
     pub jobs: u64,
-    /// Batches executed (one batch = every decoded job waiting when the
-    /// loop turns to the next one).
-    pub batches: u64,
-    /// Jobs that shared a batch with an earlier same-netlist job — the
-    /// ones scheduled to land on a warm cache.
-    pub grouped: u64,
 }
 
 /// One accepted connection with its decoded request. It holds its
@@ -79,20 +70,7 @@ pub struct ServeStats {
 struct Job {
     stream: TcpStream,
     request: JobRequest,
-    key: u64,
-    arrival: usize,
     _slot: Permit,
-}
-
-/// The batching group key: the FNV-1a hash of the netlist text.
-/// Identical texts share a key; the handler parses the text and reports
-/// any error in it. The hash is unkeyed, so a client can choose texts
-/// that share a key: it orders jobs and answers none, which is why the
-/// handler's source index keys texts with a randomly keyed hash instead.
-fn group_key(netlist: &str) -> u64 {
-    netlist
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// Most connections held at once, from `accept` until the response is
@@ -100,7 +78,7 @@ fn group_key(netlist: &str) -> u64 {
 /// job finishes or a reader drops its client.
 const MAX_READERS: usize = 64;
 
-/// How long the idle batch loop waits for a job before it looks at the
+/// How long the idle job loop waits for a job before it looks at the
 /// shutdown flag again. Jobs wake it at once; only shutdown waits.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
@@ -136,7 +114,7 @@ struct SlotState {
     stopped: bool,
 }
 
-/// A held reader slot, given back when dropped: by the batch loop once
+/// A held reader slot, given back when dropped: by the job loop once
 /// the job's response is written, or by a reader that drops its client
 /// or panics.
 struct Permit(Arc<Slots>);
@@ -191,25 +169,23 @@ impl Slots {
 /// timeout is dropped, with its slot — its end sees EOF, which the
 /// submit client surfaces as a protocol failure (exit 5) rather than a
 /// job failure.
-fn read_job(stream: TcpStream, slot: Permit, arrival: usize, io_timeout: Duration) -> Option<Job> {
+fn read_job(stream: TcpStream, slot: Permit, io_timeout: Duration) -> Option<Job> {
     stream.set_nodelay(true).ok()?;
     let deadline = Deadline::new(io_timeout);
     let payload = read_frame(&mut Bounded { stream: &stream, deadline }).ok()?;
     let request = JobRequest::decode(&payload).ok()?;
-    let key = group_key(&request.netlist);
-    Some(Job { stream, request, key, arrival, _slot: slot })
+    Some(Job { stream, request, _slot: slot })
 }
 
 /// The acceptor: blocks in `accept` and hands each connection to a
 /// detached reader, with a slot the job keeps, until stopped. A fatal
-/// `accept` error is sent to the batch loop in place of a job.
+/// `accept` error is sent to the job loop in place of a job.
 fn accept_loop(
     listener: &TcpListener,
     slots: &Arc<Slots>,
     jobs: Sender<std::io::Result<Job>>,
     io_timeout: Duration,
 ) {
-    let mut arrival = 0usize;
     while let Some(permit) = slots.acquire() {
         let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
@@ -224,65 +200,45 @@ fn accept_loop(
         if slots.stopped() {
             return;
         }
-        arrival += 1;
         let jobs = jobs.clone();
         // A reader that could not start drops its connection and slot.
         let _ = std::thread::Builder::new().spawn(move || {
-            if let Some(job) = read_job(stream, permit, arrival, io_timeout) {
+            if let Some(job) = read_job(stream, permit, io_timeout) {
                 let _ = jobs.send(Ok(job));
             }
         });
     }
 }
 
-/// The batch loop: waits for decoded jobs and runs each batch in
-/// `(key, arrival)` order until `shutdown` is set or `max_jobs` jobs
-/// have completed.
-fn run_batches(
+/// The job loop: answers decoded jobs in the order they were decoded
+/// until `shutdown` is set or `max_jobs` jobs have completed.
+fn run_jobs(
     jobs: &Receiver<std::io::Result<Job>>,
     handler: &(dyn Fn(&JobRequest) -> JobResponse + Sync),
     opts: &ServeOptions,
     shutdown: &AtomicBool,
 ) -> Result<ServeStats, WireError> {
     let mut stats = ServeStats::default();
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return Ok(stats);
-        }
-        let first = match jobs.recv_timeout(SHUTDOWN_POLL) {
-            Ok(job) => job,
+    while !shutdown.load(Ordering::Relaxed) {
+        let job = match jobs.recv_timeout(SHUTDOWN_POLL) {
+            Ok(job) => job?,
             Err(RecvTimeoutError::Timeout) => continue,
             // The acceptor is gone without an error: it panicked, and
             // the panic resurfaces when `serve` joins it.
-            Err(RecvTimeoutError::Disconnected) => return Ok(stats),
+            Err(RecvTimeoutError::Disconnected) => break,
         };
-        // The jobs decoded by now form one batch.
-        let mut batch = Vec::new();
-        for job in std::iter::once(first).chain(jobs.try_iter()) {
-            batch.push(job?);
-        }
-        // Same-netlist jobs run back-to-back; arrival order breaks ties
-        // deterministically.
-        batch.sort_by_key(|j| (j.key, j.arrival));
-        stats.batches += 1;
-        let mut prev_key: Option<u64> = None;
-        for job in batch {
-            if prev_key == Some(job.key) {
-                stats.grouped += 1;
-            }
-            prev_key = Some(job.key);
-            let response = handler(&job.request);
-            // A vanished client must not take the server down, and a
-            // write to one that does not read it all within the I/O
-            // timeout fails then.
-            let deadline = Deadline::new(opts.io_timeout);
-            let _ = write_frame(&mut Bounded { stream: &job.stream, deadline }, &response.encode());
-            stats.jobs += 1;
-            if opts.max_jobs.is_some_and(|m| stats.jobs >= m) {
-                return Ok(stats);
-            }
+        let response = handler(&job.request);
+        // A vanished client must not take the server down, and a write
+        // to one that does not read it all within the I/O timeout fails
+        // then.
+        let deadline = Deadline::new(opts.io_timeout);
+        let _ = write_frame(&mut Bounded { stream: &job.stream, deadline }, &response.encode());
+        stats.jobs += 1;
+        if opts.max_jobs.is_some_and(|m| stats.jobs >= m) {
+            break;
         }
     }
+    Ok(stats)
 }
 
 /// Where `serve` connects to wake its own acceptor: the bound address,
@@ -298,14 +254,14 @@ fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
     bound
 }
 
-/// Runs the accept/batch/respond loop until `shutdown` is set or
+/// Runs the accept/run/respond loop until `shutdown` is set or
 /// `max_jobs` jobs have completed.
 ///
 /// The listener is switched to blocking mode and served by a scoped
 /// acceptor thread, which hands every connection to a detached reader
 /// thread; at most `MAX_READERS` connections are held at once, from
 /// `accept` until the response is written. The calling thread runs the
-/// batches; it waits only on decoded jobs, and looks at `shutdown`
+/// jobs; it waits only on decoded jobs, and looks at `shutdown`
 /// every 50 ms while idle. On return, or when a handler panics, it
 /// stops the acceptor, waking it with a connection to the listener in
 /// case it is blocked in `accept`, and joins it; a handler's panic then
@@ -333,7 +289,7 @@ pub fn serve(
         let acceptor_slots = &slots;
         scope.spawn(move || accept_loop(listener, acceptor_slots, tx, opts.io_timeout));
         let _stop = StopAcceptor { slots: &slots, wake };
-        run_batches(&rx, handler, opts, shutdown)
+        run_jobs(&rx, handler, opts, shutdown)
     })
 }
 
@@ -385,7 +341,6 @@ mod tests {
             }
             let stats = server.join().unwrap();
             assert_eq!(stats.jobs, 3);
-            assert!(stats.batches >= 1);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
@@ -508,7 +463,7 @@ mod tests {
             let deadline = Deadline::new(Duration::from_secs(5));
             shutdown.store(true, Ordering::Relaxed);
             assert_eq!(server.join().unwrap().jobs, 0);
-            assert!(!deadline.expired(), "shutdown waited on the silent clients");
+            assert!(deadline.remaining().is_some(), "shutdown waited on the silent clients");
         });
         drop(silent);
     }
@@ -544,47 +499,35 @@ mod tests {
     }
 
     #[test]
-    fn same_pencil_jobs_group_within_a_batch() {
-        // Grouping is by a hash of the netlist text with arrival-order
-        // tie-breaking: identical texts share a key, different texts
-        // (even the same circuit in another case) do not.
+    fn queued_jobs_are_answered_in_queue_order() {
+        // Jobs decoded before the job loop looks are answered in the
+        // order they were queued, whatever their netlists: they are
+        // queued here, each on a connection of its own.
         let other = "R1 1 2 1\nC1 2 0 1\nC2 1 0 1\nPORT 1\n.END\n";
-        let (ka, kb) = (group_key(RC), group_key(other));
-        assert_eq!(ka, group_key(&["R1 1 0 1\n", "C1 1 0 1\n", "PORT 1\n.END\n"].concat()));
-        assert_ne!(ka, kb);
-        assert_ne!(ka, group_key(&RC.to_lowercase()));
-
-        // Four jobs decoded before the batch loop looks form one batch,
-        // whatever the readers' timing: they are queued here, each on
-        // a connection of its own, in arrival order.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let slots = Slots::new();
         let (tx, rx) = mpsc::channel();
         let mut clients = Vec::new();
         let tagged = [("a", RC), ("b", other), ("c", RC), ("d", other)];
-        for (arrival, (tag, nl)) in tagged.into_iter().enumerate() {
+        for (tag, nl) in tagged {
             clients.push(TcpStream::connect(addr).unwrap());
             let stream = listener.accept().unwrap().0;
-            let request = request(nl, tag);
-            let key = group_key(&request.netlist);
-            let job = Job { stream, request, key, arrival, _slot: slots.acquire().unwrap() };
+            let job = Job { stream, request: request(nl, tag), _slot: slots.acquire().unwrap() };
             tx.send(Ok(job)).unwrap();
         }
         let order = Mutex::new(Vec::new());
         let handler = |req: &JobRequest| {
             order.lock().unwrap().push(req.method.clone());
-            JobResponse::Err("ok".into())
+            JobResponse::Err(format!("echo:{}", req.method))
         };
         let opts = ServeOptions { max_jobs: Some(4), ..ServeOptions::default() };
-        let stats = run_batches(&rx, &handler, &opts, &AtomicBool::new(false)).unwrap();
-        // Same-netlist jobs are adjacent, in arrival order within a group.
-        assert_eq!(stats, ServeStats { jobs: 4, batches: 1, grouped: 2 });
-        let expect = if ka < kb { ["a", "c", "b", "d"] } else { ["b", "d", "a", "c"] };
-        assert_eq!(*order.lock().unwrap(), expect);
-        for mut client in clients {
+        let stats = run_jobs(&rx, &handler, &opts, &AtomicBool::new(false)).unwrap();
+        assert_eq!(stats, ServeStats { jobs: 4 });
+        assert_eq!(*order.lock().unwrap(), ["a", "b", "c", "d"]);
+        for (mut client, (tag, _)) in clients.into_iter().zip(tagged) {
             let resp = JobResponse::decode(&read_frame(&mut client).unwrap()).unwrap();
-            assert_eq!(resp, JobResponse::Err("ok".into()));
+            assert_eq!(resp, JobResponse::Err(format!("echo:{tag}")));
         }
         // Every written job gave its slot back.
         assert_eq!(slots.lock().free, MAX_READERS);
@@ -620,7 +563,7 @@ mod tests {
                 let opts = ServeOptions { max_jobs: Some(jobs), ..Default::default() };
                 serve(&listener, &handler, &opts, &AtomicBool::new(false)).unwrap()
             });
-            // The first job blocks the batch loop, holding one slot, and
+            // The first job blocks the job loop, holding one slot, and
             // the jobs queued behind it hold the rest.
             let mut clients = vec![send("first", RC)];
             handler_started.recv_timeout(Duration::from_secs(10)).unwrap();

@@ -714,11 +714,6 @@ impl SymbolicLu {
         self.n
     }
 
-    /// Stored pattern entries in `L` plus `U`.
-    pub fn pattern_nnz(&self) -> usize {
-        self.l_rows.len() + self.u_rows.len()
-    }
-
     /// `true` if `a` has exactly the structure this analysis was
     /// computed for.
     pub fn matches_structure<T: Scalar>(&self, a: &Csc<T>) -> bool {
@@ -1977,7 +1972,7 @@ mod tests {
         // Dense 2×2: L has 1 entry, U has 3 (incl. both diagonals).
         assert_eq!(lu.factor_nnz(), 4);
         let sym = lu.symbolic(&a);
-        assert_eq!(sym.pattern_nnz(), 4);
+        assert_eq!(sym.l_rows.len() + sym.u_rows.len(), 4);
         assert_eq!(sym.dim(), 2);
     }
 
