@@ -9,10 +9,11 @@
 //! whole job.
 //!
 //! The PMTBR-family entries are thin [`pmtbr::ReductionPlan`]
-//! constructors executed by [`pmtbr::pipeline::run_cached`], which means
-//! every method inherits the tolerant parallel sweep: `PMTBR_FAULT` degrades
-//! the quadrature instead of erroring, `--threads` pins the worker
-//! count, `--trace` records the sweep, and the run's
+//! constructors executed by [`pmtbr::pipeline::run`] under the
+//! request's fault plan and budget, which means every method inherits
+//! the tolerant parallel sweep: a `PMTBR_FAULT` plan ([`env_faults`])
+//! degrades the quadrature instead of erroring, `--threads` pins the
+//! worker count, `--trace` records the sweep, and the run's
 //! [`PipelineSummary`] drives the binary's exit-code policy uniformly.
 //! Those whose plan needs nothing from the system run as a
 //! [`RequestPlan`] ([`Runner::Plan`]), which lets the served handler
@@ -35,6 +36,22 @@ use policy::summarize;
 pub use policy::{evaluate_acceptance, Acceptance, Verdict};
 pub use service::{handle_job, mat_to_wire, wire_to_mat};
 
+/// The fault plan `PMTBR_FAULT` asks for (`None` when unset), the one
+/// read of the variable: the binary checks it before any command runs,
+/// and [`handle_job`] reads it once per job into [`ReduceRequest::faults`].
+///
+/// # Errors
+///
+/// The parse error of a malformed spec ([`pmtbr::FaultPlan::parse_spec`]).
+pub fn env_faults() -> Result<Option<pmtbr::FaultPlan>, String> {
+    match std::env::var("PMTBR_FAULT") {
+        Ok(spec) => {
+            pmtbr::FaultPlan::parse_spec(&spec).map_err(|e| format!("invalid PMTBR_FAULT: {e}"))
+        }
+        Err(_) => Ok(None),
+    }
+}
+
 /// What `reduce` collected from the command line; method runners read
 /// only the fields they use.
 #[derive(Debug, Clone)]
@@ -56,6 +73,9 @@ pub struct ReduceRequest {
     /// pipeline-backed methods enforce it, the strict baselines ignore
     /// it.
     pub budget: Budget,
+    /// Faults to inject (`PMTBR_FAULT`); like the budget, only the
+    /// pipeline-backed methods apply them.
+    pub faults: Option<pmtbr::FaultPlan>,
     /// Greedy-sampling convergence tolerance (`--greedy-tol`; `0`
     /// disables early stopping). Only the `greedy` method reads it.
     pub greedy_tol: f64,
@@ -74,6 +94,7 @@ impl ReduceRequest {
             tol: 1e-8,
             order: None,
             budget: Budget::default(),
+            faults: None,
             greedy_tol: 1e-3,
             greedy_max_shifts: None,
         }
@@ -191,7 +212,7 @@ fn run_plan(
     cache: &dyn ArtifactCache,
     label: &str,
 ) -> Result<MethodOutput, String> {
-    let red = pmtbr::pipeline::run_cached(sys, plan, &req.budget, cache)
+    let red = pmtbr::pipeline::run(sys, plan, req.faults.as_ref(), &req.budget, cache)
         .map_err(|e| e.to_string())?;
     Ok(pipeline_output(label, red))
 }

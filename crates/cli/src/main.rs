@@ -60,9 +60,11 @@
 //! "Error handling and exit codes"; keep the two in sync.)
 //!
 //! The `PMTBR_FAULT` environment variable injects deterministic faults
-//! for chaos-testing the ladder (see `pmtbr::FaultPlan::from_env`); a
-//! malformed spec is rejected up front with exit 1 rather than silently
-//! ignored.
+//! for chaos-testing the ladder (grammar: `pmtbr::FaultPlan::parse_spec`;
+//! read by `pmtbr_cli::env_faults`); a malformed spec is rejected up
+//! front with exit 1 rather than silently ignored. So is any flag that
+//! lacks its value or holds a bad one: every flag parses before `reduce`
+//! runs or `submit` sends the job.
 
 use std::process::ExitCode;
 
@@ -126,12 +128,15 @@ impl Args {
         Args { positional, flags }
     }
 
-    fn flag_value(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+    /// The value of the last `--name`, `None` when the flag is absent.
+    /// A value flag given without a value is an error, never a silent
+    /// fall back to its default.
+    fn value(&self, name: &str) -> Result<Option<&str>, String> {
+        match self.flags.iter().rev().find(|(n, _)| n == name) {
+            None => Ok(None),
+            Some((_, Some(v))) => Ok(Some(v)),
+            Some((_, None)) => Err(format!("--{name} requires a value")),
+        }
     }
 
     fn flag_present(&self, name: &str) -> bool {
@@ -139,14 +144,14 @@ impl Args {
     }
 
     fn num(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.flag_value(name) {
+        match self.value(name)? {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name}: expected a number, got `{v}`")),
         }
     }
 
     fn int(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.flag_value(name) {
+        match self.value(name)? {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name}: expected an integer, got `{v}`")),
         }
@@ -154,7 +159,7 @@ impl Args {
 
     /// An optional `u64` cap: absent flag means "unlimited".
     fn cap(&self, name: &str) -> Result<Option<u64>, String> {
-        self.flag_value(name)
+        self.value(name)?
             .map(|v| {
                 v.parse().map_err(|_| format!("--{name}: expected an integer, got `{v}`"))
             })
@@ -175,6 +180,15 @@ fn build(text: &str) -> Result<lti::Descriptor, String> {
     nl.build().map_err(|e| format!("mna assembly failed: {e}"))
 }
 
+/// Fails unless `n` points of `--flag` fit in memory: the reservation
+/// is a checked request, so a count too large to allocate is an error,
+/// not an abort. Counts that can be allocated are not bounded here.
+fn room_for(flag: &str, n: usize) -> Result<(), String> {
+    Vec::<f64>::new()
+        .try_reserve_exact(n)
+        .map_err(|_| format!("--{flag}: {n} is too large to allocate"))
+}
+
 fn cmd_sweep(args: &Args) -> CmdResult {
     let path = args.positional.first().ok_or("sweep: missing netlist path")?;
     let sys = load(path)?;
@@ -184,6 +198,7 @@ fn cmd_sweep(args: &Args) -> CmdResult {
     if !(to > from && from > 0.0) || points == 0 {
         return Err("sweep: need 0 < --from < --to and --points > 0".into());
     }
+    room_for("points", points)?;
     let freqs =
         if args.flag_present("log") { logspace(from, to, points) } else { linspace(from, to, points) };
     let omega: Vec<f64> = freqs.iter().map(|f| f * TAU).collect();
@@ -259,14 +274,14 @@ fn cmd_reduce(args: &Args) -> CmdResult {
 fn job_request(args: &Args, cmd: &str, trace: bool) -> Result<serve::JobRequest, Failure> {
     let path = args.positional.first().ok_or_else(|| format!("{cmd}: missing netlist path"))?;
     let netlist = read(path)?;
-    let method = args.flag_value("method").unwrap_or("pmtbr");
+    let method = args.value("method")?.unwrap_or("pmtbr");
     pmtbr_cli::find(method)
         .ok_or_else(|| format!("unknown --method `{method}` ({})", pmtbr_cli::method_list()))?;
     Ok(serve::JobRequest {
         method: method.to_string(),
         netlist,
         omega_max: args.num("band", 1e10)? * TAU,
-        bands: args.flag_value("bands").map(parse_bands).transpose()?.unwrap_or_default(),
+        bands: args.value("bands")?.map(parse_bands).transpose()?.unwrap_or_default(),
         samples: args.int("samples", 40)? as u64,
         tol: args.num("tol", 1e-8)?,
         order: args.cap("order")?,
@@ -295,6 +310,7 @@ fn run_job(
     let job = job_request(args, cmd, trace_path.is_some())?;
     let max_dropped = args.int("max-dropped-samples", job.samples as usize)?;
     let strict = args.flag_present("strict");
+    let check = args.value("check")?.map(check_points).transpose()?;
     let result = match run(&job)? {
         serve::JobResponse::Err(e) => return Err(Failure::Error(e)),
         serve::JobResponse::Ok(result) => result,
@@ -322,7 +338,7 @@ fn run_job(
         Some(pmtbr_cli::wire_to_mat(&result.d).map_err(Failure::Protocol)?),
     )
     .map_err(|e| Failure::Protocol(format!("inconsistent model shapes in response: {e}")))?;
-    if let Some(npts) = args.flag_value("check") {
+    if let Some(npts) = check {
         // The netlist is local, so the cross-check assembles its own
         // full model whichever command ran the job.
         print_check(npts, job.omega_max, &build(&job.netlist)?, &reduced)?;
@@ -331,14 +347,21 @@ fn run_job(
     Ok(verdict)
 }
 
+/// Parses `--check N`: a positive point count that can be allocated.
+fn check_points(v: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => room_for("check", n).map(|()| n),
+        _ => Err(format!("--check: expected a positive integer, got `{v}`")),
+    }
+}
+
 /// `--check N`: compares full and reduced responses over the band.
 fn print_check(
-    npts: &str,
+    npts: usize,
     omega_max: f64,
     sys: &lti::Descriptor,
     reduced: &lti::StateSpace,
 ) -> Result<(), Failure> {
-    let npts: usize = npts.parse().map_err(|_| "--check: invalid integer".to_string())?;
     let omega: Vec<f64> = linspace(omega_max / npts as f64, omega_max, npts);
     let h_full = frequency_response(sys, &omega).map_err(|e| e.to_string())?;
     let h_red = frequency_response(reduced, &omega).map_err(|e| e.to_string())?;
@@ -372,7 +395,7 @@ fn print_model(reduced: &lti::StateSpace) {
 /// first-come-first-served scheduler over one shared artifact cache
 /// until `--max-jobs` jobs have completed (or forever).
 fn cmd_serve(args: &Args) -> CmdResult {
-    let addr = args.flag_value("addr").unwrap_or("127.0.0.1:7117");
+    let addr = args.value("addr")?.unwrap_or("127.0.0.1:7117");
     let cache_mb = args.int("cache-mb", 256)?;
     let max_jobs = args.cap("max-jobs")?;
     let listener = std::net::TcpListener::bind(addr)
@@ -406,7 +429,7 @@ fn cmd_submit(args: &Args, trace_path: Option<&str>) -> CmdResult {
         return Err("submit: --trace-wall is unsupported (server traces use the deterministic clock)"
             .into());
     }
-    let addr = args.flag_value("addr").unwrap_or("127.0.0.1:7117");
+    let addr = args.value("addr")?.unwrap_or("127.0.0.1:7117");
     let timeout = std::time::Duration::from_millis(args.int("timeout-ms", 30_000)? as u64);
     run_job(args, "submit", trace_path, |job| {
         serve::submit(addr, job, timeout).map_err(|e| Failure::Protocol(e.to_string()))
@@ -423,6 +446,7 @@ fn cmd_transient(args: &Args) -> CmdResult {
     if !(period > 0.0) || steps < 2 {
         return Err("transient: need --period > 0 and --steps >= 2".into());
     }
+    room_for("steps", steps)?;
     let h = 2.0 * period / steps as f64; // two periods by default
     let p = sys.ninputs();
     let mut u = numkit::DMat::zeros(p, steps);
@@ -468,6 +492,21 @@ fn usage() -> String {
     s
 }
 
+/// Checks `PMTBR_FAULT` (a chaos run with a typo'd spec must fail
+/// loudly, not run unfaulted), applies `--threads` through
+/// `PMTBR_THREADS`, and returns the `--trace` path.
+fn global_flags(args: &Args) -> Result<Option<String>, String> {
+    pmtbr_cli::env_faults()?;
+    if let Some(t) = args.value("threads")? {
+        match t.parse::<usize>() {
+            Ok(n) if n > 0 => std::env::set_var("PMTBR_THREADS", n.to_string()),
+            _ => return Err(format!("--threads: expected a positive integer, got `{t}`")),
+        }
+    }
+    let trace = args.value("trace").map_err(|_| "--trace requires an output path".to_string())?;
+    Ok(trace.map(str::to_string))
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
@@ -475,27 +514,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let args = Args::parse(rest);
-    // Reject a malformed PMTBR_FAULT spec up front (satellite of the
-    // fault-containment work): a chaos run with a typo'd spec must fail
-    // loudly, not silently run without faults.
-    if let Err(e) = pmtbr::FaultPlan::from_env() {
-        eprintln!("error: invalid PMTBR_FAULT: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(t) = args.flag_value("threads") {
-        match t.parse::<usize>() {
-            Ok(n) if n > 0 => std::env::set_var("PMTBR_THREADS", n.to_string()),
-            _ => {
-                eprintln!("error: --threads: expected a positive integer, got `{t}`");
-                return ExitCode::FAILURE;
-            }
+    let trace_path = match global_flags(&args) {
+        Ok(path) => path,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let trace_path = args.flag_value("trace").map(str::to_string);
-    if args.flag_present("trace") && trace_path.is_none() {
-        eprintln!("error: --trace requires an output path");
-        return ExitCode::FAILURE;
-    }
+    };
     // `submit` traces remotely (the server runs the reduction and ships
     // the jsonl back); `serve` traces per-job inside the handler. Only
     // the local commands install a process-wide collector here.
@@ -562,7 +587,7 @@ mod tests {
     fn flag_parsing() {
         let a = args(&["file.sp", "--order", "12", "--log", "--band", "8e9"]);
         assert_eq!(a.positional, vec!["file.sp"]);
-        assert_eq!(a.flag_value("order"), Some("12"));
+        assert_eq!(a.value("order"), Ok(Some("12")));
         assert!(a.flag_present("log"));
         assert_eq!(a.num("band", 0.0).unwrap(), 8e9);
         assert_eq!(a.int("order", 0).unwrap(), 12);
@@ -575,6 +600,12 @@ mod tests {
         assert_eq!(a.int("missing", 7).unwrap(), 7);
         let bad = args(&["x", "--order", "abc"]);
         assert!(bad.int("order", 1).is_err());
+        // A value flag given without a value never falls back silently.
+        let bare = args(&["x", "--band", "--log", "--order"]);
+        assert!(bare.num("band", 1.0).is_err());
+        assert!(bare.int("order", 1).is_err());
+        assert!(bare.flag_present("log"));
+        assert_eq!(bare.value("check"), Ok(None));
     }
 
     #[test]

@@ -61,8 +61,9 @@ pub fn wire_to_mat(w: &WireMat) -> Result<DMat, String> {
     Ok(m)
 }
 
-/// Builds the local [`ReduceRequest`] a job's flags describe.
-fn reduce_request(job: &JobRequest) -> ReduceRequest {
+/// Builds the local [`ReduceRequest`] a job's flags describe, under the
+/// fault plan `PMTBR_FAULT` asks for ([`crate::env_faults`]).
+fn reduce_request(job: &JobRequest) -> Result<ReduceRequest, String> {
     let mut req = ReduceRequest::new(job.omega_max, job.samples as usize);
     req.tol = job.tol;
     req.order = job.order.map(|o| o as usize);
@@ -74,13 +75,16 @@ fn reduce_request(job: &JobRequest) -> ReduceRequest {
     req.budget.max_lu_factors = job.budget_lu;
     req.budget.max_svd_sweeps = job.budget_svd;
     req.budget.max_sample_bytes = job.budget_bytes;
-    req
+    req.faults = crate::env_faults()?;
+    Ok(req)
 }
 
 /// Runs one job against an artifact cache.
 ///
-/// Parse failures, unknown methods, and numerical errors all come back
-/// as [`JobResponse::Err`] — a *well-formed* response the CLI maps to
+/// The job runs under the fault plan `PMTBR_FAULT` asks for, read once
+/// per job ([`crate::env_faults`]). A malformed spec, parse failures,
+/// unknown methods, and numerical errors all come back as
+/// [`JobResponse::Err`] — a *well-formed* response the CLI maps to
 /// exit 1. When the job asks for a trace, a deterministic
 /// (counter-clock) collector is installed around just this job and its
 /// JSON-lines serialization rides back in the response; local `reduce`
@@ -89,8 +93,12 @@ fn reduce_request(job: &JobRequest) -> ReduceRequest {
 /// may be answered from the model cache without a parse (module docs);
 /// its response is the one the parse path would return.
 pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
+    let req = match reduce_request(job) {
+        Ok(req) => req,
+        Err(e) => return JobResponse::Err(e),
+    };
     if !job.trace {
-        if let Some(out) = indexed_hit(job, cache) {
+        if let Some(out) = indexed_hit(job, &req, cache) {
             return respond(Ok(out), None);
         }
     }
@@ -107,7 +115,6 @@ pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
             crate::method_list()
         ));
     };
-    let req = reduce_request(job);
     if job.trace {
         obs::install(obs::ClockKind::Counter);
     }
@@ -123,18 +130,16 @@ pub fn handle_job(job: &JobRequest, cache: &dyn ArtifactCache) -> JobResponse {
 /// The model of an untraced job whose text `cache` has indexed, looked
 /// up without parsing, assembling or hashing the netlist; `None`
 /// whenever the job needs the parse path: its method's plan needs the
-/// system, its text is not indexed, its plan is invalid or
-/// `PMTBR_FAULT` is malformed (the parse path reports both), or no
-/// model for this plan, fault plan and budget is cached.
-fn indexed_hit(job: &JobRequest, cache: &dyn ArtifactCache) -> Option<MethodOutput> {
+/// system, its text is not indexed, its plan is invalid (the parse path
+/// reports it), or no model for this plan, fault plan and budget is
+/// cached.
+fn indexed_hit(job: &JobRequest, req: &ReduceRequest, cache: &dyn ArtifactCache) -> Option<MethodOutput> {
     let crate::Runner::Plan(plan) = crate::find(&job.method)?.runner else {
         return None;
     };
     let pencil = cache.source_pencil(job.netlist.as_bytes())?;
-    let req = reduce_request(job);
-    let built = (plan.build)(&req).ok()?;
-    let faults = pmtbr::pipeline::env_faults().ok()?;
-    let red = pmtbr::pipeline::warm_hit(pencil, &built, faults.as_ref(), &req.budget, cache).ok()??;
+    let built = (plan.build)(req).ok()?;
+    let red = pmtbr::pipeline::warm_hit(pencil, &built, req.faults.as_ref(), &req.budget, cache).ok()??;
     Some(crate::pipeline_output(plan.label, red))
 }
 
@@ -211,7 +216,7 @@ mod tests {
         // The same flags run locally, straight through the registry.
         let sys = circuits::parse_netlist(&job.netlist).unwrap().build().unwrap();
         let method = crate::find("pmtbr").unwrap();
-        let local = method.run(&sys, &reduce_request(&job), &NullCache).unwrap();
+        let local = method.run(&sys, &reduce_request(&job).unwrap(), &NullCache).unwrap();
         assert_eq!(remote.report_lines, local.report);
         for (wire, here) in [
             (&remote.a, &local.reduced.a),

@@ -216,3 +216,64 @@ fn degraded_reduce_exit_codes() {
         .expect("generous run");
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// Every flag is parsed before the job runs: a bad `--check` count or a
+/// value flag given without a value exits 1 with an `error:` line and
+/// nothing on stdout, from `reduce` and `submit` alike. `submit` aims at
+/// an address where nothing listens, so exit 1 rather than 5 shows that
+/// no job was sent.
+#[test]
+fn bad_flags_fail_before_the_job_runs_or_is_sent() {
+    let nl = write_netlist("flags.sp", RC_LADDER);
+    let path = nl.to_str().expect("utf8 path");
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free local port")
+        .to_string();
+    let run = |cmd: &str, flags: &[&str]| {
+        bin()
+            .args([cmd, path, "--order", "2", "--samples", "8", "--addr", &closed])
+            .args(flags)
+            .env_remove("PMTBR_FAULT")
+            .output()
+            .expect("run")
+    };
+    assert_eq!(run("submit", &[]).status.code(), Some(5), "nothing may listen at {closed}");
+    let bad: [&[&str]; 5] = [
+        &["--check", "abc"],
+        &["--check", "0"],
+        &["--check", "4611686018427387904"],
+        &["--check"],
+        &["--band"],
+    ];
+    for flags in bad {
+        for cmd in ["reduce", "submit"] {
+            let out = run(cmd, flags);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {flags:?}: stderr: {stderr}");
+            assert!(stderr.lines().any(|l| l.starts_with("error: --")), "{cmd} {flags:?}: {stderr}");
+            assert!(!stderr.contains(" panicked at "), "{cmd} {flags:?}: stderr: {stderr}");
+            assert!(out.stdout.is_empty(), "{cmd} {flags:?}: the job must not have run");
+        }
+    }
+}
+
+/// A point count too large to allocate is an error, not an abort.
+#[test]
+fn unallocatable_point_counts_are_errors() {
+    let nl = write_netlist("counts.sp", RC_LADDER);
+    let path = nl.to_str().expect("utf8 path");
+    for (cmd, flag) in [("sweep", "points"), ("transient", "steps")] {
+        let out = bin()
+            .args([cmd, path, &format!("--{flag}"), "4611686018427387904"])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: --{flag}: 4611686018427387904 is too large to allocate")),
+            "{cmd}: stderr: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd}");
+    }
+}

@@ -8,6 +8,9 @@
 //!   [`tbr`] baseline with Hankel singular values and the classical
 //!   `2·Σσ` error bound;
 //! - the cross-Gramian method of the paper's Section V-D;
+//! - the fault-tolerant multipoint sweep ([`ShiftSolveEngine`]): one
+//!   escalation ladder per shift, whose [`TolerantSweep`] depends only
+//!   on the shifts, the right-hand sides and the [`SolveFault`] hook;
 //! - frequency sweeps ([`frequency_response`]) and trapezoidal transient
 //!   simulation ([`simulate_descriptor`], [`simulate_ss`]);
 //! - frequency-limited (Gawronski–Juang) Gramians and TBR

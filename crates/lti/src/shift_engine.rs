@@ -32,8 +32,8 @@ use std::sync::OnceLock;
 
 use crate::descriptor::ShiftedPencilAssembler;
 use crate::tolerant::{
-    perturbed, RecoveryPolicy, ShiftOutcome, ShiftReport, SolveFault, SweepRhs, TolerantSweep,
-    GROWTH_LIMIT, MAX_PERTURB, REFINE_STEPS, RESIDUAL_TOL,
+    perturbed, ShiftOutcome, ShiftReport, SolveFault, SweepRhs, TolerantSweep, GROWTH_LIMIT,
+    MAX_PERTURB, REFINE_STEPS, RESIDUAL_TOL,
 };
 use crate::Descriptor;
 
@@ -224,10 +224,9 @@ impl ShiftSolveEngine {
         shifts: &[c64],
         rhs: &ZMat,
         threads: usize,
-        policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
     ) -> TolerantSweep {
-        self.tolerant_driver(shifts, SweepRhs::Shared(rhs), None, threads, policy, faults).0
+        self.tolerant_driver(shifts, SweepRhs::Shared(rhs), None, threads, faults).0
     }
 
     /// Fault-tolerant *two-sided* multipoint solve sharing one
@@ -253,11 +252,10 @@ impl ShiftSolveEngine {
         rhs: &ZMat,
         rhs_t: &ZMat,
         threads: usize,
-        policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
     ) -> (TolerantSweep, TolerantSweep) {
         let (fwd, trans) =
-            self.tolerant_driver(shifts, SweepRhs::Shared(rhs), Some(rhs_t), threads, policy, faults);
+            self.tolerant_driver(shifts, SweepRhs::Shared(rhs), Some(rhs_t), threads, faults);
         // The driver always produces the transpose sweep when rhs_t is
         // given; an empty sweep can only mean an empty shift list.
         (fwd, trans.unwrap_or(TolerantSweep { solutions: Vec::new(), reports: Vec::new() }))
@@ -278,7 +276,6 @@ impl ShiftSolveEngine {
         shifts: &[c64],
         rhss: &[ZMat],
         threads: usize,
-        policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
     ) -> Result<TolerantSweep, NumError> {
         if shifts.len() != rhss.len() {
@@ -288,9 +285,7 @@ impl ShiftSolveEngine {
                 right: (rhss.len(), 1),
             });
         }
-        Ok(self
-            .tolerant_driver(shifts, SweepRhs::PerShift(rhss), None, threads, policy, faults)
-            .0)
+        Ok(self.tolerant_driver(shifts, SweepRhs::PerShift(rhss), None, threads, faults).0)
     }
 
     /// Shared tolerant driver behind the shared-rhs, per-shift-rhs, and
@@ -304,7 +299,6 @@ impl ShiftSolveEngine {
         rhs: SweepRhs<'_>,
         trans_rhs: Option<&ZMat>,
         threads: usize,
-        policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
     ) -> (TolerantSweep, Option<TolerantSweep>) {
         let n = shifts.len();
@@ -317,7 +311,7 @@ impl ShiftSolveEngine {
         let mut k = 0;
         while k < n && !self.is_primed() {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.ladder(k, shifts[k], rhs.get(k), trans_rhs, policy, faults, true)
+                self.ladder(k, shifts[k], rhs.get(k), trans_rhs, faults, true)
             }));
             let (sol, sol_t, rep) = attempt.unwrap_or_else(|_| {
                 (
@@ -337,7 +331,7 @@ impl ShiftSolveEngine {
         }
         // Fan out the rest; workers only read the primed state.
         let rest = try_par_map_with(n - k, threads, |i| {
-            Ok(self.ladder(k + i, shifts[k + i], rhs.get(k + i), trans_rhs, policy, faults, false))
+            Ok(self.ladder(k + i, shifts[k + i], rhs.get(k + i), trans_rhs, faults, false))
         });
         for (i, r) in rest.into_iter().enumerate() {
             let index = k + i;
@@ -370,14 +364,12 @@ impl ShiftSolveEngine {
     /// primer cache. With `trans_rhs`, a rung must also certify the
     /// transposed solve through the same factorization before it is
     /// accepted.
-    #[allow(clippy::too_many_arguments)]
     fn ladder(
         &self,
         index: usize,
         s_req: c64,
         rhs: &ZMat,
         trans_rhs: Option<&ZMat>,
-        policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
         prime: bool,
     ) -> (Option<ZMat>, Option<ZMat>, ShiftReport) {
@@ -391,13 +383,6 @@ impl ShiftSolveEngine {
         // still records the ladder's exit event (the guard flushes during
         // unwinding, and the fault plan is deterministic).
         let mut sp = obs::item_span("shift", index as u64, "ladder");
-        // Cooperative cancellation, polled once per sweep iteration:
-        // a raised token drops this shift before any factorization work.
-        if policy.is_cancelled() {
-            obs::counters::add(obs::Counter::ShiftDropped, 1);
-            sp.field_str("outcome", "dropped");
-            return (None, None, ShiftReport::dropped(index, s_req, Some(NumError::Cancelled)));
-        }
         if faults.inject_panic(index) {
             // numlint:allow(PANIC01, ERR01, PANIC02) deliberate fault injection; contained by the pool as NumError::WorkerPanicked
             panic!("injected worker panic at shift index {index}");

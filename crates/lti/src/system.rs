@@ -100,10 +100,12 @@ pub trait LtiSystem {
     ) -> Result<TolerantSweep, NumError>;
 
     /// Fault-tolerant transposed sweep: the escalation ladder over
-    /// `(sₖ·E − A)ᵀ·Zₖ = R` — the observability-side samples that
-    /// two-sided (balanced / cross-Gramian) reductions need. Same
-    /// determinism contract as
-    /// [`LtiSystem::solve_shifted_many_tolerant`].
+    /// `(sₖ·E − A)ᵀ·Zₖ = R`, observability-side samples on their own.
+    /// Same determinism contract as
+    /// [`LtiSystem::solve_shifted_many_tolerant`]. No reduction calls
+    /// it (two-sided sweeps share one factorization per shift through
+    /// [`LtiSystem::solve_shifted_two_sided_tolerant`]); it stays
+    /// because forwarding wrappers forward every method.
     fn solve_shifted_transpose_many_tolerant(
         &self,
         shifts: &[c64],
@@ -116,8 +118,9 @@ pub trait LtiSystem {
     /// `(sₖ·E − A)⁻¹·R` and observability samples `(sₖ·E − A)⁻ᵀ·Rₜ` at
     /// the same shifts, from ONE factorization of `s·E − A` per shift
     /// ([`crate::ShiftSolveEngine::solve_two_sided_tolerant`]). Both
-    /// returned sweeps are index-aligned with `shifts` and deterministic
-    /// for every thread count.
+    /// returned sweeps are index-aligned with `shifts`, drop the same
+    /// shifts with identical reports, and are deterministic for every
+    /// thread count.
     fn solve_shifted_two_sided_tolerant(
         &self,
         shifts: &[c64],
@@ -388,14 +391,13 @@ impl LtiSystem for Descriptor {
         &self,
         shifts: &[c64],
         rhs: &ZMat,
-        policy: &RecoveryPolicy,
+        _policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
     ) -> TolerantSweep {
         crate::ShiftSolveEngine::new(self).solve_many_tolerant(
             shifts,
             rhs,
             numkit::par::num_threads(),
-            policy,
             faults,
         )
     }
@@ -405,14 +407,13 @@ impl LtiSystem for Descriptor {
         &self,
         shifts: &[c64],
         rhss: &[ZMat],
-        policy: &RecoveryPolicy,
+        _policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
     ) -> Result<TolerantSweep, NumError> {
         crate::ShiftSolveEngine::new(self).solve_pairs_tolerant(
             shifts,
             rhss,
             numkit::par::num_threads(),
-            policy,
             faults,
         )
     }
@@ -422,14 +423,13 @@ impl LtiSystem for Descriptor {
         &self,
         shifts: &[c64],
         rhs: &ZMat,
-        policy: &RecoveryPolicy,
+        _policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
     ) -> TolerantSweep {
         crate::ShiftSolveEngine::new_transposed(self).solve_many_tolerant(
             shifts,
             rhs,
             numkit::par::num_threads(),
-            policy,
             faults,
         )
     }
@@ -442,7 +442,7 @@ impl LtiSystem for Descriptor {
         shifts: &[c64],
         rhs: &ZMat,
         rhs_t: &ZMat,
-        policy: &RecoveryPolicy,
+        _policy: &RecoveryPolicy,
         faults: &dyn SolveFault,
     ) -> (TolerantSweep, TolerantSweep) {
         crate::ShiftSolveEngine::new(self).solve_two_sided_tolerant(
@@ -450,7 +450,6 @@ impl LtiSystem for Descriptor {
             rhs,
             rhs_t,
             numkit::par::num_threads(),
-            policy,
             faults,
         )
     }

@@ -13,8 +13,9 @@
 //! This module defines the shared vocabulary of that fault-tolerance
 //! layer:
 //!
-//! - the ladder's thresholds, which are constants of this module, and
-//!   [`RecoveryPolicy`], which carries only a sweep's cancellation;
+//! - the ladder's thresholds, which are constants of this module;
+//!   [`RecoveryPolicy`] is a fieldless stand-in that the tolerant
+//!   [`crate::LtiSystem`] methods still name;
 //! - [`ShiftOutcome`] / [`ShiftReport`] — what happened at each shift,
 //!   with the certified residual, condition estimate, and pivot growth;
 //! - [`TolerantSweep`] — partial results (`None` per dropped shift) plus
@@ -27,7 +28,7 @@
 //! [`crate::LtiSystem`] implementors sweep through it: a dense
 //! [`crate::StateSpace`] runs its `E = I` descriptor form.
 
-use numkit::{c64, CancelToken, NumError, ZMat};
+use numkit::{c64, NumError, ZMat};
 
 /// Relative residual a solve must reach to be accepted (certification).
 pub(crate) const RESIDUAL_TOL: f64 = 1e-10;
@@ -41,27 +42,12 @@ const PERTURB_EPS: f64 = 1e-8;
 /// without solving.
 pub(crate) const GROWTH_LIMIT: f64 = 1e8;
 
-/// Per-sweep settings of the escalation ladder. The ladder's thresholds
-/// (residual tolerance, refinement steps, perturbation schedule,
-/// pivot-growth limit) are fixed constants; a sweep sets only its
-/// cancellation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Cooperative cancellation token, polled once per sweep iteration
-    /// (i.e. per shift, before its ladder starts). A cancelled sweep
-    /// drops every not-yet-attempted shift with
-    /// [`NumError::Cancelled`] instead of solving it; shifts already
-    /// resolved keep their bit-identical results. `None` (the default)
-    /// never cancels.
-    pub cancel: Option<CancelToken>,
-}
-
-impl RecoveryPolicy {
-    /// `true` once the attached [`CancelToken`] (if any) is raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-}
+/// Per-sweep settings of the escalation ladder: none. The ladder's
+/// thresholds (residual tolerance, refinement steps, perturbation
+/// schedule, pivot-growth limit) are fixed constants. The type stays
+/// only because the tolerant [`crate::LtiSystem`] methods take it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryPolicy;
 
 /// The shift actually attempted at perturbation level `j`:
 /// `s·(1 + j·ε)` for nonzero `s`, `j·ε` for `s = 0`. Level 0 is the
@@ -294,7 +280,7 @@ mod tests {
         let sweep = sys.solve_shifted_many_tolerant(
             &shifts,
             &sys.b.to_complex(),
-            &RecoveryPolicy::default(),
+            &RecoveryPolicy,
             &NoFaults,
         );
         assert_eq!(sweep.dropped(), 0);
@@ -321,7 +307,7 @@ mod tests {
         let sweep = sys.solve_shifted_many_tolerant(
             &shifts,
             &sys.b.to_complex(),
-            &RecoveryPolicy::default(),
+            &RecoveryPolicy,
             &NoFaults,
         );
         assert_eq!(sweep.reports.len(), 2);
@@ -353,7 +339,7 @@ mod tests {
         let sweep = sys.solve_shifted_many_tolerant(
             &shifts,
             &sys.b.to_complex(),
-            &RecoveryPolicy::default(),
+            &RecoveryPolicy,
             &PanicAt(2),
         );
         assert_eq!(sweep.dropped(), 1);
@@ -383,7 +369,7 @@ mod tests {
         let sweep = sys.solve_shifted_many_tolerant(
             &shifts,
             &sys.b.to_complex(),
-            &RecoveryPolicy::default(),
+            &RecoveryPolicy,
             &DriftAll,
         );
         assert_eq!(sweep.dropped(), 0);

@@ -96,7 +96,7 @@ fn exact_eigenvalue_shift_forces_perturbation_on_diagonal_pencil() {
     let sweep = sys.solve_shifted_many_tolerant(
         &shifts,
         &rhs,
-        &RecoveryPolicy::default(),
+        &RecoveryPolicy,
         &NoFaults,
     );
     assert_eq!(sweep.reports.len(), 4);
@@ -138,7 +138,7 @@ fn near_eigenvalue_shift_certifies_with_tiny_rcond() {
     let sweep = sys.solve_shifted_many_tolerant(
         &shifts,
         &rhs,
-        &RecoveryPolicy::default(),
+        &RecoveryPolicy,
         &NoFaults,
     );
     let rep = &sweep.reports[1];
@@ -164,7 +164,7 @@ fn eigenvalue_shifts_recover_or_drop_never_panic() {
     let sweep = sys.solve_shifted_many_tolerant(
         &shifts,
         &rhs,
-        &RecoveryPolicy::default(),
+        &RecoveryPolicy,
         &NoFaults,
     );
     assert_eq!(sweep.reports.len(), shifts.len());
@@ -202,7 +202,7 @@ fn complex_eigenvalue_shifts_on_rlc_pencil() {
     let sweep = sys.solve_shifted_many_tolerant(
         &shifts,
         &rhs,
-        &RecoveryPolicy::default(),
+        &RecoveryPolicy,
         &NoFaults,
     );
     for (k, rep) in sweep.reports.iter().enumerate() {
@@ -230,12 +230,10 @@ fn tolerant_sweep_bit_identical_across_thread_counts() {
     shifts.push(eigs[0]);
     shifts.push(eigs[1].scale(1.0 + 1e-14));
     shifts.push(shifts[0]); // duplicate: exercises the reuse rung
-    let policy = RecoveryPolicy::default();
-    let baseline = ShiftSolveEngine::new(&sys)
-        .solve_many_tolerant(&shifts, &rhs, 1, &policy, &NoFaults);
+    let baseline = ShiftSolveEngine::new(&sys).solve_many_tolerant(&shifts, &rhs, 1, &NoFaults);
     for threads in [2usize, 8] {
-        let sweep = ShiftSolveEngine::new(&sys)
-            .solve_many_tolerant(&shifts, &rhs, threads, &policy, &NoFaults);
+        let sweep =
+            ShiftSolveEngine::new(&sys).solve_many_tolerant(&shifts, &rhs, threads, &NoFaults);
         assert_eq!(sweep.reports, baseline.reports, "threads {threads}");
         for (k, (a, b)) in sweep.solutions.iter().zip(&baseline.solutions).enumerate() {
             assert_eq!(a, b, "threads {threads} shift {k}: must be bit-identical");
@@ -249,13 +247,7 @@ fn duplicate_of_primer_shift_is_reused_verbatim() {
     let rhs = sys.b.to_complex();
     let s0 = c64::new(0.0, 1.0);
     let shifts = [s0, c64::new(0.0, 2.0), s0];
-    let sweep = ShiftSolveEngine::new(&sys).solve_many_tolerant(
-        &shifts,
-        &rhs,
-        2,
-        &RecoveryPolicy::default(),
-        &NoFaults,
-    );
+    let sweep = ShiftSolveEngine::new(&sys).solve_many_tolerant(&shifts, &rhs, 2, &NoFaults);
     assert_eq!(sweep.reports[0].outcome, ShiftOutcome::Refreshed);
     assert_eq!(sweep.reports[1].outcome, ShiftOutcome::Refactored);
     assert_eq!(sweep.reports[2].outcome, ShiftOutcome::Reused);
@@ -274,7 +266,7 @@ fn strict_sweep_still_fails_fast_but_tolerant_does_not() {
     let sweep = sys.solve_shifted_many_tolerant(
         &shifts,
         &rhs,
-        &RecoveryPolicy::default(),
+        &RecoveryPolicy,
         &NoFaults,
     );
     assert_eq!(sweep.dropped(), 0);

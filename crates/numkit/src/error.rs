@@ -54,9 +54,6 @@ pub enum NumError {
         /// Index of the work item whose worker panicked.
         index: usize,
     },
-    /// The operation observed a raised [`crate::CancelToken`] at one of
-    /// its cooperative polling points and stopped early.
-    Cancelled,
     /// A deterministic work budget (counted off `obs` counters, never
     /// wall clock) ran out before the operation completed.
     BudgetExhausted {
@@ -88,7 +85,6 @@ impl fmt::Display for NumError {
             NumError::WorkerPanicked { index } => {
                 write!(f, "worker thread panicked while computing index {index}")
             }
-            NumError::Cancelled => write!(f, "operation cancelled by caller"),
             NumError::BudgetExhausted { resource } => {
                 write!(f, "work budget exhausted: {resource} cap reached")
             }

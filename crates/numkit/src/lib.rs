@@ -9,7 +9,9 @@
 //! Everything is implemented from scratch — no BLAS/LAPACK bindings — with
 //! an emphasis on the regimes model order reduction cares about: graded
 //! spectra spanning many orders of magnitude and near-rank-deficient
-//! Gramians.
+//! Gramians. No kernel reads the process environment except
+//! [`par::num_threads`] (`PMTBR_THREADS`), whose results are
+//! bit-identical at every worker count.
 //!
 //! ## Quick tour
 //!
@@ -42,7 +44,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod angles;
-mod cancel;
 mod complex;
 mod eig;
 mod eigh;
@@ -57,7 +58,6 @@ mod schur;
 mod svd;
 
 pub use angles::{max_principal_angle, principal_angles, vector_subspace_angle};
-pub use cancel::CancelToken;
 pub use complex::c64;
 pub use eig::{eig, eig_residual, Eig};
 pub use eigh::{eigh, psd_sqrt_factor, SymEig};

@@ -27,6 +27,7 @@ use crate::NumError;
 /// variable if set to a positive integer, otherwise the machine's
 /// available parallelism (1 if that cannot be determined).
 pub fn num_threads() -> usize {
+    // numlint:allow(ENV01) the worker count is a deployment setting, and results are bit-identical at every count
     if let Ok(v) = std::env::var("PMTBR_THREADS") {
         if let Ok(t) = v.trim().parse::<usize>() {
             if t >= 1 {

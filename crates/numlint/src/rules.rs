@@ -9,6 +9,7 @@
 //! | FLOAT02 | `numkit`/`sparsekit` `src/`   | bare `as usize`/`as f64` casts                    |
 //! | ERR01   | seven library crates' `src/`  | `panic!` inside `Result`-returning pub fns        |
 //! | CONC01  | workspace, non-test           | `static mut`; atomic orderings other than Relaxed |
+//! | ENV01   | `LIBRARY_CRATES`' `src/`      | `env::var`/`var_os`/`vars`/`set_var`/`remove_var`  |
 //!
 //! Three more rules are *interprocedural* and live in
 //! `engine::workspace_diagnostics` because they need the whole-workspace
@@ -81,6 +82,13 @@ pub const RULES: &[Rule] = &[
         summary: "no `static mut`; atomic loads/stores use Ordering::Relaxed only",
         applies: |_| true,
         check: conc01,
+    },
+    Rule {
+        id: "ENV01",
+        summary: "no process-environment reads or writes (env::var, var_os, vars, set_var, \
+                  remove_var) in library crates",
+        applies: FileClass::is_library_src,
+        check: env01,
     },
 ];
 
@@ -599,6 +607,51 @@ fn conc01(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------------
+// ENV01 — process-environment access in library crates
+// ---------------------------------------------------------------------------
+
+/// The `std::env` functions that read or write the process environment.
+const ENV_ACCESS: &[&str] = &["var", "var_os", "vars", "vars_os", "set_var", "remove_var"];
+
+/// A library run must be a function of its arguments: a value read from
+/// the process environment is an input no caller passes and no test
+/// sees. The binaries read such settings and pass them in. Flags
+/// `env::NAME` paths — calls and `use` imports alike, including a name
+/// inside a `use std::env::{…}` group.
+fn env01(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
+    let toks = &ctx.lexed.tokens;
+    let mut flag = |t: &Token| {
+        let name = t.ident().unwrap_or("?");
+        diag(
+            out,
+            t,
+            "ENV01",
+            format!(
+                "`env::{name}` touches the process environment inside a library crate; take \
+                 the value as an argument and read the variable in the binary (or allow it \
+                 with a reason)"
+            ),
+        );
+    };
+    for (i, t) in toks.iter().enumerate() {
+        if !(t.is_ident("env") && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))) {
+            continue;
+        }
+        match toks.get(i + 2) {
+            Some(n) if n.ident().is_some_and(|id| ENV_ACCESS.contains(&id)) => flag(n),
+            Some(n) if n.is_punct("{") => {
+                for m in toks[i + 3..].iter().take_while(|m| !m.is_punct("}")) {
+                    if m.ident().is_some_and(|id| ENV_ACCESS.contains(&id)) {
+                        flag(m);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // ERR01 — panic! inside Result-returning pub fns
 // ---------------------------------------------------------------------------
 
@@ -839,6 +892,41 @@ mod tests {
             .iter()
             .all(|d| d.rule != "CONC01"));
         assert!(kernel("static LIMIT: u64 = 3;").iter().all(|d| d.rule != "CONC01"));
+    }
+
+    #[test]
+    fn env01_flags_environment_access_in_library_crates_only() {
+        let env01 = |class: FileClass, src: &str| {
+            run(class, src).iter().filter(|d| d.rule == "ENV01").count()
+        };
+        let lib = || FileClass::CrateSrc("pmtbr".into());
+        let reads = "fn f() {\n\
+                     let _ = std::env::var(\"PMTBR_FAULT\");\n\
+                     let _ = env::var_os(\"X\");\n\
+                     let _ = std::env::vars();\n\
+                     std::env::set_var(\"X\", \"1\");\n\
+                     std::env::remove_var(\"X\");\n\
+                     }";
+        assert_eq!(env01(lib(), reads), 5);
+        assert_eq!(env01(lib(), "use std::env::var;\nuse std::env::{self, set_var};"), 2);
+        // Compile-time `env!`, `std::env::args`, strings and test code
+        // are not environment reads of a library run.
+        let quiet = "fn f() {\n\
+                     let _ = env!(\"CARGO_MANIFEST_DIR\");\n\
+                     let _ = std::env::args();\n\
+                     let _ = \"env::var\";\n\
+                     }\n\
+                     #[cfg(test)]\nmod tests {\n    fn t() { std::env::set_var(\"X\", \"1\"); }\n}\n";
+        assert_eq!(env01(lib(), quiet), 0);
+        // Binaries and tooling crates may read their environment.
+        assert_eq!(env01(FileClass::CrateSrc("cli".into()), reads), 0);
+        assert_eq!(env01(FileClass::CrateSrc("bench".into()), reads), 0);
+        // A reasoned allow sanctions a site.
+        let allowed = "fn f() {\n\
+                       // numlint:allow(ENV01) deployment setting, results identical at every value\n\
+                       let _ = std::env::var(\"PMTBR_THREADS\");\n\
+                       }";
+        assert_eq!(env01(lib(), allowed), 0);
     }
 
     #[test]

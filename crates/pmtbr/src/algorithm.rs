@@ -7,7 +7,7 @@
 //! the Hankel singular values, and the trailing-value sum drives order
 //! and error control.
 
-use lti::{LtiSystem, NoFaults, RecoveryPolicy, StateSpace};
+use lti::{LtiSystem, NoFaults, StateSpace};
 use numkit::{svd_with_sweeps, DMat, NumError, Svd};
 
 use crate::budget::BudgetTracker;
@@ -192,7 +192,6 @@ pub fn sample_basis<S: LtiSystem + ?Sized>(
         sampling,
         &InputDirections::IdentityBlock,
         false,
-        &RecoveryPolicy::default(),
         &NoFaults,
         None,
     )?;
@@ -231,10 +230,9 @@ pub struct PmtbrModel {
 /// Runs PMTBR (Algorithm 1) end to end.
 ///
 /// Executes [`ReductionPlan::pmtbr`] through
-/// [`crate::pipeline::run_cached`]: the sweep honors `PMTBR_FAULT`
-/// (degrading gracefully and discarding the per-point account — use
-/// [`crate::pipeline::run`] to inspect it) and is traced under the
-/// `pmtbr.sample_sweep` span.
+/// [`crate::pipeline::run_cached`], unfaulted and traced under the
+/// `pmtbr.sample_sweep` span; the per-point account is discarded (use
+/// [`crate::pipeline::run`] to inspect it or to inject faults).
 ///
 /// # Errors
 ///

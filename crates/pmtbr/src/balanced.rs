@@ -24,9 +24,10 @@ use crate::{Budget, NullCache, PmtbrModel, Sampling};
 ///
 /// Executes [`ReductionPlan::balanced`] through the shared pipeline:
 /// both pencil sweeps (`(sE − A)⁻¹·B` and `(sE − A)⁻ᵀ·Cᵀ`) run through
-/// the tolerant parallel engine, a node survives only if *both* sides
-/// solved, and under `PMTBR_FAULT` the quadrature degrades with
-/// renormalized weights instead of erroring.
+/// the tolerant parallel engine, and a node survives only if *both*
+/// sides solved. The run is unfaulted; to inject faults, pass a
+/// [`crate::FaultPlan`] to [`crate::pipeline::run`], under which the
+/// quadrature degrades with renormalized weights instead of erroring.
 ///
 /// # Errors
 ///

@@ -14,18 +14,9 @@
 //! exhausted resource in [`crate::PipelineReport::budget_exhausted`],
 //! and still returns a best-effort reduced model. Only a budget that
 //! leaves room for *no* work at all turns into
-//! [`NumError::BudgetExhausted`].
-//!
-//! The optional [`CancelToken`] rides along for cooperative
-//! cancellation: the pipeline polls it at stage boundaries, and the
-//! sweep polls it once per shift (via `RecoveryPolicy::cancel`), so a
-//! raised token stops the run at the next deterministic checkpoint with
-//! [`NumError::Cancelled`].
+//! [`numkit::NumError::BudgetExhausted`].
 
-use numkit::{CancelToken, NumError};
-
-/// Caps on the deterministic work counters a pipeline run may consume,
-/// plus an optional cooperative cancellation token.
+/// Caps on the deterministic work counters a pipeline run may consume.
 ///
 /// `None` caps are unlimited; [`Budget::default`] is fully unlimited.
 ///
@@ -52,9 +43,6 @@ pub struct Budget {
     /// Recorded post-hoc: an overrun marks the report but never aborts
     /// a run that already holds the samples.
     pub max_sample_bytes: Option<u64>,
-    /// Cooperative cancellation, polled at stage boundaries and once
-    /// per sweep shift.
-    pub cancel: Option<CancelToken>,
 }
 
 /// Scopes a [`Budget`] to one pipeline run by snapshotting the
@@ -96,15 +84,6 @@ impl<'a> BudgetTracker<'a> {
             None
         }
     }
-
-    /// Errors with [`NumError::Cancelled`] when the token is raised —
-    /// the pipeline's stage-boundary checkpoint.
-    pub(crate) fn check_cancelled(&self) -> Result<(), NumError> {
-        match &self.budget.cancel {
-            Some(token) => token.check(),
-            None => Ok(()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +96,6 @@ mod tests {
         let t = BudgetTracker::start(&b);
         assert_eq!(t.exhausted(), None);
         assert_eq!(t.remaining_svd_sweeps(), None);
-        assert!(t.check_cancelled().is_ok());
     }
 
     #[test]
@@ -131,15 +109,5 @@ mod tests {
         obs::counters::add(obs::Counter::SvdSweeps, 6);
         assert_eq!(t.remaining_svd_sweeps(), Some(0));
         assert_eq!(t.exhausted(), Some("svd-sweeps"));
-    }
-
-    #[test]
-    fn cancellation_surfaces_as_cancelled_error() {
-        let token = CancelToken::new();
-        let b = Budget { cancel: Some(token.clone()), ..Budget::default() };
-        let t = BudgetTracker::start(&b);
-        assert!(t.check_cancelled().is_ok());
-        token.cancel();
-        assert_eq!(t.check_cancelled(), Err(NumError::Cancelled));
     }
 }

@@ -318,8 +318,8 @@ impl ArtifactCache for LruCache {
 
 /// Digest of the fault plan a run injects. Fault injection changes
 /// results bit-for-bit, so it must be part of every key. `None` hashes
-/// exactly as an unset `PMTBR_FAULT` always has, so fault-free keys
-/// (recorded in traces' `cache_lookup` spans) stay stable.
+/// exactly as it always has, so fault-free keys (recorded in traces'
+/// `cache_lookup` spans) stay stable.
 fn fault_digest(faults: Option<&FaultPlan>) -> u64 {
     let mut h = Fnv64::new();
     h.label("pmtbr-fault-env-v1");
@@ -342,8 +342,7 @@ fn fault_digest(faults: Option<&FaultPlan>) -> u64 {
     h.finish()
 }
 
-/// Digest of the budget caps (the cancel token carries no numeric
-/// semantics and is excluded).
+/// Digest of the budget caps.
 fn budget_words(h: &mut Fnv64, budget: &Budget) {
     for cap in [budget.max_lu_factors, budget.max_svd_sweeps, budget.max_sample_bytes] {
         match cap {

@@ -24,9 +24,10 @@ use crate::{Budget, NullCache, PmtbrModel, Sampling};
 ///
 /// Executes [`ReductionPlan::cross_gramian`] through the shared
 /// pipeline: both pencil sweeps run through the tolerant parallel
-/// engine, a node survives only if *both* sides solved, and under
-/// `PMTBR_FAULT` the quadrature degrades with renormalized weights
-/// instead of erroring.
+/// engine, and a node survives only if *both* sides solved. The run is
+/// unfaulted; under a [`crate::FaultPlan`] passed to
+/// [`crate::pipeline::run`] the quadrature degrades with renormalized
+/// weights instead of erroring.
 ///
 /// # Errors
 ///

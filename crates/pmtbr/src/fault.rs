@@ -16,9 +16,11 @@
 //! bit-identical-at-any-thread-count guarantee, and a failing run
 //! reproduces exactly.
 //!
-//! The plan can also be read from the `PMTBR_FAULT` environment
-//! variable (see [`FaultPlan::from_env`]), which is how the CLI exposes
-//! chaos testing without a dedicated flag:
+//! A plan is an argument of [`crate::pipeline::run`]; the library never
+//! reads one from the environment. A plan can also be written as a spec
+//! string ([`FaultPlan::parse_spec`]), which is how `pmtbr-cli` exposes
+//! chaos testing through its `PMTBR_FAULT` environment variable without
+//! a dedicated flag:
 //!
 //! ```text
 //! PMTBR_FAULT="seed=42,rate=0.25,kinds=singular|nan|drift|panic,stage=compress"
@@ -137,33 +139,19 @@ impl FaultPlan {
         self
     }
 
-    /// Reads a plan from the `PMTBR_FAULT` environment variable.
-    ///
-    /// Comma-separated `key=value` pairs: `seed` (u64, default 0),
-    /// `rate` (fraction in `[0,1]`, default 0.25), `kinds`
+    /// Parses a spec string, the grammar of `pmtbr-cli`'s `PMTBR_FAULT`
+    /// variable: comma-separated `key=value` pairs, `seed` (u64,
+    /// default 0), `rate` (fraction in `[0,1]`, default 0.25), `kinds`
     /// (`|`-separated subset of `singular|nan|drift|panic`, default all),
     /// `depth` (default 2), `stage` (`|`-separated subset of
     /// `sweep|compress|project` or `all`, default `sweep`).
     ///
     /// # Errors
     ///
-    /// `Ok(None)` when the variable is unset, empty, `off`, or `0`;
-    /// `Err` with a human-readable message for unknown keys or
-    /// malformed values — a bad spec must never run unfaulted.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("PMTBR_FAULT") {
-            Ok(spec) => FaultPlan::parse_spec(&spec),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// Parses a `PMTBR_FAULT`-style spec string (see [`FaultPlan::from_env`]
-    /// for the grammar) without touching the process environment.
-    ///
-    /// # Errors
-    ///
-    /// `Ok(None)` for an empty, `off`, or `0` spec; `Err` for unknown
-    /// keys, unknown kind/stage tokens, or unparsable values.
+    /// `Ok(None)` for an empty, `off`, or `0` spec; `Err` with a
+    /// human-readable message for unknown keys, unknown kind/stage
+    /// tokens, or unparsable values — a bad spec must never run
+    /// unfaulted.
     pub fn parse_spec(spec: &str) -> Result<Option<FaultPlan>, String> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "off" || spec == "0" {
@@ -414,9 +402,6 @@ mod tests {
 
     #[test]
     fn spec_parsing_roundtrip() {
-        // Exercise the spec parser directly — mutating the live
-        // environment here would race with other tests in this binary
-        // that run the pipeline (which consults PMTBR_FAULT).
         let plan = FaultPlan::parse_spec("seed=9,rate=0.5,kinds=drift|panic,depth=3")
             .expect("spec must be well-formed")
             .expect("plan must parse");

@@ -19,9 +19,8 @@ use crate::{Budget, NullCache, PmtbrModel};
 /// (each `(lo, hi)` in rad/s), using `n_samples` total quadrature nodes.
 ///
 /// Executes [`ReductionPlan::frequency_selective`] through the shared
-/// pipeline, so band-restricted sweeps get the same parallel engine,
-/// fault-tolerance ladder (`PMTBR_FAULT` degrades the quadrature
-/// instead of erroring), and tracing as every other variant.
+/// pipeline, unfaulted, so band-restricted sweeps get the same parallel
+/// engine, fault-tolerance ladder, and tracing as every other variant.
 ///
 /// # Errors
 ///

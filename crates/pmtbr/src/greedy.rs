@@ -48,7 +48,8 @@
 //! the same tolerant escalation ladder every fixed-grid sweep uses — so
 //! greedy composes with the recovery ladder (a dropped shift re-enters
 //! selection instead of silently shrinking the basis), with
-//! `pmtbr::Budget`'s LU node cap, and with `PMTBR_FAULT` chaos testing.
+//! `pmtbr::Budget`'s LU node cap, and with [`crate::FaultPlan`] chaos
+//! testing.
 //!
 //! The driver is strictly sequential (the parallelism lives inside each
 //! tolerant solve), so the selected shifts, the trace events, and the
@@ -286,7 +287,6 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
     tol: f64,
     max_shifts: usize,
     two_sided: bool,
-    policy: &RecoveryPolicy,
     faults: &dyn SolveFault,
     node_cap: Option<usize>,
 ) -> Result<SweptSamples, NumError> {
@@ -411,14 +411,14 @@ pub(crate) fn greedy_sweep<S: LtiSystem + ?Sized>(
         let (mut rep, fwd_z, trans_z) = match &ct {
             Some(ct) => {
                 let (f, t) =
-                    sys.solve_shifted_two_sided_tolerant(&[s_req], &b, ct, policy, &hooked);
+                    sys.solve_shifted_two_sided_tolerant(&[s_req], &b, ct, &RecoveryPolicy, &hooked);
                 let f_ok = f.solutions[0].is_some();
                 let t_ok = t.solutions[0].is_some();
                 let rep = if f_ok && !t_ok { t.reports[0].clone() } else { f.reports[0].clone() };
                 (rep, f.solutions.into_iter().next().flatten(), t.solutions.into_iter().next().flatten())
             }
             None => {
-                let f = sys.solve_shifted_many_tolerant(&[s_req], &b, policy, &hooked);
+                let f = sys.solve_shifted_many_tolerant(&[s_req], &b, &RecoveryPolicy, &hooked);
                 (f.reports[0].clone(), f.solutions.into_iter().next().flatten(), None)
             }
         };

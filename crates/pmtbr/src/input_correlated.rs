@@ -60,9 +60,10 @@ impl InputCorrelatedOptions {
 ///
 /// Executes [`ReductionPlan::input_correlated`] through the shared
 /// pipeline: the stochastic draws become per-node input directions for
-/// the same tolerant, parallel, traced sweep every variant uses —
-/// under `PMTBR_FAULT` the quadrature degrades gracefully instead of
-/// erroring, exactly like the other entry points.
+/// the same tolerant, parallel, traced sweep every variant uses. The
+/// run is unfaulted; under a [`crate::FaultPlan`] passed to
+/// [`crate::pipeline::run`] the quadrature degrades gracefully instead
+/// of erroring, exactly like the other entry points.
 ///
 /// # Errors
 ///

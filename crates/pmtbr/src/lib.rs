@@ -35,8 +35,10 @@
 //! executes it through the shared tolerant multipoint sweep — so
 //! parallelism, fault tolerance, weight renormalization, budgets,
 //! caching, and tracing behave identically across variants. The
-//! variant functions go through [`pipeline::run_cached`], the one
-//! library entry point that reads `PMTBR_FAULT`.
+//! variant functions go through [`pipeline::run_cached`], which runs
+//! unfaulted: a run is a function of its arguments, and the library
+//! reads no fault plan from the environment (`pmtbr-cli` reads
+//! `PMTBR_FAULT` and passes the [`FaultPlan`] to [`pipeline::run`]).
 //!
 //! All of them accept anything implementing `lti::LtiSystem`, including
 //! sparse descriptor systems with singular `E` (Section V-A).

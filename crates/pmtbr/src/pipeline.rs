@@ -31,16 +31,17 @@
 //!
 //! There are exactly two ways to execute a plan: [`run`], the one
 //! explicit core (fault plan, budget, and artifact cache all passed
-//! in), and [`run_cached`], which reads the fault plan from
-//! `PMTBR_FAULT` and calls it. A third entry, [`warm_hit`], executes
-//! nothing: it is [`run`]'s cache lookup for a caller that knows the
-//! pencil hash but has not built the system. Every variant therefore
+//! in), and [`run_cached`], which is [`run`] without a fault plan. A
+//! third entry, [`warm_hit`], executes nothing: it is [`run`]'s cache
+//! lookup for a caller that knows the pencil hash but has not built the
+//! system. A run is a function of its arguments alone; no entry reads
+//! the process environment for its fault plan (the `pmtbr-cli` binary
+//! reads `PMTBR_FAULT` and passes the plan in). Every variant therefore
 //! inherits the same guarantees: the parallel factorization-reusing
 //! `ShiftSolveEngine`, the fault-tolerance escalation ladders with
 //! [`SweepDiagnostics`] and [`PipelineReport`], deterministic work
-//! budgets with cooperative cancellation ([`Budget`]), content-addressed
-//! caching, `obs` tracing, and bit-identical results at any thread
-//! count.
+//! budgets ([`Budget`]), content-addressed caching, `obs` tracing, and
+//! bit-identical results at any thread count.
 //!
 //! ## Fault containment beyond the sweep
 //!
@@ -317,6 +318,13 @@ impl ReductionPlan {
                 ));
             }
         }
+        if self.compressor.is_two_sided()
+            && matches!(self.directions, InputDirections::Correlated { .. })
+        {
+            return Err(NumError::InvalidArgument(
+                "two-sided compressors support identity-block input directions only",
+            ));
+        }
         Ok(())
     }
 }
@@ -411,36 +419,13 @@ pub struct Reduction {
     pub report: PipelineReport,
 }
 
-/// The fault plan the `PMTBR_FAULT` environment variable asks for
-/// (`None` when unset). This is the only place the library reads
-/// `PMTBR_FAULT`: [`run_cached`] runs under it, and a server that looks
-/// a model up with [`warm_hit`] must key the lookup with it.
+/// Executes a plan unfaulted: `run(sys, plan, None, budget, cache)`,
+/// the entry of the variant functions ([`crate::pmtbr`] and friends).
+/// Chaos testing passes a [`FaultPlan`] to [`run`] instead.
 ///
 /// # Errors
 ///
-/// [`NumError::InvalidArgument`] when `PMTBR_FAULT` is set but
-/// malformed — a bad spec must never run silently unfaulted. (The CLI
-/// validates the variable up front and prints the detailed parse
-/// error; this in-library error is deliberately static.)
-pub fn env_faults() -> Result<Option<FaultPlan>, NumError> {
-    FaultPlan::from_env().map_err(|_| {
-        NumError::InvalidArgument(
-            "malformed PMTBR_FAULT spec: fix or unset it (the pmtbr CLI prints the detailed \
-             parse error)",
-        )
-    })
-}
-
-/// Executes a plan with the fault plan from the `PMTBR_FAULT`
-/// environment variable ([`env_faults`]), so chaos testing applies
-/// uniformly to every variant, the CLI, and the serve daemon;
-/// everything else is [`run`].
-///
-/// # Errors
-///
-/// - [`NumError::InvalidArgument`] when `PMTBR_FAULT` is set but
-///   malformed ([`env_faults`]).
-/// - See [`run`] for the rest.
+/// See [`run`].
 ///
 /// ```
 /// use pmtbr::{pipeline::run_cached, Budget, NullCache, PmtbrOptions, ReductionPlan, Sampling};
@@ -460,7 +445,7 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
     budget: &Budget,
     cache: &dyn ArtifactCache,
 ) -> Result<Reduction, NumError> {
-    run(sys, plan, env_faults()?.as_ref(), budget, cache)
+    run(sys, plan, None, budget, cache)
 }
 
 /// Executes a plan: sweep → compress → project, with an explicit fault
@@ -468,8 +453,7 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
 ///
 /// This is the single execution core behind every reduction entry
 /// point. All shifted solves go through the tolerant multipoint sweep
-/// ([`LtiSystem::solve_shifted_many_tolerant`] and friends) under a
-/// [`RecoveryPolicy`] carrying the budget's cancel token, so sparse
+/// ([`LtiSystem::solve_shifted_many_tolerant`] and friends), so sparse
 /// systems get the factorization-reusing parallel engine; failures
 /// degrade the quadrature instead of aborting it; compression and projection
 /// failures escalate through deterministic recovery ladders (see the
@@ -478,16 +462,14 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
 /// per-stage outcomes.
 ///
 /// `faults` injects deterministic chaos into the stages it targets
-/// (`None` runs unfaulted, whatever the environment says).
+/// (`None` runs unfaulted).
 ///
 /// The budget's caps are enforced off the deterministic `obs` counters
 /// (never wall clock): the sweep attempts at most as many nodes as the
 /// LU-factorization cap, the compressor ladder clamps
 /// its sweep caps to the remaining SVD budget, and exhaustion yields a
 /// best-effort [`StageOutcome::Degraded`] model with the resource
-/// recorded in [`PipelineReport::budget_exhausted`]. The budget's
-/// [`numkit::CancelToken`] is polled at stage boundaries and once per
-/// sweep shift.
+/// recorded in [`PipelineReport::budget_exhausted`].
 ///
 /// The cache holds finished models, keyed on
 /// [`LtiSystem::pencil_hash`] plus a digest of the plan, the fault
@@ -510,8 +492,6 @@ pub fn run_cached<S: LtiSystem + ?Sized>(
 /// - [`NumError::BudgetExhausted`] when a budget leaves room for no
 ///   work at all (e.g. zero remaining LU factorizations before the
 ///   sweep).
-/// - [`NumError::Cancelled`] when the budget's token is raised, even on
-///   a cache hit.
 /// - Propagates unrecoverable SVD/eigen/projection errors (after the
 ///   compressor ladder and fallbacks are exhausted).
 ///
@@ -540,7 +520,6 @@ pub fn run<S: LtiSystem + ?Sized>(
     cache: &dyn ArtifactCache,
 ) -> Result<Reduction, NumError> {
     plan.validate()?;
-    BudgetTracker::start(budget).check_cancelled()?;
     // A system without a content address cannot be cached; run the
     // identical core directly (no lookup spans: there is no key to
     // look up, and the omission is deterministic per system type).
@@ -579,8 +558,8 @@ pub fn run<S: LtiSystem + ?Sized>(
 /// answering a netlist text it has built before
 /// ([`ArtifactCache::source_pencil`]).
 ///
-/// Validates the plan, checks for cancellation, and looks the model up
-/// under the key [`run`] would use. A hit is recorded and its events
+/// Validates the plan and looks the model up under the key [`run`]
+/// would use. A hit is recorded and its events
 /// replayed by the same code as [`run`]'s, so it returns the same
 /// reduction with the same counters and trace. A miss records nothing
 /// and returns `None`: the caller falls back to [`run`], which looks
@@ -588,8 +567,8 @@ pub fn run<S: LtiSystem + ?Sized>(
 ///
 /// # Errors
 ///
-/// Plan validation ([`NumError::InvalidArgument`]) and
-/// [`NumError::Cancelled`], as [`run`] reports them.
+/// Plan validation ([`NumError::InvalidArgument`]), as [`run`]
+/// reports it.
 pub fn warm_hit(
     pencil: u64,
     plan: &ReductionPlan,
@@ -598,7 +577,6 @@ pub fn warm_hit(
     cache: &dyn ArtifactCache,
 ) -> Result<Option<Reduction>, NumError> {
     plan.validate()?;
-    BudgetTracker::start(budget).check_cancelled()?;
     let key = CacheKey { pencil, digest: cache::model_digest(plan, faults, budget) };
     Ok(replay_hit(&key, cache))
 }
@@ -637,11 +615,7 @@ fn run_core<S: LtiSystem + ?Sized>(
         None => &NoFaults,
     };
     let tracker = BudgetTracker::start(budget);
-    tracker.check_cancelled()?;
     let mut report = PipelineReport::default();
-    // The budget's cancellation token rides in the sweep policy, so a
-    // single token stops every stage.
-    let policy = RecoveryPolicy { cancel: budget.cancel.clone() };
     let SweptSamples {
         zmat,
         blocks,
@@ -658,7 +632,6 @@ fn run_core<S: LtiSystem + ?Sized>(
         &plan.sampling,
         &plan.directions,
         plan.compressor.is_two_sided(),
-        &policy,
         solve_faults,
         budget.max_lu_factors.map(|cap| usize::try_from(cap).unwrap_or(usize::MAX)),
     )?;
@@ -680,7 +653,6 @@ fn run_core<S: LtiSystem + ?Sized>(
             budget_stage = Some("sweep");
         }
     }
-    tracker.check_cancelled()?;
     let compressed = compress(&zmat, &blocks, zl.as_ref(), plan, faults, &tracker, &mut report)?;
     let svd_retried = compressed.retried();
     if budget_stage.is_none()
@@ -697,7 +669,6 @@ fn run_core<S: LtiSystem + ?Sized>(
     span.field("svd_retried", obs::Value::Bool(svd_retried));
     span.field_str("outcome", report.sweep.label());
     drop(span);
-    tracker.check_cancelled()?;
     let model = project(sys, &zmat, zl.as_ref(), compressed, &plan.order, faults, &mut report)?;
     if budget_stage.is_none() {
         if let Some(resource) = tracker.exhausted() {
@@ -845,7 +816,6 @@ pub(crate) fn sweep<S: LtiSystem + ?Sized>(
     sampling: &Sampling,
     directions: &InputDirections,
     two_sided: bool,
-    policy: &RecoveryPolicy,
     faults: &dyn SolveFault,
     node_cap: Option<usize>,
 ) -> Result<SweptSamples, NumError> {
@@ -855,7 +825,7 @@ pub(crate) fn sweep<S: LtiSystem + ?Sized>(
     // its parameters and its identity-block directions.
     if let Sampling::Greedy { omega_max, pool, tol, max_shifts } = sampling {
         return crate::greedy::greedy_sweep(
-            sys, *omega_max, *pool, *tol, *max_shifts, two_sided, policy, faults, node_cap,
+            sys, *omega_max, *pool, *tol, *max_shifts, two_sided, faults, node_cap,
         );
     }
     let points = sampling.points()?;
@@ -884,45 +854,34 @@ pub(crate) fn sweep<S: LtiSystem + ?Sized>(
     let mut sp = obs::span("pmtbr.sample_sweep");
     sp.field_u64("requested", active.len() as u64);
     let shifts: Vec<c64> = active[..attempted].iter().map(|p| p.s).collect();
-    // Two-sided sweeps with a shared excitation go through the
-    // factorization-sharing ladder: one LU per shift serves both the
-    // forward and the transposed solve. Per-node excitations keep the
-    // split sweeps (the pairs ladder has its own rhs per index).
+    // Two-sided sweeps go through the factorization-sharing ladder: one
+    // LU per shift serves both the forward and the transposed solve.
+    // Per-node excitations are one-sided (`ReductionPlan::validate`).
     let (fwd, trans): (TolerantSweep, Option<TolerantSweep>) = match (&excitation, two_sided) {
         (Excitation::Shared(b), true) => {
             let ct = sys.output_matrix().adjoint().to_complex();
-            let (f, t) = sys.solve_shifted_two_sided_tolerant(&shifts, b, &ct, policy, faults);
+            let (f, t) =
+                sys.solve_shifted_two_sided_tolerant(&shifts, b, &ct, &RecoveryPolicy, faults);
             (f, Some(t))
         }
         (Excitation::Shared(b), false) => {
-            (sys.solve_shifted_many_tolerant(&shifts, b, policy, faults), None)
+            (sys.solve_shifted_many_tolerant(&shifts, b, &RecoveryPolicy, faults), None)
         }
         (Excitation::PerNode(rhss), _) => {
-            let f = sys.solve_shifted_pairs_tolerant(&shifts, rhss, policy, faults)?;
-            let t = if two_sided {
-                let ct = sys.output_matrix().adjoint().to_complex();
-                Some(sys.solve_shifted_transpose_many_tolerant(&shifts, &ct, policy, faults))
-            } else {
-                None
-            };
-            (f, t)
+            (sys.solve_shifted_pairs_tolerant(&shifts, rhss, &RecoveryPolicy, faults)?, None)
         }
     };
     debug_assert_eq!(fwd.reports.len(), attempted);
-    // A node survives only if every required side solved; the report is
-    // the forward one unless only the transpose side dropped.
+    // A node survives only if every required side solved. The
+    // two-sided ladder drops a shift on both sides or neither, with one
+    // report for both, so the forward reports account for every node.
     let requested = active.len();
     let mut reports: Vec<ShiftReport> = Vec::with_capacity(requested);
     let mut alive: Vec<bool> = Vec::with_capacity(requested);
     for k in 0..attempted {
-        let f_ok = fwd.solutions[k].is_some();
         let t_ok = trans.as_ref().is_none_or(|t| t.solutions[k].is_some());
-        alive.push(f_ok && t_ok);
-        let rep = match &trans {
-            Some(t) if f_ok && !t_ok => t.reports[k].clone(),
-            _ => fwd.reports[k].clone(),
-        };
-        reports.push(rep);
+        alive.push(fwd.solutions[k].is_some() && t_ok);
+        reports.push(fwd.reports[k].clone());
     }
     // Nodes beyond the LU budget were never attempted: account for them
     // as budget-dropped so renormalization spreads their weight.
@@ -1870,16 +1829,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_run_stops_at_first_checkpoint() {
+    fn correlated_directions_with_a_two_sided_compressor_are_rejected() {
         let sys = mesh();
-        let opts =
-            PmtbrOptions::new(Sampling::Linear { omega_max: 20.0, n: 10 }).with_max_order(4);
-        let plan = ReductionPlan::pmtbr(&opts);
-        let token = numkit::CancelToken::new();
-        token.cancel();
-        let budget = Budget { cancel: Some(token), ..Budget::default() };
-        let err = run(&sys, &plan, None, &budget, &NullCache).unwrap_err();
-        assert_eq!(err, NumError::Cancelled);
+        let u = lti::dithered_square_inputs(2, 50, 0.05, 4.0, 0.1, 1);
+        let opts = InputCorrelatedOptions::new(Sampling::Linear { omega_max: 20.0, n: 8 });
+        for compressor in [Compressor::Balance, Compressor::CrossGramian] {
+            let mut plan = ReductionPlan::input_correlated(&u, &opts);
+            plan.compressor = compressor;
+            plan.order = OrderControl::Exact(3);
+            let err = run_clean(&sys, &plan).unwrap_err();
+            assert!(matches!(err, NumError::InvalidArgument(_)), "{compressor:?}: {err}");
+        }
+        // The same directions with the one-sided default still run.
+        assert!(run_clean(&sys, &ReductionPlan::input_correlated(&u, &opts)).is_ok());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! process, and a sibling test's solves would double-count.
 
 use circuits::rc_mesh;
-use lti::{RecoveryPolicy, ShiftSolveEngine};
+use lti::ShiftSolveEngine;
 use numkit::c64;
 use obs::{counters, Counter};
 use pmtbr::{
@@ -53,10 +53,8 @@ fn lu_work_accounts_for_every_shift() {
          the reuse rung is exercised under fault"
     );
 
-    let policy = RecoveryPolicy::default();
     let before = counters::snapshot();
-    let sweep =
-        ShiftSolveEngine::new(&sys).solve_many_tolerant(&shifts, &rhs, 2, &policy, &plan);
+    let sweep = ShiftSolveEngine::new(&sys).solve_many_tolerant(&shifts, &rhs, 2, &plan);
     let d = counters::snapshot().delta(&before);
 
     // Every shift accepted — drift is always recoverable.

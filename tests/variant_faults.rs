@@ -1,54 +1,48 @@
-//! Regression test for the unified-pipeline refactor: every reduction
-//! variant — not just the baseline — must honor `PMTBR_FAULT` and
-//! degrade gracefully instead of erroring.
+//! Regression tests for the unified-pipeline refactor and its fault
+//! plan: every reduction variant — not just the baseline — degrades
+//! gracefully under an injected [`FaultPlan`] instead of erroring, and
+//! the library takes that plan only as an argument of
+//! [`pmtbr::pipeline::run`], never from the environment.
 //!
 //! Before the `pmtbr::pipeline` refactor, `frequency_selective_pmtbr`
 //! and `input_correlated_pmtbr` ran strict per-variant solve loops that
 //! silently bypassed the recovery ladder: an injected worker panic
-//! aborted the whole reduction. Now they execute through the shared
-//! tolerant engine, so faulted quadrature nodes are dropped with
+//! aborted the whole reduction. Now their plans execute through the
+//! shared tolerant engine, so faulted quadrature nodes are dropped with
 //! renormalized weights and a full [`pmtbr::SweepDiagnostics`] account.
-//!
-//! NOTE: this file holds exactly one `#[test]` because it mutates the
-//! `PMTBR_FAULT` process environment; a second concurrent test in the
-//! same binary could observe the injected faults.
 
 use circuits::{rc_mesh, spread_ports};
 use lti::dithered_square_inputs;
-use pmtbr::pipeline::run_cached;
+use pmtbr::pipeline::{run, run_cached};
 use pmtbr::{
-    frequency_selective_pmtbr, input_correlated_pmtbr, Budget, FaultPlan, InputCorrelatedOptions,
-    NullCache, ReductionPlan, Sampling,
+    Budget, FaultPlan, InputCorrelatedOptions, NullCache, PmtbrOptions, ReductionPlan, Sampling,
 };
 
 const FAULT_SPEC: &str = "seed=5,rate=0.25,kinds=panic,depth=2";
+
+fn fault_plan() -> FaultPlan {
+    FaultPlan::parse_spec(FAULT_SPEC).expect("spec parses").expect("spec is not `off`")
+}
 
 #[test]
 fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
     // Guard the seed choice: the spec must actually fault some of the
     // first few sweep indices, or the degradation assertions below are
     // vacuous.
-    let plan = FaultPlan::parse_spec(FAULT_SPEC)
-        .expect("spec parses")
-        .expect("spec is not `off`");
-    let faulted = (0..12).filter(|&i| plan.fault_for(i).is_some()).count();
+    let faults = fault_plan();
+    let faulted = (0..12).filter(|&i| faults.fault_for(i).is_some()).count();
     assert!(faulted > 0, "seed must fault at least one of the first 12 indices");
 
-    std::env::set_var("PMTBR_FAULT", FAULT_SPEC);
-
     // --- Algorithm 2: frequency-selective --------------------------------
+    // Every requested node is accounted for, some dropped, weights
+    // renormalized.
     let sys = rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).expect("mesh");
     let bands = [(0.0, 2.0), (5.0, 10.0)];
-    let m_fsel = frequency_selective_pmtbr(&sys, &bands, 12, Some(5), 1e-10)
-        .expect("frequency-selective must degrade, not error");
-    assert!(m_fsel.reduced.a.is_finite());
-    assert!(m_fsel.order >= 1 && m_fsel.order <= 5);
-
-    // The same plan, run through the pipeline directly, exposes the
-    // diagnostics the shim discards: every requested node accounted
-    // for, some dropped, weights renormalized.
     let fsel_plan = ReductionPlan::frequency_selective(&bands, 12, Some(5), 1e-10);
-    let red = run_cached(&sys, &fsel_plan, &Budget::default(), &NullCache).expect("pipeline run");
+    let red = run(&sys, &fsel_plan, Some(&faults), &Budget::default(), &NullCache)
+        .expect("frequency-selective must degrade, not error");
+    assert!(red.model.reduced.a.is_finite());
+    assert!(red.model.order >= 1 && red.model.order <= 5);
     let diag = &red.diagnostics;
     assert!(diag.requested > 0, "diagnostics must not be empty");
     assert_eq!(diag.reports.len(), diag.requested);
@@ -59,8 +53,6 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
     for report in diag.reports.iter().filter(|r| r.outcome.is_dropped()) {
         assert!(report.error.is_some(), "drops must carry their cause");
     }
-    // Shim and direct pipeline run see the same env-injected faults.
-    assert_eq!(m_fsel.singular_values, red.model.singular_values);
 
     // --- Algorithm 3: input-correlated -----------------------------------
     let ports = spread_ports(4, 8, 16);
@@ -69,14 +61,11 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
     let mut opts = InputCorrelatedOptions::new(Sampling::Linear { omega_max: 6.0, n: 12 });
     opts.n_draws = 24;
     opts.max_order = Some(5);
-    let m_ic = input_correlated_pmtbr(&sys_mc, &u_train, &opts)
-        .expect("input-correlated must degrade, not error");
-    assert!(m_ic.reduced.a.is_finite());
-    assert!(m_ic.order >= 1 && m_ic.order <= 5);
-
     let ic_plan = ReductionPlan::input_correlated(&u_train, &opts);
-    let red_ic =
-        run_cached(&sys_mc, &ic_plan, &Budget::default(), &NullCache).expect("pipeline run");
+    let red_ic = run(&sys_mc, &ic_plan, Some(&faults), &Budget::default(), &NullCache)
+        .expect("input-correlated must degrade, not error");
+    assert!(red_ic.model.reduced.a.is_finite());
+    assert!(red_ic.model.order >= 1 && red_ic.model.order <= 5);
     let diag_ic = &red_ic.diagnostics;
     assert!(diag_ic.requested > 0, "diagnostics must not be empty");
     assert_eq!(diag_ic.reports.len(), diag_ic.requested);
@@ -86,14 +75,48 @@ fn frequency_selective_and_input_correlated_degrade_gracefully_under_faults() {
 
     // Degraded runs stay deterministic: the fault pattern is a pure
     // function of (seed, index), so reruns are bit-identical.
-    let m_ic2 = input_correlated_pmtbr(&sys_mc, &u_train, &opts).expect("rerun");
-    assert_eq!(m_ic.singular_values, m_ic2.singular_values);
+    let rerun = run(&sys_mc, &ic_plan, Some(&faults), &Budget::default(), &NullCache)
+        .expect("rerun");
+    assert_eq!(red_ic.model.singular_values, rerun.model.singular_values);
 
-    std::env::remove_var("PMTBR_FAULT");
-
-    // Clean reruns (no env) must not be degraded — the variable really
-    // was the only fault source.
-    let clean = run_cached(&sys, &fsel_plan, &Budget::default(), &NullCache).expect("clean run");
+    // An unfaulted run is not degraded: the plan was the only fault
+    // source.
+    let clean = run(&sys, &fsel_plan, None, &Budget::default(), &NullCache).expect("clean run");
     assert!(!clean.diagnostics.is_degraded());
     assert_eq!(clean.diagnostics.weight_renormalization, 1.0);
+}
+
+/// The bits of a reduced model: its four matrices and its spectrum.
+fn model_bits(m: &pmtbr::PmtbrModel) -> Vec<u64> {
+    let r = &m.reduced;
+    [&r.a, &r.b, &r.c, &r.d]
+        .iter()
+        .flat_map(|mat| mat.as_slice().iter())
+        .chain(&m.singular_values)
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+/// A run is a function of its arguments: with `PMTBR_FAULT` set in this
+/// process, the variant functions and `run_cached` still return the
+/// unfaulted model, bit for bit.
+#[test]
+fn the_library_ignores_pmtbr_fault() {
+    let sys = rc_mesh(4, 4, &[0, 15], 1.0, 1.0, 2.0).expect("mesh");
+    let opts = PmtbrOptions::new(Sampling::Linear { omega_max: 10.0, n: 12 }).with_max_order(5);
+    let plan = ReductionPlan::pmtbr(&opts);
+    let clean = run(&sys, &plan, None, &Budget::default(), &NullCache).expect("clean run");
+    let faulted = run(&sys, &plan, Some(&fault_plan()), &Budget::default(), &NullCache)
+        .expect("faulted run");
+    assert_ne!(model_bits(&faulted.model), model_bits(&clean.model), "the spec must bite");
+
+    std::env::set_var("PMTBR_FAULT", FAULT_SPEC);
+    let variant = pmtbr::pmtbr(&sys, &opts);
+    let cached = run_cached(&sys, &plan, &Budget::default(), &NullCache);
+    std::env::remove_var("PMTBR_FAULT");
+
+    assert_eq!(model_bits(&variant.expect("variant run")), model_bits(&clean.model));
+    let cached = cached.expect("run_cached");
+    assert_eq!(model_bits(&cached.model), model_bits(&clean.model));
+    assert!(!cached.diagnostics.is_degraded());
 }
